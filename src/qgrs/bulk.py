@@ -7,6 +7,8 @@ Fields too large for dense tables fall back to scalar loops.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .field import FieldSpec, TABLE_ORDER_LIMIT
@@ -143,6 +145,34 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return ok
 
 
+def schur_children(F: FieldSpec, R: np.ndarray, count: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One elimination step for each of the first ``count`` columns of R.
+
+    R is an (m, w) code matrix.  For column c, the pivot row is the first
+    row with a nonzero entry in c; child c, shape (m - 1, w), holds the other
+    rows after the pivot row's multiple that clears column c is subtracted.  Row operations keep
+    every maximal minor up to a nonzero factor, so a k-subset S of columns
+    containing c has a nonzero minor exactly when child c's minor on S - {c}
+    is nonzero.  alive[c] is False when column c is zero: then every subset
+    through c is singular (and child c is meaningless).
+    """
+    mul, add = F.np_mul.ravel(), F.np_add.ravel()
+    order = F.order
+    m = R.shape[0]
+    heads = R[:, :count]
+    nz = heads != 0
+    piv = nz.argmax(axis=0)
+    cols = np.arange(count)
+    alive = nz[piv, cols]
+    rest = np.arange(m - 1)[None, :]
+    rest = rest + (rest >= piv[:, None])               # (count, m - 1) rows kept
+    factor = mul[F.np_neg[heads[rest, cols[:, None]]] * order
+                 + F.np_inv[heads[piv, cols]][:, None]]
+    scaled = mul[factor[:, :, None] * order + R[piv][:, None, :]]
+    return alive, add[R[rest] * order + scaled]
+
+
 def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:
     """A (count, k) block of k-subsets of range(n) in lexicographic order,
     beginning at lexicographic rank ``start`` (unranked directly, so blocks
@@ -167,8 +197,6 @@ def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:
 
 def _unrank_lex(n: int, k: int, rank: int) -> list[int]:
     """Lexicographic unranking of k-subsets of range(n)."""
-    import math
-
     out = []
     prev = -1
     for pos in range(k):
@@ -182,3 +210,15 @@ def _unrank_lex(n: int, k: int, rank: int) -> list[int]:
         out.append(c)
         prev = c
     return out
+
+
+def _rank_lex(n: int, k: int, subset) -> int:
+    """Lexicographic rank of a sorted k-subset of range(n); inverse of
+    :func:`_unrank_lex`."""
+    rank = 0
+    prev = -1
+    for pos, c in enumerate(subset):
+        for skipped in range(prev + 1, c):
+            rank += math.comb(n - skipped - 1, k - pos - 1)
+        prev = c
+    return rank

@@ -51,36 +51,53 @@ def encode_document(spec: GrsSpec) -> dict[str, Any]:
     return doc
 
 
+def _exact_int(value: Any, what: str) -> int:
+    """A JSON integer; bools, floats and strings are malformations."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def decode_document(doc: Any) -> GrsSpec:
     """Inverse of encode_document; every malformation maps to SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {version!r}")
     try:
         fd = doc["field"]
-        p, e = int(fd["p"]), int(fd["e"])
-        modulus = [int(c) for c in fd["modulus"]]
-        k = int(doc["k"])
-        raw_locs = list(doc["locators"])
-        raw_mults = list(doc["multipliers"])
-    except (KeyError, TypeError, ValueError) as exc:
+        p, e = _exact_int(fd["p"], "field.p"), _exact_int(fd["e"], "field.e")
+        modulus = [_exact_int(c, "modulus coefficient")
+                   for c in _json_list(fd["modulus"], "field.modulus")]
+        k = _exact_int(doc["k"], "k")
+        raw_locs = _json_list(doc["locators"], "locators")
+        raw_mults = _json_list(doc["multipliers"], "multipliers")
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed document: {exc}") from exc
     try:
         F = make_field(p, e)
-    except QgrsError as exc:
+    except (QgrsError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
     check_modulus(F, modulus)
     n_units = F.order - 1
 
-    def _unit(log: Any) -> Felt:
-        log = int(log)
+    def _unit(log: Any, what: str) -> Felt:
+        log = _exact_int(log, f"{what} log")
         if not 0 <= log < n_units:
             raise SchemaError(f"log {log} outside [0, {n_units})")
         return F.from_log(log)
 
-    locators = tuple(F.zero if x == "zero" else _unit(x) for x in raw_locs)
-    multipliers = tuple(_unit(x) for x in raw_mults)
+    # "zero" is a locator only: a zero multiplier is never a unit
+    locators = tuple(F.zero if x == "zero" else _unit(x, "locator")
+                     for x in raw_locs)
+    multipliers = tuple(_unit(x, "multiplier") for x in raw_mults)
     try:
         return GrsSpec(F, locators, multipliers, k,
                        provenance=doc.get("provenance"))

@@ -40,10 +40,12 @@ from .grs import (
     hermitian_gram,
     singleton_distance,
 )
+from .matrix import FMatrix
 
 DEFAULT_MINOR_BUDGET = 10_000_000
 DEFAULT_WORD_BUDGET = 10_000_000
 _MINOR_CHUNK = 8192
+_LEAF_WIDTH = 2
 _SAMPLED_MINORS = 512
 _SAMPLE_SEED = 0xC0DE
 
@@ -83,25 +85,141 @@ def check_mds_minors(spec: GrsSpec, *, budget: int = DEFAULT_MINOR_BUDGET,
     if total > budget:
         return MdsReport(MdsStatus.BUDGET_EXCEEDED, "minors", 0,
                          f"C({n},{k}) = {total} > budget {budget}")
-    F = spec.field
-    G = generator_matrix(spec)
-    Gnp = np.array(G.rows, dtype=np.int64)
-    use_tables = bulk.has_tables(F)
+    G = np.array(generator_matrix(spec).rows, dtype=np.int64)
+    return check_matrix_minors(spec.field, G, chunk=chunk)
+
+
+def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
+                        chunk: int = _MINOR_CHUNK) -> MdsReport:
+    """Decide every maximal minor of the k x n code matrix G.
+
+    On failure the report names the lexicographically first singular
+    k-subset, and ``checked`` counts the minors up to the end of the
+    ``chunk``-sized block of lexicographic ranks that holds it.
+    """
+    k, n = G.shape
+    total = math.comb(n, k)
+    if bulk.has_tables(F):
+        bad = _first_singular(F, G, chunk)
+    else:
+        bad = _first_singular_scalar(F, G, chunk)
+    if bad is None:
+        return MdsReport(MdsStatus.VERIFIED, "minors", total)
+    rank = bulk._rank_lex(n, k, bad)
+    return MdsReport(MdsStatus.FAILED, "minors",
+                     min(total, (rank // chunk + 1) * chunk),
+                     f"singular minor at columns {bad}")
+
+
+def _first_singular(F: FieldSpec, G: np.ndarray,
+                    chunk: int) -> tuple[int, ...] | None:
+    """Depth-first walk over the column k-subsets in lexicographic order.
+
+    A node of depth d holds the residual of G after eliminating its d
+    prefix columns (bulk.schur_children), restricted to the columns after
+    the last one; a zero residual column ends the walk below it, since every
+    completion through that column is singular.  Once _LEAF_WIDTH rows are
+    left, every _LEAF_WIDTH-subset of the remaining columns is a leaf minor,
+    decided in batches of at most ``chunk``.  Returns the first singular
+    subset, or None.
+    """
+    k, n = G.shape
+    width = min(k, _LEAF_WIDTH)
+    tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
+    # completions[f]: how many tails start at column f or later
+    completions = np.array([math.comb(n - f, width) for f in range(n + 1)])
+    rows = np.arange(width)[None, :, None]
+    # queued leaf batches, all before any subset not yet queued:
+    # (mats, head, first child column or None, member, tail ids)
+    queue: list[tuple] = []
+    queued = 0
+
+    def flush() -> tuple[int, ...] | None:
+        nonlocal queued
+        if not queue:
+            return None
+        good = bulk.batch_minors_nonsingular(
+            F, np.concatenate([piece[0] for piece in queue]))
+        if not good.all():
+            b = int(np.flatnonzero(~good)[0])
+            for mats, head, child0, member, ids in queue:
+                if b < len(mats):
+                    child = () if child0 is None else (child0 + int(member[b]),)
+                    return head + child + tuple(int(c) for c in tails[ids[b]])
+                b -= len(mats)
+        queue.clear()
+        queued = 0
+        return None
+
+    def leaves(X: np.ndarray, start: int, head: tuple[int, ...],
+               children: bool) -> tuple[int, ...] | None:
+        """Queue the leaf minors of the residuals X over columns start..n-1.
+
+        With ``children`` set, X[i] is the child through column start + i of
+        the node with prefix ``head``, and its tails lie after that column;
+        otherwise X[0] is that node itself and its tails start at ``start``.
+        """
+        nonlocal queued
+        firsts = start + 1 + np.arange(len(X)) if children else np.array([start])
+        cnt = completions[firsts]
+        member = np.repeat(np.arange(len(X)), cnt)
+        ids = np.arange(int(cnt.sum())) + np.repeat(
+            len(tails) - cnt - (np.cumsum(cnt) - cnt), cnt)
+        for lo in range(0, len(ids), chunk):
+            part_member, part_ids = member[lo:lo + chunk], ids[lo:lo + chunk]
+            cols = tails[part_ids] - start
+            mats = X[part_member[:, None, None], rows, cols[:, None, :]]
+            if queued + len(mats) > chunk:
+                bad = flush()
+                if bad is not None:
+                    return bad
+            queue.append((mats, head, start if children else None,
+                          part_member, part_ids))
+            queued += len(mats)
+        return None
+
+    def walk(R: np.ndarray, start: int,
+             head: tuple[int, ...]) -> tuple[int, ...] | None:
+        m, w = R.shape
+        if m == width:
+            return leaves(R[None], start, head, False)
+        alive, kids = bulk.schur_children(F, R, w - m + 1)
+        dead = np.flatnonzero(~alive)
+        live = int(dead[0]) if dead.size else len(alive)
+        if m - 1 == width:
+            bad = leaves(kids[:live], start, head, True)
+            if bad is not None:
+                return bad
+        else:
+            for j in range(live):
+                bad = walk(kids[j, :, j + 1:], start + j + 1, head + (start + j,))
+                if bad is not None:
+                    return bad
+        if not dead.size:
+            return None
+        bad = flush()
+        if bad is not None:
+            return bad
+        # the first completion through the dead column
+        return head + tuple(range(start + live, start + live + m))
+
+    bad = walk(G.astype(np.int32), 0, ())
+    return flush() if bad is None else bad
+
+
+def _first_singular_scalar(F: FieldSpec, G: np.ndarray,
+                           chunk: int) -> tuple[int, ...] | None:
+    """Rank each k-subset with FMatrix, for fields too large for tables."""
+    k, n = G.shape
+    total = math.comb(n, k)
     done = 0
     while done < total:
         count = min(chunk, total - done)
-        cols = bulk.combinations_array(n, k, done, count)
-        if use_tables:
-            mats = Gnp[:, cols].transpose(1, 0, 2)
-            good = bulk.batch_minors_nonsingular(F, mats)
-        else:
-            good = np.array([G.submatrix(range(k), c).rank() == k for c in cols])
-        if not good.all():
-            bad = cols[int(np.flatnonzero(~good)[0])]
-            return MdsReport(MdsStatus.FAILED, "minors", done + count,
-                             f"singular minor at columns {tuple(int(c) for c in bad)}")
+        for cols in bulk.combinations_array(n, k, done, count):
+            if FMatrix(F, G[:, cols].tolist()).rank() < k:
+                return tuple(int(c) for c in cols)
         done += count
-    return MdsReport(MdsStatus.VERIFIED, "minors", total)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -106,3 +106,10 @@ def test_unrank_lex():
     ref = list(itertools.combinations(range(n), k))
     for rank in [0, 1, 17, 100, len(ref) - 1]:
         assert tuple(bulk._unrank_lex(n, k, rank)) == ref[rank]
+
+
+def test_rank_lex_inverts_unrank():
+    for n, k in [(9, 4), (6, 1), (6, 6), (12, 2)]:
+        for rank, subset in enumerate(itertools.combinations(range(n), k)):
+            assert bulk._rank_lex(n, k, subset) == rank
+            assert bulk._unrank_lex(n, k, rank) == list(subset)

@@ -50,6 +50,9 @@ def test_document_zero_locator_spelled_out():
 
 @pytest.mark.parametrize("mangle,msg", [
     (lambda d: d.update(schema_version=2), "schema_version"),
+    (lambda d: d.update(schema_version=True), "schema_version"),
+    (lambda d: d["field"].update(e=0), "e must be >= 1"),
+    (lambda d: d["field"].update(modulus=None), "must be a list"),
     (lambda d: d.pop("k"), "malformed"),
     (lambda d: d["field"].update(p=15), "not prime"),
     (lambda d: d["locators"].__setitem__(1, 10 ** 6), "outside"),
@@ -161,6 +164,25 @@ def test_verify_rejects_wrong_modulus(tmp_path, runner):
     res = runner.invoke(main, ["verify", str(bad)])
     assert res.exit_code == 2
     assert "NonCanonicalModulus" in res.output
+
+
+@pytest.mark.parametrize("mangle,msg", [
+    (lambda d: d["multipliers"].__setitem__(0, "zero"),
+     "multiplier log must be an integer, got 'zero'"),
+    (lambda d: d.update(k=True), "k must be an integer, got True"),
+    (lambda d: d["locators"].__setitem__(1, d["locators"][1] + 0.7),
+     "locator log must be an integer"),
+], ids=["zero-multiplier", "bool-k", "float-log"])
+def test_verify_rejects_inexact_values(tmp_path, runner, mangle, msg):
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
+    mangle(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"rejected: SchemaError: {msg}" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_verify_rejects_malformed_json(tmp_path, runner):

@@ -7,8 +7,11 @@ supplies those without weakening GrsSpec's own invariants.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from qgrs import bulk
@@ -17,10 +20,12 @@ from qgrs.errors import VerificationMismatch
 from qgrs.field import field_for_q, make_field
 from qgrs.grs import GrsSpec
 from qgrs.verifier import (
+    MdsReport,
     MdsStatus,
     SearchReport,
     brute_force_multiplier_search,
     certify,
+    check_matrix_minors,
     check_mds,
     check_mds_minors,
     check_min_distance_exhaustive,
@@ -99,6 +104,71 @@ def test_minors_catch_repeated_locator():
     assert r.status is MdsStatus.FAILED
     assert "singular minor" in r.detail
     assert "(1, 2)" in r.detail
+
+
+def _reference_minors(F, G, chunk):
+    """Every k-subset in itertools order, decided in one batch."""
+    k, n = G.shape
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    good = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
+    total = len(subsets)
+    if good.all():
+        return MdsReport(MdsStatus.VERIFIED, "minors", total)
+    rank = int(np.flatnonzero(~good)[0])
+    bad = tuple(int(c) for c in subsets[rank])
+    return MdsReport(MdsStatus.FAILED, "minors",
+                     min(total, (rank // chunk + 1) * chunk),
+                     f"singular minor at columns {bad}")
+
+
+def _planted_matrix(F, rng, k, n):
+    G = np.array([[rng.randrange(F.order) for _ in range(n)] for _ in range(k)])
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        kind = rng.choice(["duplicate", "zero", "proportional"])
+        if kind == "zero":
+            G[:, a] = 0
+        elif kind == "duplicate":
+            G[:, a] = G[:, b]
+        else:
+            s = rng.randrange(1, F.order)
+            G[:, a] = [F.mul_codes(int(x), s) for x in G[:, b]]
+    return G
+
+
+def test_minor_sweep_matches_itertools_oracle(monkeypatch):
+    rng = random.Random(2302)
+    fields = [make_field(2, 1), make_field(3, 1), make_field(5, 1)]
+    batch = bulk.batch_minors_nonsingular
+    sizes = []
+
+    def recording(F, mats):
+        sizes.append(len(mats))
+        return batch(F, mats)
+
+    singular = 0
+    for _ in range(400):
+        F = rng.choice(fields)
+        k = rng.randint(1, 6)
+        n = rng.randint(k, 14)
+        G = _planted_matrix(F, rng, k, n)
+        chunk = rng.choice([1, 5, 64, 8192])
+        want = _reference_minors(F, G, chunk)
+        sizes.clear()
+        monkeypatch.setattr(bulk, "batch_minors_nonsingular", recording)
+        got = check_matrix_minors(F, G, chunk=chunk)
+        monkeypatch.undo()
+        assert got == want, (F, G.tolist(), chunk)
+        assert max(sizes, default=0) <= chunk
+        singular += want.status is MdsStatus.FAILED
+    assert 100 < singular < 400
+
+
+def test_minor_sweep_decides_every_minor_of_36_6():
+    spec = construct(2, 13, 14, 3, 6)
+    assert (spec.n, spec.k) == (36, 6)
+    r = check_mds_minors(spec)
+    assert r.ok and r.method == "minors" and r.checked == math.comb(36, 6)
 
 
 def test_exhaustive_distance_catches_repeated_locator():
