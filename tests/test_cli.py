@@ -50,9 +50,6 @@ def test_document_zero_locator_spelled_out():
 
 @pytest.mark.parametrize("mangle,msg", [
     (lambda d: d.update(schema_version=2), "schema_version"),
-    (lambda d: d.update(schema_version=True), "schema_version"),
-    (lambda d: d["field"].update(e=0), "e must be >= 1"),
-    (lambda d: d["field"].update(modulus=None), "must be a list"),
     (lambda d: d.pop("k"), "malformed"),
     (lambda d: d["field"].update(p=15), "not prime"),
     (lambda d: d["locators"].__setitem__(1, 10 ** 6), "outside"),
@@ -62,6 +59,18 @@ def test_document_zero_locator_spelled_out():
 def test_decode_rejections(mangle, msg):
     doc = encode_document(construct(5, 4, 3, 2, 2))
     doc = json.loads(json.dumps(doc))
+    mangle(doc)
+    with pytest.raises(SchemaError, match=msg):
+        decode_document(doc)
+
+
+@pytest.mark.parametrize("mangle,msg", [
+    (lambda d: d.update(schema_version=True), "schema_version"),
+    (lambda d: d["field"].update(e=0), "e must be >= 1"),
+    (lambda d: d["field"].update(modulus=None), "must be a list"),
+], ids=["bool-schema-version", "zero-degree", "null-modulus"])
+def test_decode_rejects_bad_header(mangle, msg):
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
     mangle(doc)
     with pytest.raises(SchemaError, match=msg):
         decode_document(doc)
