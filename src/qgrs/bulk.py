@@ -103,46 +103,33 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
 def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """For a (B, k, k) stack of code matrices: which are nonsingular?
 
-    Plain Gaussian elimination, fully vectorized across the batch; row swaps
-    are resolved per-column with argmax over a nonzero mask.
+    Gaussian elimination on the whole batch at once, through flat table
+    lookups.  Each step takes the first row with a nonzero entry in the
+    leading column as pivot (argmax over the nonzero mask), swaps it to the
+    top of every matrix, marks the matrices whose leading column is all zero
+    as singular, and replaces each matrix by its Schur complement.  Once a
+    2x2 complement [[a, b], [c, d]] is left, its determinant ad - bc is
+    nonzero exactly when a*d != b*c; for k = 1 the entry itself decides.
     """
-    mul, inv, neg, add = F.np_mul, F.np_inv, F.np_neg, F.np_add
-    M = np.array(mats, dtype=np.int32, copy=True)
-    B, k, _ = M.shape
+    mul, add = F.np_mul.ravel(), F.np_add.ravel()
+    order = F.order
+    M = np.array(mats, dtype=np.int32)
+    B, k = M.shape[:2]
     ok = np.ones(B, dtype=bool)
-    for col in range(k):
-        piv = M[:, col, col]
-        need = ok & (piv == 0)
-        if need.any():
-            if col + 1 == k:
-                ok[need] = False  # no rows left to swap in: singular
-            else:
-                sub = M[need]
-                nzmask = sub[:, col + 1:, col] != 0
-                has = nzmask.any(axis=1)
-                pick = nzmask.argmax(axis=1) + col + 1
-                rows_idx = np.arange(sub.shape[0])
-                swap_rows = sub[rows_idx, pick, :].copy()
-                sub[rows_idx, pick, :] = sub[:, col, :]
-                sub[:, col, :] = swap_rows
-                M[need] = sub
-                # batches with an all-zero pivot column are singular
-                bad_global = np.flatnonzero(need)[~has]
-                ok[bad_global] = False
-        piv = M[:, col, col]
-        act = ok & (piv != 0)
-        if not act.any():
-            continue
-        sel = np.flatnonzero(act)
-        inv_piv = inv[M[sel, col, col]]
-        below = M[sel, col + 1:, col]
-        factors = mul[below, inv_piv[:, None]]
-        tail = M[np.ix_(sel, range(col, k), range(col, k))]
-        pivot_row = tail[:, 0:1, :]
-        elim = mul[factors[:, :, None], pivot_row]
-        tail[:, 1:, :] = add[tail[:, 1:, :], neg[elim]]
-        M[np.ix_(sel, range(col, k), range(col, k))] = tail
-    return ok
+    batch = np.arange(B)
+    for _ in range(k - 2):
+        nz = M[:, :, 0] != 0
+        piv = nz.argmax(axis=1)
+        ok &= nz[batch, piv]
+        top = M[batch, piv]
+        M[batch, piv] = M[:, 0]
+        factor = mul[F.np_neg[M[:, 1:, 0]] * order + F.np_inv[top[:, 0]][:, None]]
+        elim = mul[factor[:, :, None] * order + top[:, None, 1:]]
+        M = add[M[:, 1:, 1:] * order + elim]
+    if k >= 2:
+        return ok & (mul[M[:, 0, 0] * order + M[:, 1, 1]]
+                     != mul[M[:, 0, 1] * order + M[:, 1, 0]])
+    return ok & (M[:, 0, 0] != 0) if k else ok
 
 
 def schur_children(F: FieldSpec, R: np.ndarray, count: int

@@ -138,14 +138,6 @@ def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
     return True, None
 
 
-def poly_eval(coeffs: list[int], x: int, F: FieldSpec) -> int:
-    """Horner evaluation of an ascending coefficient list of codes."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add_codes(F.mul_codes(acc, x), c)
-    return acc
-
-
 def singleton_distance(n: int, k: int) -> int:
     """The MDS distance n - k + 1."""
     return n - k + 1

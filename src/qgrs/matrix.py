@@ -83,9 +83,6 @@ class FMatrix:
     def entry(self, i: int, j: int) -> Felt:
         return Felt(self.rows[i][j], self.field)
 
-    def row_felts(self, i: int) -> tuple[Felt, ...]:
-        return tuple(Felt(c, self.field) for c in self.rows[i])
-
     def is_zero(self) -> bool:
         return all(c == 0 for r in self.rows for c in r)
 
@@ -106,11 +103,6 @@ class FMatrix:
         return FMatrix(self.field,
                        [[self.rows[i][j] for j in col_idx] for i in row_idx],
                        ncols=len(col_idx))
-
-    def stack(self, other: "FMatrix") -> "FMatrix":
-        if other.ncols != self.ncols:
-            raise WrongShape("column counts differ")
-        return FMatrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
     # -- arithmetic -------------------------------------------------------------
 

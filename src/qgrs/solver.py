@@ -42,6 +42,7 @@ EXHAUST_LIMIT = 200_000
 SAMPLE_BUDGET = 2_000_000
 _SAMPLE_SEED = 0x5EED
 _SAMPLE_BATCH = 4096
+_SPAN_BLOCK = 128
 
 
 def _check_solution(A: FMatrix, codes: Sequence[int]) -> None:
@@ -101,10 +102,12 @@ def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
 
 
 def _np_combine(F: FieldSpec, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    add, mul = F.np_add, F.np_mul
+    """Rows coeffs[i] . basis, through flat table lookups."""
+    mul, add = F.np_mul.ravel(), F.np_add.ravel()
+    order = F.order
     acc = np.zeros((coeffs.shape[0], basis.shape[1]), dtype=np.int32)
     for d in range(basis.shape[0]):
-        acc = add[acc, mul[coeffs[:, d][:, None], basis[d][None, :]]]
+        acc = add[acc * order + mul[coeffs[:, d, None] * order + basis[d]]]
     return acc
 
 
@@ -130,7 +133,10 @@ def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
     ``basis`` rows are code vectors; coefficients are drawn from
     ``scalar_codes``.  Cheap structured candidates first, then exhaustive
     enumeration when the coefficient space is small, then seeded (hence
-    reproducible) batch sampling.  Returns None when the budget runs out.
+    reproducible) batch sampling.  Each sampled batch is scanned block by
+    block of _SPAN_BLOCK rows in draw order, so the first totally nonzero
+    combination drawn is returned without evaluating the rest of its batch.
+    Returns None when the budget runs out.
     """
     dim = len(basis)
     if dim == 0:
@@ -160,10 +166,11 @@ def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
         while drawn < sample_budget:
             batch = min(_SAMPLE_BATCH, sample_budget - drawn)
             T = sc[rng.integers(0, len(sc), size=(batch, dim))]
-            X = _np_combine(F, T, B)
-            hits = np.flatnonzero((X != 0).all(axis=1))
-            if hits.size:
-                return tuple(int(v) for v in X[hits[0]])
+            for lo in range(0, batch, _SPAN_BLOCK):
+                X = _np_combine(F, T[lo:lo + _SPAN_BLOCK], B)
+                hits = np.flatnonzero((X != 0).all(axis=1))
+                if hits.size:
+                    return tuple(int(v) for v in X[hits[0]])
             drawn += batch
         return None
     import random as _random  # pure-python fallback for huge fields

@@ -75,15 +75,49 @@ def test_newton_python_fallback_agrees():
     assert np.array_equal(fast, slow)
 
 
-def test_batch_minors_match_rank():
-    F = make_field(3, 1)
-    rng = random.Random(21)
-    mats = np.array([[[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
-                     for _ in range(200)])
+def _planted_minor_stack(F, k, rng):
+    """k x k code matrices: random ones, plus ones with a zero column, a
+    repeated row, a row proportional to another, and nonsingular ones whose
+    (0, 0) entry is zero, so the elimination must swap in a pivot row."""
+    def rand():
+        return [[rng.randrange(F.order) for _ in range(k)] for _ in range(k)]
+    mats = [rand() for _ in range(120)]
+    for _ in range(30):
+        m = rand()
+        j = rng.randrange(k)
+        for row in m:
+            row[j] = 0
+        mats.append(m)
+    if k >= 2:
+        for _ in range(30):
+            m = rand()
+            i, j = rng.sample(range(k), 2)
+            m[i] = list(m[j])
+            mats.append(m)
+            m = rand()
+            c = rng.randrange(1, F.order)
+            m[i] = [F.mul_codes(c, x) for x in m[j]]
+            mats.append(m)
+        swaps = 0
+        while swaps < 30:
+            m = rand()
+            m[0][0] = 0
+            if FMatrix(F, m).rank() == k:
+                mats.append(m)
+                swaps += 1
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5], ids=lambda k: f"k{k}")
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)],
+                         ids=["GF4", "GF9", "GF16", "GF25", "GF81"])
+def test_batch_minors_match_rank(p, e, k):
+    F = make_field(p, e)
+    mats = _planted_minor_stack(F, k, random.Random(21 + 100 * F.order + k))
     got = bulk.batch_minors_nonsingular(F, mats)
-    for i in range(200):
-        expect = FMatrix(F, mats[i].tolist()).rank() == 3
-        assert bool(got[i]) == expect
+    expect = [FMatrix(F, m.tolist()).rank() == k for m in mats]
+    assert got.tolist() == expect
+    assert any(expect) and not all(expect)
 
 
 def test_combinations_array_matches_itertools():

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from qgrs import constructions
 from qgrs.errors import (
     ColumnDependence,
     FrobeniusHypothesisFailed,
@@ -16,6 +18,10 @@ from qgrs.errors import (
 from qgrs.field import make_field
 from qgrs.matrix import FMatrix
 from qgrs.solver import (
+    EXHAUST_LIMIT,
+    _SAMPLE_BATCH,
+    _SAMPLE_SEED,
+    _combine,
     all_nonzero_in_span,
     descend_to_base,
     solve_all_nonzero,
@@ -176,6 +182,47 @@ def test_all_nonzero_in_span_restricted_scalars():
     assert all(out)
     # combination really lies in the base-scalar span of the basis rows
     assert all(F.in_base_code(c) for c in out)
+
+
+def _first_drawn_hit(F, basis, scalars):
+    """Reference for the sampled branch: redraw the seeded batches and scan
+    their rows in draw order with the scalar combination."""
+    sc = np.array(sorted(set(scalars)))
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    row = 0
+    while True:
+        T = sc[rng.integers(0, len(sc), size=(_SAMPLE_BATCH, len(basis)))]
+        for coeffs in T.tolist():
+            x = _combine(F, coeffs, basis)
+            if all(x):
+                return row, x
+            row += 1
+
+
+@pytest.mark.parametrize("args,hit_row", [
+    ((5, 5, 4, 4, 2), 140),
+    ((5, 7, 2, 2, 6), _SAMPLE_BATCH + 113),
+    ((5, 8, 7, 7, 7), 6 * _SAMPLE_BATCH + 1199),
+], ids=["past-first-block", "one-missed-batch", "six-missed-batches"])
+def test_sampled_span_returns_first_hit_in_draw_order(monkeypatch, args, hit_row):
+    # the family-5 kernel path hands its profile kernel to the span search
+    kernels = []
+
+    def spy(F, basis, scalars, **kw):
+        kernels.append((F, basis, scalars))
+        return all_nonzero_in_span(F, basis, scalars, **kw)
+
+    monkeypatch.setattr(constructions, "all_nonzero_in_span", spy)
+    constructions.construct(*args)
+    (F, basis, scalars), = kernels
+    dim = len(basis)
+    # neither the structured candidates nor enumeration can answer
+    assert len(set(scalars)) ** dim > EXHAUST_LIMIT
+    structured = [(1,) * dim] + [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+    assert not any(all(_combine(F, c, basis)) for c in structured)
+    row, expect = _first_drawn_hit(F, basis, scalars)
+    assert row == hit_row
+    assert all_nonzero_in_span(F, basis, scalars) == expect
 
 
 # ---------------------------------------------------------------- descent route
