@@ -102,7 +102,6 @@ def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
 
 
 def _np_combine(F: FieldSpec, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rows coeffs[i] . basis, through flat table lookups."""
     mul, add = F.np_mul.ravel(), F.np_add.ravel()
     order = F.order
     acc = np.zeros((coeffs.shape[0], basis.shape[1]), dtype=np.int32)
