@@ -1,9 +1,9 @@
 """Vectorized exact-arithmetic kernels.
 
 numpy is used strictly as a bulk table-lookup engine: every value is an int
-code and every operation routes through the field's dense op tables, so the
-results are bit-identical to the scalar path (which the tests enforce).
-Fields too large for dense tables fall back to scalar loops.
+code and every operation goes through the field's vectorized ops
+(``FieldSpec.v*``), which work at every order, so the results are
+bit-identical to the scalar ``*_code`` ops (which the tests enforce).
 """
 from __future__ import annotations
 
@@ -11,11 +11,7 @@ import math
 
 import numpy as np
 
-from .field import FieldSpec, TABLE_ORDER_LIMIT
-
-
-def has_tables(F: FieldSpec) -> bool:
-    return F.order <= TABLE_ORDER_LIMIT
+from .field import FieldSpec
 
 
 def digit_sum(F: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -37,30 +33,7 @@ def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.nd
     """codes[e_idx, b_idx] = base^exp with the 0^0 = 1 convention."""
     base_codes = np.asarray(base_codes, dtype=np.int64)
     exps = np.asarray(exps, dtype=np.int64)
-    n_units = F.order - 1
-    out = np.zeros((exps.size, base_codes.size), dtype=np.int64)
-    nz = base_codes != 0
-    if nz.any():
-        logs = F._log[base_codes[nz]]
-        idx = (exps[:, None] * logs[None, :]) % n_units
-        out[:, nz] = F._exp[idx]
-    # zero base, zero exponent -> 1; zero base, positive exponent stays 0
-    zero_base = np.flatnonzero(base_codes == 0)
-    zero_exp = np.flatnonzero(exps == 0)
-    if zero_base.size and zero_exp.size:
-        out[np.ix_(zero_exp, zero_base)] = 1
-    return out
-
-
-def scale_rows(F: FieldSpec, rows: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """rows[i, :] * scalars[:] (columnwise scaling by a vector of codes)."""
-    if has_tables(F):
-        return F.np_mul[rows, np.broadcast_to(scalars, rows.shape)].astype(np.int64)
-    out = np.zeros_like(rows)
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[1]):
-            out[i, j] = F.mul_codes(int(rows[i, j]), int(scalars[j]))
-    return out
+    return F.vpow(base_codes[None, :], exps[:, None])
 
 
 def newton_coefficients(F: FieldSpec, node_codes: list[int],
@@ -73,26 +46,15 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
     interpolant has degree <= D  iff  all coefficients beyond D vanish.
     """
     n = len(node_codes)
-    vals = np.array(value_rows, dtype=np.int64)
-    if vals.ndim == 1:
-        vals = vals[None, :]
-    if has_tables(F):
-        mul, inv, neg, add = F.np_mul, F.np_inv, F.np_neg, F.np_add
-        nodes = np.array(node_codes, dtype=np.int64)
-        dd = vals.copy()
-        for t in range(1, n):
-            num = add[dd[:, t:], neg[dd[:, t - 1:-1]]]
-            den = add[nodes[t:], neg[nodes[:-t]]]
-            dd[:, t:] = mul[num, inv[den][None, :]]
-        return dd
-    dd = [[int(v) for v in row] for row in vals]
+    dd = np.array(value_rows, dtype=np.int64)
+    if dd.ndim == 1:
+        dd = dd[None, :]
+    nodes = np.array(node_codes, dtype=np.int64)
     for t in range(1, n):
-        for r in dd:
-            for i in range(n - 1, t - 1, -1):
-                num = F.sub_codes(r[i], r[i - 1])
-                den = F.sub_codes(node_codes[i], node_codes[i - t])
-                r[i] = F.div_codes(num, den)
-    return np.array(dd, dtype=np.int64)
+        num = F.vsub(dd[:, t:], dd[:, t - 1:-1])
+        den = F.vsub(nodes[t:], nodes[:-t])
+        dd[:, t:] = F.vmul(num, F.vinv(den))
+    return dd
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +65,15 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
 def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """For a (B, k, k) stack of code matrices: which are nonsingular?
 
-    Gaussian elimination on the whole batch at once, through flat table
-    lookups.  Each step takes the first row with a nonzero entry in the
-    leading column as pivot (argmax over the nonzero mask), swaps it to the
-    top of every matrix, marks the matrices whose leading column is all zero
-    as singular, and replaces each matrix by its Schur complement.  Once a
+    Gaussian elimination on the whole batch at once.  Each step takes the
+    first row with a nonzero entry in the leading column as pivot (argmax
+    over the nonzero mask), swaps it to the top of every matrix, marks the
+    matrices whose leading column is all zero as singular, and replaces each
+    matrix by its Schur complement in one fused ``F.veliminate`` call.  Once a
     2x2 complement [[a, b], [c, d]] is left, its determinant ad - bc is
     nonzero exactly when a*d != b*c; for k = 1 the entry itself decides.
     """
-    mul, add = F.np_mul.ravel(), F.np_add.ravel()
-    order = F.order
-    M = np.array(mats, dtype=np.int32)
+    M = np.array(mats, dtype=np.int64)
     B, k = M.shape[:2]
     ok = np.ones(B, dtype=bool)
     batch = np.arange(B)
@@ -123,12 +83,11 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
         ok &= nz[batch, piv]
         top = M[batch, piv]
         M[batch, piv] = M[:, 0]
-        factor = mul[F.np_neg[M[:, 1:, 0]] * order + F.np_inv[top[:, 0]][:, None]]
-        elim = mul[factor[:, :, None] * order + top[:, None, 1:]]
-        M = add[M[:, 1:, 1:] * order + elim]
+        M = F.veliminate(M[:, 1:, 1:], M[:, 1:, 0, None], top[:, None, 1:],
+                         top[:, 0, None, None])
     if k >= 2:
-        return ok & (mul[M[:, 0, 0] * order + M[:, 1, 1]]
-                     != mul[M[:, 0, 1] * order + M[:, 1, 0]])
+        return ok & (F.vmul(M[:, 0, 0], M[:, 1, 1])
+                     != F.vmul(M[:, 0, 1], M[:, 1, 0]))
     return ok & (M[:, 0, 0] != 0) if k else ok
 
 
@@ -144,8 +103,6 @@ def schur_children(F: FieldSpec, R: np.ndarray, count: int
     is nonzero.  alive[c] is False when column c is zero: then every subset
     through c is singular (and child c is meaningless).
     """
-    mul, add = F.np_mul.ravel(), F.np_add.ravel()
-    order = F.order
     m = R.shape[0]
     heads = R[:, :count]
     nz = heads != 0
@@ -154,10 +111,8 @@ def schur_children(F: FieldSpec, R: np.ndarray, count: int
     alive = nz[piv, cols]
     rest = np.arange(m - 1)[None, :]
     rest = rest + (rest >= piv[:, None])               # (count, m - 1) rows kept
-    factor = mul[F.np_neg[heads[rest, cols[:, None]]] * order
-                 + F.np_inv[heads[piv, cols]][:, None]]
-    scaled = mul[factor[:, :, None] * order + R[piv][:, None, :]]
-    return alive, add[R[rest] * order + scaled]
+    return alive, F.veliminate(R[rest], heads[rest, cols[:, None], None],
+                               R[piv][:, None, :], heads[piv, cols, None, None])
 
 
 def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:

@@ -507,31 +507,6 @@ def construct(family: int, q: int, h: int, r: int, k: int,
     return _BUILDERS[p.family](p)
 
 
-def construct_zero_union_cosets(q: int, h: int, r: int, k: int) -> GrsSpec:
-    return construct(1, q, h, r, k)
-
-
-def construct_twisted_cosets(q: int, h: int, r: int, k: int,
-                             i_list: Sequence[int] | None = None) -> GrsSpec:
-    return construct(2, q, h, r, k, i_list)
-
-
-def construct_square_cosets(q: int, h: int, r: int, k: int,
-                            i_list: Sequence[int] | None = None) -> GrsSpec:
-    return construct(3, q, h, r, k, i_list)
-
-
-def construct_mixed_cosets(q: int, h: int, r: int, k: int,
-                           i_list: Sequence[int] | None = None,
-                           j_list: Sequence[int] | None = None) -> GrsSpec:
-    return construct(4, q, h, r, k, i_list, j_list)
-
-
-def construct_explicit_weights(q: int, h: int, r: int, k: int,
-                               i_list: Sequence[int] | None = None) -> GrsSpec:
-    return construct(5, q, h, r, k, i_list)
-
-
 # ---------------------------------------------------------------------------
 # parameter enumeration
 # ---------------------------------------------------------------------------

@@ -13,7 +13,22 @@ the residue class of x, which is a generator by construction (that is what
 and the norm onto the base subfield are all table lookups; addition is
 digitwise mod p (a plain XOR when p = 2).
 
-Orders are capped (default 2^20) because the tables are dense.
+Two APIs share those tables.  The scalar ``*_code`` methods work on one int
+code at a time and are the reference the tests hold everything else to.
+The ``v*`` methods work elementwise on numpy arrays of codes, at every
+order, from 1-D tables of size O(order) — the log/exp lookup-table design of
+the galois library (https://galois.readthedocs.io):
+
+* multiply is ``exp[log a + log b]``; log(0) is a sentinel, 3(order - 1),
+  whose sums all land in a zero tail of the padded exp table, so zero
+  operands need no masking;
+* add is XOR for p = 2.  For odd p each code's base-p digits are spread
+  into base 2p - 1 (``_sp``), where adding two spreads cannot carry, and a
+  reduction table maps the digitwise sum back.  That table has
+  (2p - 1)^(2e) entries; above _SPREAD_TABLE_CAP the two base-q halves of
+  a sum are reduced separately against a (2p - 1)^e table instead.
+
+Orders are capped (default 2^20) because the tables are built eagerly.
 """
 from __future__ import annotations
 
@@ -32,8 +47,10 @@ from .errors import (
 
 DEFAULT_ORDER_LIMIT = 1 << 20
 
-#: largest order for which dense numpy op tables (order x order) are built
-TABLE_ORDER_LIMIT = 1 << 12
+#: most entries of an odd-p addition table over whole spreads; a field whose
+#: table, (2p - 1)^(2e) entries, would be larger (q = 243, for one) reduces
+#: each base-q half of a spread on its own
+_SPREAD_TABLE_CAP = 1 << 22
 
 
 def _is_prime(n: int) -> bool:
@@ -148,17 +165,33 @@ def canonical_modulus(p: int, degree: int) -> tuple[int, ...]:
     raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
 
+def _respread(values: np.ndarray, digits: int, src: int, dst: int,
+              mod: int | None = None) -> np.ndarray:
+    """Re-read the low ``digits`` base-``src`` digits of each value in base
+    ``dst``, reducing each digit mod ``mod`` first when given."""
+    out = np.zeros_like(values)
+    pw_src = pw_dst = 1
+    for _ in range(digits):
+        digit = (values // pw_src) % src
+        if mod is not None:
+            digit %= mod
+        out += digit * pw_dst
+        pw_src *= src
+        pw_dst *= dst
+    return out
+
+
 # --------------------------------------------------------------------------
 # the field itself
 # --------------------------------------------------------------------------
 
 
 class FieldSpec:
-    """GF(q^2) with dense exp/log tables.  Construct via :func:`make_field`."""
+    """GF(q^2) with exp/log tables.  Construct via :func:`make_field`."""
 
     __slots__ = (
-        "p", "e", "q", "order", "modulus", "_exp", "_log",
-        "_np_mul", "_np_add", "_np_neg", "_np_inv",
+        "p", "e", "q", "order", "modulus", "_exp", "_log", "_neg", "_inv",
+        "_sp", "_spexp", "_red", "_redsp", "_half",
     )
 
     def __init__(self, p: int, e: int, limit: int) -> None:
@@ -175,17 +208,16 @@ class FieldSpec:
         self.order = order
         self.modulus = canonical_modulus(p, 2 * e)
         self._build_tables()
-        self._np_mul = None
-        self._np_add = None
-        self._np_neg = None
-        self._np_inv = None
+        self._build_vector_tables()
 
     # -- construction -------------------------------------------------------
 
     def _build_tables(self) -> None:
         p, d, order = self.p, 2 * self.e, self.order
         n_units = order - 1
-        exp = np.empty(2 * n_units - 1, dtype=np.int64)
+        # g^(i mod n_units) below 3 * n_units, enough for a sum of three
+        # logs; zero above, where every sum with log(0) = 3 * n_units lands
+        exp = np.zeros(7 * n_units, dtype=np.int64)
         log = np.full(order, -1, dtype=np.int64)
         tail = self.modulus[:d]
         if p == 2:
@@ -221,9 +253,37 @@ class FieldSpec:
                         cur[j] = (cur[j] - top * tail[j]) % p
             if cur[0] != 1 or any(cur[1:]):  # pragma: no cover
                 raise RuntimeError("generator order defect")
-        exp[n_units:] = exp[: n_units - 1]
+        exp[n_units:2 * n_units] = exp[:n_units]
+        exp[2 * n_units:3 * n_units] = exp[:n_units]
+        log[0] = 3 * n_units
         self._exp = exp
         self._log = log
+
+    def _build_vector_tables(self) -> None:
+        p, d, order = self.p, 2 * self.e, self.order
+        n_units = order - 1
+        codes = np.arange(order, dtype=np.int64)
+        inv = np.zeros(order, dtype=np.int64)
+        inv[1:] = self._exp[n_units - self._log[1:]]
+        self._inv = inv
+        self._half = 0
+        if p == 2:
+            self._neg = codes
+            self._sp = self._red = self._redsp = None
+            self._spexp = self._exp
+            return
+        # -a = (-1) * a, and -1 = g^(n_units / 2)
+        self._neg = self._exp[self._log + n_units // 2]
+        base = 2 * p - 1
+        self._sp = _respread(codes, d, p, base)
+        width = d
+        if base ** d > _SPREAD_TABLE_CAP:
+            width = self.e
+            self._half = base ** width
+        sums = np.arange(base ** width, dtype=np.int64)
+        self._red = _respread(sums, width, base, p, mod=p)
+        self._redsp = _respread(sums, width, base, base, mod=p)
+        self._spexp = self._sp[self._exp]
 
     # -- scalar ops on int codes --------------------------------------------
 
@@ -354,17 +414,6 @@ class FieldSpec:
             raise ValueError(f"code {code} out of range for order {self.order}")
         return Felt(code, self)
 
-    def from_coeffs(self, coeffs) -> "Felt":
-        d = 2 * self.e
-        if len(coeffs) != d:
-            raise ValueError(f"need exactly {d} coefficients")
-        code = 0
-        pw = 1
-        for c in coeffs:
-            code += (c % self.p) * pw
-            pw *= self.p
-        return Felt(code, self)
-
     def dlog(self, x: "Felt") -> int:
         return self.dlog_code(x.code)
 
@@ -386,58 +435,77 @@ class FieldSpec:
         out = [0] + [int(self._exp[(self.q + 1) * t]) for t in range(self.q - 1)]
         return sorted(out)
 
-    def unit_codes(self) -> list[int]:
-        return list(range(1, self.order))
+    # -- vectorized ops on arrays of codes (broadcasting like numpy) -------
 
-    # -- dense numpy op tables (small fields only) ---------------------------
+    def vadd(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self._reduce(self._sp[a] + self._sp[b], self._red, self.q)
 
-    def _require_tables(self) -> None:
-        if self.order > TABLE_ORDER_LIMIT:
-            raise FieldTooLarge(
-                f"dense op tables not built for order {self.order} > {TABLE_ORDER_LIMIT}")
-        if self._np_mul is not None:
-            return
-        order = self.order
-        n_units = order - 1
-        logs = self._log[1:]
-        mul = np.zeros((order, order), dtype=np.int32)
-        mul[1:, 1:] = self._exp[(logs[:, None] + logs[None, :]) % n_units]
-        codes = np.arange(order)
-        add = np.zeros((order, order), dtype=np.int32)
-        pw = 1
-        for _ in range(2 * self.e):
-            da = (codes // pw) % self.p
-            add += ((da[:, None] + da[None, :]) % self.p) * pw
-            pw *= self.p
-        neg = np.zeros(order, dtype=np.int32)
-        inv = np.zeros(order, dtype=np.int32)
-        for c in range(1, order):
-            neg[c] = self.neg_code(c)
-            inv[c] = self.inv_code(c)
-        self._np_add = add
-        self._np_mul = mul
-        self._np_neg = neg
-        self._np_inv = inv
+    def vneg(self, a) -> np.ndarray:
+        return self._neg[a]
 
-    @property
-    def np_add(self) -> np.ndarray:
-        self._require_tables()
-        return self._np_add
+    def vsub(self, a, b) -> np.ndarray:
+        return self.vadd(a, self._neg[b])
 
-    @property
-    def np_mul(self) -> np.ndarray:
-        self._require_tables()
-        return self._np_mul
+    def vmul(self, a, b) -> np.ndarray:
+        return self._exp[self._log[a] + self._log[b]]
 
-    @property
-    def np_neg(self) -> np.ndarray:
-        self._require_tables()
-        return self._np_neg
+    def vinv(self, a) -> np.ndarray:
+        """Elementwise inverse; zero maps to zero."""
+        return self._inv[a]
 
-    @property
-    def np_inv(self) -> np.ndarray:
-        self._require_tables()
-        return self._np_inv
+    def vpow(self, a, n) -> np.ndarray:
+        """a^n for exponents n >= 0, with 0^0 = 1."""
+        a = np.asarray(a)
+        out = self._exp[(self._log[a] * n) % (self.order - 1)]
+        return np.where(a == 0, np.asarray(n) == 0, out)
+
+    def vprod(self, a, axis: int) -> np.ndarray:
+        """Product along one axis, as g^(sum of logs); zero if a factor is."""
+        a = np.asarray(a)
+        out = self._exp[self._log[a].sum(axis=axis) % (self.order - 1)]
+        return np.where((a == 0).any(axis=axis), 0, out)
+
+    def veliminate(self, a, x, r, t=1) -> np.ndarray:
+        """a - x * r / t, the update of one elimination step; t nonzero and
+        x * r broadcast to the shape of a.
+
+        -1/t is folded into x's log, so the product costs one exp lookup.
+        """
+        n_units = self.order - 1
+        minus = 0 if self.p == 2 else n_units // 2
+        shift = (minus - self._log[t]) % n_units
+        term = self._spexp[(self._log[x] + shift) + self._log[r]]
+        if self.p == 2:
+            term ^= a
+            return term
+        term += self._sp[a]
+        return self._reduce(term, self._red, self.q)
+
+    def vcombine(self, coeffs, rows) -> np.ndarray:
+        """sum_d coeffs[:, d] * rows[d] for a (B, D) coefficient array and
+        (D, n) rows, D >= 1; the running sum stays spread (or XORed)."""
+        coeffs = self._log[coeffs]
+        rows = self._log[rows]
+        acc = self._spexp[coeffs[:, 0, None] + rows[0]]
+        for d in range(1, rows.shape[0]):
+            term = self._spexp[coeffs[:, d, None] + rows[d]]
+            if self.p == 2:
+                acc ^= term
+            else:
+                acc = self._reduce(acc + term, self._redsp, self._half)
+        return acc if self.p == 2 else self._reduce(acc, self._red, self.q)
+
+    def _reduce(self, sums: np.ndarray, table: np.ndarray,
+                scale: int) -> np.ndarray:
+        """Digitwise mod p of sums of two spreads, through ``table``; in a
+        split field the two halves go through it separately and are joined
+        with ``scale`` (q for codes, the half base for spreads)."""
+        if not self._half:
+            return table[sums]
+        hi, lo = np.divmod(sums, self._half)
+        return table[hi] * scale + table[lo]
 
     # -- misc -----------------------------------------------------------------
 

@@ -70,7 +70,7 @@ def generator_matrix(spec: GrsSpec) -> FMatrix:
     a = np.array(spec.locator_codes(), dtype=np.int64)
     v = np.array(spec.multiplier_codes(), dtype=np.int64)
     powers = bulk.power_codes(F, a, np.arange(spec.k))
-    rows = bulk.scale_rows(F, powers, v)
+    rows = F.vmul(powers, v)
     return FMatrix(F, rows.tolist(), ncols=spec.n)
 
 
@@ -86,28 +86,19 @@ def hermitian_gram(spec: GrsSpec) -> FMatrix:
     norms = np.array([F.norm_code(v) for v in spec.multiplier_codes()], dtype=np.int64)
     exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
     terms = bulk.power_codes(F, a, exps)          # (k*k, n)
-    terms = bulk.scale_rows(F, terms, norms)
+    terms = F.vmul(terms, norms)
     sums = bulk.digit_sum(F, terms, axis=1)       # (k*k,)
     rows = [[int(sums[i * k + j]) for j in range(k)] for i in range(k)]
     return FMatrix(F, rows, ncols=k)
 
 
-def is_hermitian_self_orthogonal(spec: GrsSpec) -> bool:
-    return hermitian_gram(spec).is_zero()
-
-
 def lagrange_weights(locators: tuple[Felt, ...]) -> tuple[Felt, ...]:
     """u_i = prod_{j != i} (a_i - a_j)  (the node products, not inverted)."""
     F = locators[0].field
-    codes = [x.code for x in locators]
-    out = []
-    for i, ai in enumerate(codes):
-        acc = 1
-        for j, aj in enumerate(codes):
-            if j != i:
-                acc = F.mul_codes(acc, F.sub_codes(ai, aj))
-        out.append(Felt(acc, F))
-    return tuple(out)
+    a = np.array([x.code for x in locators], dtype=np.int64)
+    diffs = F.vsub(a[:, None], a[None, :])
+    np.fill_diagonal(diffs, 1)
+    return tuple(Felt(int(c), F) for c in F.vprod(diffs, axis=1))
 
 
 def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
@@ -128,8 +119,8 @@ def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
     a = np.array(a_codes, dtype=np.int64)
     conj_exps = np.array([q * j for j in range(k)], dtype=np.int64)
     conj_pows = bulk.power_codes(F, a, conj_exps)       # (k, n)
-    weights = np.array([F.mul_codes(ui, yi) for ui, yi in zip(u, norms)], dtype=np.int64)
-    values = bulk.scale_rows(F, conj_pows, weights)
+    weights = F.vmul(np.array(u, dtype=np.int64), np.array(norms, dtype=np.int64))
+    values = F.vmul(conj_pows, weights)
     dd = bulk.newton_coefficients(F, a_codes, values)   # (k, n)
     top = dd[:, n - k:] if k > 0 else dd[:, :0]
     bad = np.flatnonzero((top != 0).any(axis=1))

@@ -1,15 +1,17 @@
 """Exact dense linear algebra over GF(q^2).
 
 Matrices are immutable: every operation returns a fresh object.  Entries are
-raw int codes internally (see field.py) to keep elimination loops cheap;
-Felt objects appear only at the API edges.  Pivoting is deterministic —
-first nonzero entry in column order — so reduced echelon forms, ranks and
-nullspace bases are reproducible across runs, which the serialization layer
-relies on.
+raw int codes internally (see field.py); elimination runs as numpy row
+operations on the field's vectorized ops, and Felt objects appear only at
+the API edges.  Pivoting is deterministic — first nonzero entry in column
+order — so reduced echelon forms, ranks and nullspace bases are
+reproducible across runs, which the serialization layer relies on.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import WrongShape
 from .field import Felt, FieldSpec
@@ -125,23 +127,6 @@ class FMatrix:
             out.append(acc)
         return tuple(out)
 
-    def matmul(self, other: "FMatrix") -> "FMatrix":
-        if self.ncols != other.nrows:
-            raise WrongShape("inner dimensions differ")
-        F = self.field
-        ot = other.transpose()
-        rows = []
-        for r in self.rows:
-            out_row = []
-            for c in ot.rows:
-                acc = 0
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = F.add_codes(acc, F.mul_codes(a, b))
-                out_row.append(acc)
-            rows.append(out_row)
-        return FMatrix(F, rows, ncols=other.ncols)
-
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["FMatrix", tuple[int, ...]]:
@@ -149,30 +134,28 @@ class FMatrix:
         if self._rref_memo is not None:
             return self._rref_memo
         F = self.field
-        rows = [list(r) for r in self.rows]
+        A = np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
         pivots: list[int] = []
         pr = 0  # pivot row cursor
         for col in range(self.ncols):
-            sel = None
-            for i in range(pr, len(rows)):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
+            if pr == self.nrows:
+                break
+            nz = np.flatnonzero(A[pr:, col])
+            if not nz.size:
                 continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            inv = F.inv_code(rows[pr][col])
-            if inv != 1:
-                rows[pr] = [F.mul_codes(inv, c) for c in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [F.sub_codes(a, F.mul_codes(f, b))
-                               for a, b in zip(rows[i], rows[pr])]
+            sel = pr + int(nz[0])
+            if sel != pr:
+                A[[pr, sel]] = A[[sel, pr]]
+            # rows from pr on are zero left of col, so only col.. changes
+            A[pr, col:] = F.vmul(A[pr, col:], F.vinv(A[pr, col]))
+            others = np.flatnonzero(A[:, col])
+            others = others[others != pr]
+            if others.size:
+                A[others, col:] = F.veliminate(A[others, col:], A[others, col, None],
+                                               A[pr, col:])
             pivots.append(col)
             pr += 1
-            if pr == len(rows):
-                break
+        rows = A.tolist()
         memo = (FMatrix(F, rows, ncols=self.ncols), tuple(pivots))
         self._rref_memo = memo
         return memo

@@ -21,7 +21,8 @@ so every function re-checks its own output instead of trusting algebra.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import random
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     NotFound,
     WrongShape,
 )
-from .field import Felt, FieldSpec, TABLE_ORDER_LIMIT
+from .field import Felt, FieldSpec
 from .matrix import FMatrix
 
 EXHAUST_LIMIT = 200_000
@@ -43,6 +44,11 @@ SAMPLE_BUDGET = 2_000_000
 _SAMPLE_SEED = 0x5EED
 _SAMPLE_BATCH = 4096
 _SPAN_BLOCK = 128
+#: above this order the sampled search draws from random.Random, one
+#: combination at a time.  That draw stream fixes the multipliers of every
+#: q >= 67 construction, so moving those fields onto the numpy draws would
+#: change their documents.
+_NUMPY_DRAW_ORDER_LIMIT = 4096
 
 
 def _check_solution(A: FMatrix, codes: Sequence[int]) -> None:
@@ -101,15 +107,6 @@ def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _np_combine(F: FieldSpec, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    mul, add = F.np_mul.ravel(), F.np_add.ravel()
-    order = F.order
-    acc = np.zeros((coeffs.shape[0], basis.shape[1]), dtype=np.int32)
-    for d in range(basis.shape[0]):
-        acc = add[acc * order + mul[coeffs[:, d, None] * order + basis[d]]]
-    return acc
-
-
 def _combine(F: FieldSpec, coeffs: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
     n = len(basis[0])
     acc = [0] * n
@@ -156,31 +153,37 @@ def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
             if all(x):
                 return x
         return None
-    # sampling; numpy-amenable fields get the fast path
-    if F.order <= TABLE_ORDER_LIMIT:
-        rng = np.random.default_rng(seed)
-        B = np.array([list(r) for r in basis], dtype=np.int32)
-        sc = np.array(scalars, dtype=np.int32)
-        drawn = 0
-        while drawn < sample_budget:
-            batch = min(_SAMPLE_BATCH, sample_budget - drawn)
-            T = sc[rng.integers(0, len(sc), size=(batch, dim))]
-            for lo in range(0, batch, _SPAN_BLOCK):
-                X = _np_combine(F, T[lo:lo + _SPAN_BLOCK], B)
-                hits = np.flatnonzero((X != 0).all(axis=1))
-                if hits.size:
-                    return tuple(int(v) for v in X[hits[0]])
-            drawn += batch
-        return None
-    import random as _random  # pure-python fallback for huge fields
-
-    rng2 = _random.Random(seed)
-    for _ in range(sample_budget // max(1, len(basis[0]))):
-        coeffs = [scalars[rng2.randrange(len(scalars))] for _ in range(dim)]
-        x = _combine(F, coeffs, basis)
-        if all(x):
-            return x
+    B = np.array([list(r) for r in basis], dtype=np.int64)
+    for T in _coefficient_draws(F.order, scalars, dim, len(basis[0]),
+                                sample_budget, seed):
+        X = F.vcombine(T, B)
+        hits = np.flatnonzero((X != 0).all(axis=1))
+        if hits.size:
+            return tuple(int(v) for v in X[hits[0]])
     return None
+
+
+def _coefficient_draws(order: int, scalars: list[int], dim: int, n: int,
+                       budget: int, seed: int) -> Iterator[np.ndarray]:
+    """The seeded coefficient draws of the sampled search, in draw order,
+    in blocks of at most _SPAN_BLOCK rows."""
+    if order <= _NUMPY_DRAW_ORDER_LIMIT:
+        rng = np.random.default_rng(seed)
+        sc = np.array(scalars, dtype=np.int64)
+        drawn = 0
+        while drawn < budget:
+            batch = min(_SAMPLE_BATCH, budget - drawn)
+            picks = rng.integers(0, len(sc), size=(batch, dim))
+            for lo in range(0, batch, _SPAN_BLOCK):
+                yield sc[picks[lo:lo + _SPAN_BLOCK]]
+            drawn += batch
+        return
+    rng = random.Random(seed)
+    draws = budget // max(1, n)
+    for lo in range(0, draws, _SPAN_BLOCK):
+        yield np.array([[scalars[rng.randrange(len(scalars))] for _ in range(dim)]
+                        for _ in range(min(_SPAN_BLOCK, draws - lo))],
+                       dtype=np.int64)
 
 
 def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,

@@ -234,7 +234,7 @@ def _mutate(rng, spec, same_norm):
     i = rng.randrange(spec.n)
     old = spec.multipliers[i]
     old_norm = F.norm_code(old.code)
-    candidates = [c for c in F.unit_codes()
+    candidates = [c for c in range(1, F.order)
                   if c != old.code and (F.norm_code(c) == old_norm) == same_norm]
     mutated = list(spec.multipliers)
     mutated[i] = F.from_code(candidates[rng.randrange(len(candidates))])

@@ -56,23 +56,23 @@ def _horner(F, coeffs, x):
     return acc
 
 
-def test_newton_python_fallback_agrees():
-    F = make_field(3, 1)
-    rng = random.Random(5)
-    nodes = rng.sample(range(F.order), 6)
-    vals = np.array([[rng.randrange(F.order) for _ in range(6)] for _ in range(3)])
-    fast = bulk.newton_coefficients(F, nodes, vals)
-    # force the scalar path through a stand-in "too big" order marker
-    F_big_orderlimit = F  # same field; call the scalar code directly
-    import qgrs.bulk as b
-
-    saved = b.TABLE_ORDER_LIMIT
-    try:
-        b.TABLE_ORDER_LIMIT = 1
-        slow = bulk.newton_coefficients(F_big_orderlimit, nodes, vals)
-    finally:
-        b.TABLE_ORDER_LIMIT = saved
-    assert np.array_equal(fast, slow)
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 6), (3, 4)],
+                         ids=["GF9", "GF4096", "GF6561"])
+def test_newton_matches_scalar_divided_differences(p, e):
+    F = make_field(p, e)
+    rng = random.Random(5 + F.order)
+    n = 9
+    nodes = rng.sample(range(F.order), n)
+    vals = [[rng.randrange(F.order) for _ in range(n)] for _ in range(3)]
+    vals[0][:4] = [0] * 4
+    got = bulk.newton_coefficients(F, nodes, np.array(vals))
+    for r, row in enumerate(vals):
+        dd = list(row)
+        for t in range(1, n):
+            for i in range(n - 1, t - 1, -1):
+                num = F.sub_codes(dd[i], dd[i - 1])
+                dd[i] = F.div_codes(num, F.sub_codes(nodes[i], nodes[i - t]))
+        assert got[r].tolist() == dd
 
 
 def _planted_minor_stack(F, k, rng):

@@ -18,11 +18,6 @@ from qgrs.constructions import (
     Params,
     QuantumParams,
     construct,
-    construct_explicit_weights,
-    construct_mixed_cosets,
-    construct_square_cosets,
-    construct_twisted_cosets,
-    construct_zero_union_cosets,
     iter_family_params,
     propagate,
     to_quantum,
@@ -84,20 +79,6 @@ def test_derived_instance_has_no_smaller_sibling():
     # and no admissible family-4 cell at q = 13 has length 90
     lengths = {c.n for c in iter_family_params(13) if c.family == 4}
     assert 90 not in lengths
-
-
-def test_named_wrappers_match_dispatch():
-    for fn, fam, args in [
-        (construct_zero_union_cosets, 1, (7, 8, 5, 5)),
-        (construct_twisted_cosets, 2, (5, 6, 5, 4)),
-        (construct_square_cosets, 3, (5, 4, 2, 2)),
-        (construct_mixed_cosets, 4, (7, 6, 4, 5)),
-        (construct_explicit_weights, 5, (8, 7, 3, 3)),
-    ]:
-        a = fn(*args)
-        b = construct(fam, *args)
-        assert a.locator_codes() == b.locator_codes()
-        assert a.multiplier_codes() == b.multiplier_codes()
 
 
 def test_nondefault_index_lists():

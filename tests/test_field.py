@@ -8,6 +8,7 @@ reproduce them exactly.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,22 +219,76 @@ def test_characteristic_two_addition_is_xor():
             assert (-a) == a
 
 
-def test_numpy_tables_match_scalar_ops():
-    F = make_field(3, 1)
-    add, mul, neg, inv = F.np_add, F.np_mul, F.np_neg, F.np_inv
-    for a in range(F.order):
-        for b in range(F.order):
-            assert add[a, b] == F.add_codes(a, b)
-            assert mul[a, b] == F.mul_codes(a, b)
-        assert neg[a] == F.neg_code(a)
-        if a:
-            assert inv[a] == F.inv_code(a)
+# GF(3^10) is past the spread cap: its odd-p addition reduces each base-q
+# half on its own
+VECTOR_FIELDS = [(3, 1), (2, 2), (13, 1), (2, 6), (3, 4), (3, 5)]
 
 
-def test_numpy_tables_refused_for_large_fields():
-    F = make_field(2, 10)
-    with pytest.raises(FieldTooLarge):
-        _ = F.np_mul
+def _vector_field_id(pe):
+    return f"GF{pe[0] ** (2 * pe[1])}"
+
+
+def _operands(F, rng, size):
+    """Random codes, with zeros planted at the start and at random spots."""
+    x = rng.integers(0, F.order, size)
+    x[:8] = 0
+    x[rng.integers(0, size, size // 16)] = 0
+    return x
+
+
+@pytest.mark.parametrize("pe", VECTOR_FIELDS, ids=_vector_field_id)
+def test_vector_ops_match_scalar_ops(pe):
+    F = make_field(*pe)
+    rng = np.random.default_rng(F.order)
+    a = _operands(F, rng, 3000)
+    b = np.roll(_operands(F, rng, 3000), 4)   # zero against nonzero too
+    got = (F.vadd(a, b), F.vsub(a, b), F.vmul(a, b), F.vneg(a), F.vinv(a))
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        want = (F.add_codes(x, y), F.sub_codes(x, y), F.mul_codes(x, y),
+                F.neg_code(x), F.inv_code(x) if x else 0)
+        assert tuple(int(g[i]) for g in got) == want, (x, y)
+    if F.order <= 256:   # every pair, including both operands zero
+        x, y = np.divmod(np.arange(F.order ** 2), F.order)
+        want = [F.add_codes(u, v) for u, v in zip(x.tolist(), y.tolist())]
+        assert F.vadd(x, y).tolist() == want
+        want = [F.mul_codes(u, v) for u, v in zip(x.tolist(), y.tolist())]
+        assert F.vmul(x, y).tolist() == want
+
+
+@pytest.mark.parametrize("pe", VECTOR_FIELDS, ids=_vector_field_id)
+def test_fused_primitives_match_scalar_ops(pe):
+    F = make_field(*pe)
+    rng = np.random.default_rng(F.order + 1)
+    a, x, r = (_operands(F, rng, 600) for _ in range(3))
+    t = rng.integers(1, F.order, 600)
+    got = F.veliminate(a, x, r, t)
+    for i in range(600):
+        xr = F.mul_codes(int(x[i]), int(r[i]))
+        assert got[i] == F.sub_codes(int(a[i]), F.div_codes(xr, int(t[i])))
+    # broadcast as one elimination step uses it, and the default t = 1
+    got = F.veliminate(a[:40].reshape(8, 5), x[:8, None], r[None, :5])
+    for i in range(8):
+        for j in range(5):
+            xr = F.mul_codes(int(x[i]), int(r[j]))
+            assert got[i, j] == F.sub_codes(int(a[5 * i + j]), xr)
+    coeffs = _operands(F, rng, 30 * 7).reshape(30, 7)
+    rows = _operands(F, rng, 7 * 11).reshape(7, 11)
+    got = F.vcombine(coeffs, rows)
+    for i in range(30):
+        for j in range(11):
+            acc = 0
+            for d in range(7):
+                acc = F.add_codes(acc, F.mul_codes(int(coeffs[i, d]), int(rows[d, j])))
+            assert got[i, j] == acc
+    prods = F.vprod(coeffs, axis=1)
+    exps = rng.integers(0, 3 * F.order, 30)
+    pows = F.vpow(coeffs[:, 0], exps)
+    for i in range(30):
+        acc = 1
+        for c in coeffs[i].tolist():
+            acc = F.mul_codes(acc, c)
+        assert prods[i] == acc
+        assert pows[i] == F.pow_code(int(coeffs[i, 0]), int(exps[i]))
 
 
 def test_felt_ordering_and_hash():
@@ -262,7 +317,8 @@ def test_gen_is_x_class():
 
 
 def test_from_coeffs_roundtrip():
+    # a code is its coefficients read as base-p digits, constant term first
     F = make_field(3, 2)
-    x = F.from_coeffs((2, 1, 0, 2))
+    x = F.from_code(sum(c * 3 ** i for i, c in enumerate((2, 1, 0, 2))))
     assert x.coeffs == (2, 1, 0, 2)
     assert x.code == 2 + 1 * 3 + 2 * 27

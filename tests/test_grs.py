@@ -18,7 +18,6 @@ from qgrs.grs import (
     dual_containment_check,
     generator_matrix,
     hermitian_gram,
-    is_hermitian_self_orthogonal,
     lagrange_weights,
     singleton_distance,
 )
@@ -33,7 +32,7 @@ def _full_field_spec(F, k):
 def test_full_length_unit_code_gf9():
     F = make_field(3, 1)
     ok2 = _full_field_spec(F, 2)
-    assert is_hermitian_self_orthogonal(ok2)
+    assert hermitian_gram(ok2).is_zero()
     assert dual_containment_check(ok2) == (True, None)
 
     bad3 = _full_field_spec(F, 3)
@@ -84,6 +83,24 @@ def test_lagrange_weights_frozen():
     assert [x.code for x in u] == [2, 6, 2]
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (13, 1), (2, 6), (3, 4)],
+                         ids=["GF9", "GF16", "GF169", "GF4096", "GF6561"])
+def test_lagrange_weights_match_scalar_products(p, e):
+    F = make_field(p, e)
+    rng = random.Random(F.order)
+    for n in (1, 2, 5, min(F.order, 40)):
+        codes = rng.sample(range(F.order), n)
+        want = []
+        for i, ai in enumerate(codes):
+            acc = 1
+            for j, aj in enumerate(codes):
+                if j != i:
+                    acc = F.mul_codes(acc, F.sub_codes(ai, aj))
+            want.append(acc)
+        got = lagrange_weights(tuple(F.from_code(c) for c in codes))
+        assert [x.code for x in got] == want
+
+
 def test_routes_always_agree_on_random_specs():
     rng = random.Random(2024)
     for (p, e) in [(3, 1), (2, 2), (5, 1)]:
@@ -96,7 +113,7 @@ def test_routes_always_agree_on_random_specs():
             spec = GrsSpec(F,
                            tuple(F.from_code(c) for c in loc_codes),
                            tuple(F.from_code(c) for c in mult_codes), k)
-            gram_ok = is_hermitian_self_orthogonal(spec)
+            gram_ok = hermitian_gram(spec).is_zero()
             dual_ok, _ = dual_containment_check(spec)
             assert gram_ok == dual_ok
 
@@ -108,7 +125,7 @@ def test_dual_check_k_equals_n():
     spec = _full_field_spec(F, 9)
     ok, j = dual_containment_check(spec)
     assert not ok
-    assert not is_hermitian_self_orthogonal(spec)
+    assert not hermitian_gram(spec).is_zero()
 
 
 def test_exhaustive_distance_is_singleton_for_tiny_grs():

@@ -15,6 +15,72 @@ def _random_matrix(F, rng, nrows, ncols):
                        for _ in range(nrows)])
 
 
+def _reference_rref(F, rows, ncols):
+    """Row reduction one scalar op at a time: the reference for rref()."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0  # pivot row cursor
+    for col in range(ncols):
+        sel = None
+        for i in range(pr, len(rows)):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = F.inv_code(rows[pr][col])
+        if inv != 1:
+            rows[pr] = [F.mul_codes(inv, c) for c in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [F.sub_codes(a, F.mul_codes(f, b))
+                           for a, b in zip(rows[i], rows[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == len(rows):
+            break
+    return tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def _rank_deficient(F, rng, nrows, ncols):
+    """Random rows, then some replaced by zero rows or by combinations of
+    two others, so rank < min(nrows, ncols) is common."""
+    rows = [[rng.randrange(F.order) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows[i] = [0] * ncols
+        elif kind == 1 and nrows > 2:
+            a, b = rng.sample([j for j in range(nrows) if j != i], 2)
+            ca, cb = rng.randrange(F.order), rng.randrange(F.order)
+            rows[i] = [F.add_codes(F.mul_codes(ca, x), F.mul_codes(cb, y))
+                       for x, y in zip(rows[a], rows[b])]
+    # a zero column now and then moves every later pivot
+    if ncols and rng.randrange(2):
+        j = rng.randrange(ncols)
+        for r in rows:
+            r[j] = 0
+    return rows
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (13, 1), (2, 6), (3, 4)],
+                         ids=["GF9", "GF16", "GF169", "GF4096", "GF6561"])
+def test_rref_matches_scalar_reference(p, e):
+    F = make_field(p, e)
+    rng = random.Random(F.order)
+    shapes = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 7), (7, 3), (6, 6), (2, 9)]
+    shapes += [(rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(30)]
+    deficient = 0
+    for nrows, ncols in shapes:
+        rows = _rank_deficient(F, rng, nrows, ncols)
+        R, pivots = FMatrix(F, rows, ncols=ncols).rref()
+        want_rows, want_pivots = _reference_rref(F, rows, ncols)
+        assert (R.rows, pivots) == (want_rows, want_pivots), rows
+        deficient += len(pivots) < min(nrows, ncols)
+    assert deficient > 10
+
 def test_frozen_rref_over_prime_subfield():
     # arithmetic on {0,1,2} inside GF(9) is plain mod-3 arithmetic
     F = make_field(3, 1)
@@ -124,9 +190,13 @@ def test_matmul_and_mul_vec_agree():
     F = make_field(5, 1)
     A = _random_matrix(F, rng, 3, 4)
     v = [rng.randrange(F.order) for _ in range(4)]
-    col = FMatrix(F, [[x] for x in v])
-    prod = A.matmul(col)
-    assert tuple(r[0] for r in prod.rows) == A.mul_vec(v)
+    prod = []
+    for r in A.rows:
+        acc = 0
+        for a, b in zip(r, v):
+            acc = F.add_codes(acc, F.mul_codes(a, b))
+        prod.append(acc)
+    assert tuple(prod) == A.mul_vec(v)
 
 
 def test_block_diag_rank_adds():

@@ -18,7 +18,8 @@ from qgrs import bulk
 from qgrs.constructions import construct
 from qgrs.errors import VerificationMismatch
 from qgrs.field import field_for_q, make_field
-from qgrs.grs import GrsSpec
+from qgrs.grs import GrsSpec, generator_matrix
+from qgrs.matrix import FMatrix
 from qgrs.verifier import (
     MdsReport,
     MdsStatus,
@@ -106,11 +107,16 @@ def test_minors_catch_repeated_locator():
     assert "(1, 2)" in r.detail
 
 
-def _reference_minors(F, G, chunk):
-    """Every k-subset in itertools order, decided in one batch."""
+def _reference_minors(F, G, chunk, by_rank=False):
+    """Every k-subset in itertools order, decided in one batch, or one at a
+    time by FMatrix.rank with ``by_rank``."""
     k, n = G.shape
     subsets = np.array(list(itertools.combinations(range(n), k)))
-    good = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
+    if by_rank:
+        good = np.array([FMatrix(F, G[:, c].tolist()).rank() == k
+                         for c in subsets])
+    else:
+        good = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
     total = len(subsets)
     if good.all():
         return MdsReport(MdsStatus.VERIFIED, "minors", total)
@@ -196,23 +202,56 @@ def test_structural_certificate_survives_huge_binomials():
     assert r.ok and 0 < r.checked <= 512
 
 
-def test_scalar_fallback_agrees_with_tables(small_spec, monkeypatch):
-    fast = check_mds_minors(small_spec)
-    monkeypatch.setattr(bulk, "has_tables", lambda F: False)
-    slow = check_mds_minors(small_spec)
-    assert (fast.status, fast.checked) == (slow.status, slow.checked)
-    fast_d = check_min_distance_exhaustive(small_spec, chunk=4096)
-    monkeypatch.undo()
-    assert fast_d.status is MdsStatus.VERIFIED
+def test_minor_sweep_matches_rank_oracle_at_gf6561():
+    F = make_field(3, 4)
+    rng = random.Random(6561)
+    singular = 0
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 9)
+        G = _planted_matrix(F, rng, k, n)
+        chunk = rng.choice([1, 7, 8192])
+        want = _reference_minors(F, G, chunk, by_rank=True)
+        assert check_matrix_minors(F, G, chunk=chunk) == want, G.tolist()
+        singular += want.status is MdsStatus.FAILED
+    assert 5 < singular < 35
 
 
-def test_scalar_fallback_distance_small():
-    spec = construct(5, 4, 3, 1, 1)     # [5, 1] over GF(16), tiny
-    import qgrs.verifier as V
-    from unittest import mock
-    with mock.patch.object(bulk, "has_tables", lambda F: False):
-        r = check_min_distance_exhaustive(spec)
-    assert r.ok and r.checked == projective_word_count(16, 1)
+def _reference_distance(spec):
+    """Projective messages in the route's order, weights by scalar ops."""
+    F, n, k = spec.field, spec.n, spec.k
+    G = generator_matrix(spec).rows
+    checked = 0
+    for lead in range(k):
+        for tail in range(F.order ** (k - lead - 1)):
+            msg = [0] * lead + [1] + [(tail // F.order ** t) % F.order
+                                      for t in range(k - lead - 1)]
+            weight = 0
+            for col in range(n):
+                acc = 0
+                for row in range(k):
+                    acc = F.add_codes(acc, F.mul_codes(msg[row], G[row][col]))
+                weight += acc != 0
+            checked += 1
+            if weight < n - k + 1:
+                return MdsStatus.FAILED, checked, tuple(msg), weight
+    return MdsStatus.VERIFIED, checked, None, None
+
+
+def test_exhaustive_distance_matches_scalar_oracle_at_gf6561():
+    F = make_field(3, 4)
+    rng = random.Random(81)
+    locs = [F.from_code(c) for c in rng.sample(range(F.order), 8)]
+    mults = [F.from_code(rng.randrange(1, F.order)) for _ in range(8)]
+    good = GrsSpec(F, tuple(locs), tuple(mults), 2)
+    bad = _FakeSpec(F, locs[:5] + [locs[2]] + locs[5:], mults + [F.one], 2)
+    for spec in (good, bad):
+        status, checked, msg, weight = _reference_distance(spec)
+        r = check_min_distance_exhaustive(spec, chunk=1000)
+        assert (r.status, r.checked) == (status, checked)
+        if msg is not None:
+            assert r.detail.startswith(f"message {msg} gives weight {weight} ")
+    assert checked < projective_word_count(F.order, 2)
 
 
 # ---------------------------------------------------------------------------
