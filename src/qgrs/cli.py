@@ -36,15 +36,13 @@ SCHEMA_VERSION = 1
 
 def encode_document(spec: GrsSpec) -> dict[str, Any]:
     F = spec.field
-    locs: list[Any] = []
-    for x in spec.locators:
-        locs.append("zero" if x.is_zero else F.dlog(x))
+    locs = ["zero" if x.is_zero else x.log for x in spec.locators]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "field": {"p": F.p, "e": F.e, "modulus": list(F.modulus)},
         "k": spec.k,
         "locators": locs,
-        "multipliers": [F.dlog(v) for v in spec.multipliers],
+        "multipliers": [v.log for v in spec.multipliers],
     }
     if spec.provenance is not None:
         doc["provenance"] = spec.provenance
@@ -233,16 +231,23 @@ def cmd_verify(path, minor_budget, word_budget):
     sys.exit(0 if (cert.herm_ok and cert.mds_ok) else 1)
 
 
-def _enumerate_worker(args: tuple[int, int, int, int, int, int, int]) -> dict[str, Any]:
-    family, q, h, r, k, minor_budget, word_budget = args
-    spec = build_code(family, q, h, r, k)
-    cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
+def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None]:
+    """One grid row, and the message of the error that kept the cell from
+    being built, if any; such a row reports both certificates as failed."""
+    family, q, h, r, k, n, minor_budget, word_budget = args
     row = {
         "family": family, "q": q, "h": h, "r": r, "k": k,
-        "n": spec.n, "kq": spec.n - 2 * k, "d": k + 1,
-        "herm_ok": cert.herm_ok, "mds_ok": cert.mds_ok,
+        "n": n, "kq": n - 2 * k, "d": k + 1,
+        "herm_ok": False, "mds_ok": False,
     }
-    return row
+    try:
+        spec = build_code(family, q, h, r, k)
+    except QgrsError as exc:
+        return row, (f"cell family={family} q={q} h={h} r={r} k={k}: "
+                     f"{type(exc).__name__}: {exc}")
+    cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
+    row.update(herm_ok=cert.herm_ok, mds_ok=cert.mds_ok)
+    return row, None
 
 
 @main.command("enumerate")
@@ -257,8 +262,12 @@ def _enumerate_worker(args: tuple[int, int, int, int, int, int, int]) -> dict[st
 @_with_budgets
 def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
                   minor_budget, word_budget):
-    """Construct and certify every admissible tuple within the bounds."""
-    jobs: list[tuple[int, int, int, int, int, int, int]] = []
+    """Construct and certify every admissible tuple within the bounds.
+
+    Exits 0 when every row certifies, 1 when some certificate fails, and 3
+    when some cell could not be built (reported on stderr, its row marked
+    failed)."""
+    jobs: list[tuple[int, ...]] = []
     for q in range(2, max_q + 1):
         try:
             prime_power_decompose(q)
@@ -267,15 +276,18 @@ def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
         for cell in iter_family_params(q, n_max=max_n):
             ks = [cell.k_max] if k_max_only else range(1, cell.k_max + 1)
             for k in ks:
-                jobs.append((cell.family, q, cell.h, cell.r, k,
+                jobs.append((cell.family, q, cell.h, cell.r, k, cell.n,
                              minor_budget, word_budget))
     jobs.sort()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_enumerate_worker, jobs, chunksize=4))
+            results = list(pool.map(_enumerate_worker, jobs, chunksize=4))
     else:
-        rows = [_enumerate_worker(j) for j in jobs]
-    rows.sort(key=lambda r: (r["family"], r["q"], r["h"], r["r"], r["k"]))
+        results = [_enumerate_worker(j) for j in jobs]
+    rows = [row for row, _ in results]
+    errors = [error for _, error in results if error is not None]
+    for error in errors:
+        click.echo(error, err=True)
 
     fields = ["family", "q", "h", "r", "k", "n", "kq", "d", "herm_ok", "mds_ok"]
     if fmt == "csv":
@@ -290,6 +302,8 @@ def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
     failed = len(rows) - certified
     click.echo(f"constructed={len(rows)} certified={certified} failed={failed}",
                err=True)
+    if errors:
+        sys.exit(3)
     sys.exit(0 if failed == 0 else 1)
 
 

@@ -35,6 +35,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
+from . import bulk
 from .errors import (
     DistanceTooSmall,
     DivisibilityViolated,
@@ -458,30 +461,35 @@ def _profile_fallback(F: FieldSpec, locators: list[Felt], k: int) -> list[Felt]:
     stable under multiplication by q (mod q^2-1), so the solution space is
     spanned by its base-field points: restrict scalars and search there.
     """
-    q = F.q
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            row0, row1 = [], []
-            for a in locators:
-                c0, c1 = F.split_code(F.pow_code(a.code, q * i + j))
-                row0.append(c0)
-                row1.append(c1)
-            rows.append(row0)
-            rows.append(row1)
-    M = FMatrix(F, rows, ncols=len(locators))
-    kernel = M.nullspace()
+    kernel = _profile_system(F, locators, k).nullspace()
     if not kernel:
         raise NotFound("profile system has a trivial base-field kernel")
     profile = all_nonzero_in_span(F, kernel, F.base_codes())
     if profile is None:
         raise NotFound("no totally nonzero base-field profile within budget")
-    out = []
-    for y in profile:
-        if not F.in_base_code(y):  # pragma: no cover - kernel is base-valued
-            raise SubfieldAssertionFailed("profile escaped the base subfield")
-        out.append(F.solve_norm(F.from_code(y)))
-    return out
+    y = np.array(profile, dtype=np.int64)
+    if not (F.vpow(y, F.q) == y).all():  # pragma: no cover - kernel is base-valued
+        raise SubfieldAssertionFailed("profile escaped the base subfield")
+    return [F.solve_norm(F.from_code(v)) for v in profile]
+
+
+def _profile_system(F: FieldSpec, locators: list[Felt], k: int) -> FMatrix:
+    """The profile system restricted to the base subfield.
+
+    Each gram condition sum_l y_l a_l^(q*i + j) = 0 splits over the basis
+    {1, g}: with P = a^(q*i + j), the halves are c1 = (P - P^q) / (g - g^q)
+    and c0 = P - c1 * g, and both lie in the base subfield.  Rows come in
+    (c0, c1) pairs, (i, j) in lexicographic order.
+    """
+    q = F.q
+    exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
+    P = bulk.power_codes(F, [a.code for a in locators], exps)
+    g = F._gen_code()
+    c1 = F.vmul(F.vsub(P, F.vpow(P, q)), F.inv_code(F.sub_codes(g, F.pow_code(g, q))))
+    c0 = F.vsub(P, F.vmul(c1, g))
+    halves = np.stack([c0, c1], axis=1)
+    assert (F.vpow(halves, q) == halves).all(), "split left the base subfield"
+    return FMatrix(F, halves.reshape(-1, len(locators)).tolist(), ncols=len(locators))
 
 
 # ---------------------------------------------------------------------------

@@ -195,13 +195,19 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, e: int, limit: int) -> None:
-        if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")
-        order = p ** (2 * e)
-        if order > limit:
-            raise FieldTooLarge(f"p^(2e) = {order} exceeds limit {limit}")
+        if p < 2:
+            raise NotPrime("p < 2 is not prime")
+        # bound p^(2e) before testing p or forming the power: a hostile
+        # document may carry a huge p or e
+        order = 1
+        for _ in range(2 * e):
+            order *= p
+            if order > limit:
+                raise FieldTooLarge(f"p^(2e) exceeds limit {limit}")
+        if not _is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -377,17 +383,6 @@ class FieldSpec:
         """The image of the rational integer n in the field (n mod p)."""
         return n % self.p
 
-    def split_code(self, a: int) -> tuple[int, int]:
-        """Coordinates of a in the base {1, gen}: a = a0 + a1 * gen."""
-        aq = self.frobenius_code(a)
-        g = self._gen_code()
-        gq = self.frobenius_code(g)
-        denom = self.sub_codes(g, gq)
-        a1 = self.div_codes(self.sub_codes(a, aq), denom)
-        a0 = self.sub_codes(a, self.mul_codes(a1, g))
-        assert self.in_base_code(a0) and self.in_base_code(a1)
-        return a0, a1
-
     def _gen_code(self) -> int:
         return int(self._exp[1])
 
@@ -413,15 +408,6 @@ class FieldSpec:
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range for order {self.order}")
         return Felt(code, self)
-
-    def dlog(self, x: "Felt") -> int:
-        return self.dlog_code(x.code)
-
-    def frobenius(self, x: "Felt") -> "Felt":
-        return Felt(self.frobenius_code(x.code), self)
-
-    def norm(self, x: "Felt") -> "Felt":
-        return Felt(self.norm_code(x.code), self)
 
     def solve_norm(self, u: "Felt") -> "Felt":
         return Felt(self.solve_norm_code(u.code), self)

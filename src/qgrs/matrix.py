@@ -108,24 +108,23 @@ class FMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _array(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+
     def entrywise_frobenius(self) -> "FMatrix":
-        fr = self.field.frobenius_code
-        return FMatrix(self.field, [[fr(c) for c in r] for r in self.rows],
+        return FMatrix(self.field, self.field.vpow(self._array(), self.field.q).tolist(),
                        ncols=self.ncols)
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix * column vector, both as int codes."""
+        """Matrix * column vector, both as int codes: one ``vcombine`` with
+        the rows as coefficients and the entries of vec as the summands.
+        No rows give (); no columns give the zero vector."""
         if len(vec) != self.ncols:
             raise WrongShape("vector length mismatch")
-        F = self.field
-        out = []
-        for r in self.rows:
-            acc = 0
-            for c, v in zip(r, vec):
-                if c and v:
-                    acc = F.add_codes(acc, F.mul_codes(c, v))
-            out.append(acc)
-        return tuple(out)
+        if not self.nrows or not self.ncols:
+            return (0,) * self.nrows
+        col = np.array(vec, dtype=np.int64)[:, None]
+        return tuple(self.field.vcombine(self._array(), col)[:, 0].tolist())
 
     # -- elimination ------------------------------------------------------------
 
@@ -134,7 +133,7 @@ class FMatrix:
         if self._rref_memo is not None:
             return self._rref_memo
         F = self.field
-        A = np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+        A = self._array()
         pivots: list[int] = []
         pr = 0  # pivot row cursor
         for col in range(self.ncols):
@@ -170,17 +169,13 @@ class FMatrix:
         free position, so the basis is in "identity on free columns" form.
         """
         R, pivots = self.rref()
-        F = self.field
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for fcol in free:
-            v = [0] * self.ncols
-            v[fcol] = 1
-            for pi, pcol in enumerate(pivots):
-                v[pcol] = F.neg_code(R.rows[pi][fcol])
-            basis.append(tuple(v))
-        return tuple(basis)
+        # row f: 1 in free column f, minus R's pivot rows in the pivot columns
+        basis = np.zeros((len(free), self.ncols), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = self.field.vneg(R._array()[:len(pivots), free].T)
+        return tuple(map(tuple, basis.tolist()))
 
     def row_equivalent(self, other: "FMatrix") -> bool:
         """Same row space (shape-compatible in columns)."""

@@ -12,15 +12,18 @@ so every function re-checks its own output instead of trusting algebra.
 * :func:`solve_all_nonzero` — for a wider system where only equality of
   rank under column deletions is known.  A counting argument guarantees a
   totally nonzero kernel vector exists (over a field larger than the column
-  count); we find one by deterministic search.
+  count); we find one by deterministic search over one stream of candidate
+  coefficient blocks.
 
 * :func:`descend_to_base` — turns a totally nonzero kernel vector over
   GF(q^2) of a conjugation-stable system into one with all coordinates in
-  the base subfield, by scanning the q+1 unit shifts.
+  the base subfield, by evaluating all q+1 unit shifts at once.
+
+Vectors are evaluated on the field's numpy ops (``FieldSpec.v*``); no
+routine here loops over vector entries with the scalar ops.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterator, Sequence
 
@@ -51,11 +54,19 @@ _SPAN_BLOCK = 128
 _NUMPY_DRAW_ORDER_LIMIT = 4096
 
 
-def _check_solution(A: FMatrix, codes: Sequence[int]) -> None:
+def _check_solution(A: FMatrix, codes: Sequence[int]) -> tuple[Felt, ...]:
+    """Check a candidate kernel vector and return it as field elements."""
+    codes = [int(c) for c in codes]
     if any(c == 0 for c in codes):
         raise HasZeroCoordinate("solution has a zero coordinate")
     if any(A.mul_vec(codes)):
         raise NotASolution("candidate does not satisfy the system")
+    return tuple(Felt(c, A.field) for c in codes)
+
+
+def _in_base(F: FieldSpec, codes: np.ndarray) -> bool:
+    """Every entry is fixed by the q-power map."""
+    return bool((F.vpow(codes, F.q) == codes).all())
 
 
 def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
@@ -78,45 +89,29 @@ def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
     ns = A.nullspace()
     if len(ns) != 1:  # pragma: no cover - column independence forces this
         raise HypothesisFailed(f"kernel dimension {len(ns)} != 1")
-    c = ns[0]
-    if any(x == 0 for x in c):
+    c = np.array(ns[0], dtype=np.int64)
+    if not c.all():
         raise HasZeroCoordinate("kernel vector has a zero coordinate")
     # c^(q) is again in the kernel, hence proportional to c
-    cq = tuple(F.frobenius_code(x) for x in c)
-    lam = F.div_codes(cq[0], c[0])
-    for a, b in zip(cq, c):
-        if F.div_codes(a, b) != lam:
-            raise FrobeniusHypothesisFailed("conjugate kernel vector not proportional")
-    n_units = F.order - 1
+    ratios = F.vmul(F.vpow(c, F.q), F.vinv(c))
+    lam = int(ratios[0])
+    if (ratios != lam).any():
+        raise FrobeniusHypothesisFailed("conjugate kernel vector not proportional")
     llam = F.dlog_code(lam)
     if llam % (F.q - 1) != 0:  # lam^(q+1) = 1 makes this impossible
         raise NoValidShift("conjugation ratio is not a (q-1)-th power")
     assert F.pow_code(lam, F.q + 1) == 1
     # want mu = g^j with mu^(q-1) * lam = 1:  (q-1) j = -dlog(lam)  (mod q^2-1)
     j = (-(llam // (F.q - 1))) % (F.q + 1)
-    mu = F.pow_code(F._gen_code(), j)
-    out = tuple(F.mul_codes(mu, x) for x in c)
-    if not all(F.in_base_code(x) for x in out):  # pragma: no cover
+    out = F.vmul(F.pow_code(F._gen_code(), j), c)
+    if not _in_base(F, out):  # pragma: no cover
         raise NoValidShift("normalized vector escaped the base subfield")
-    _check_solution(A, out)
-    return tuple(Felt(x, F) for x in out)
+    return _check_solution(A, out)
 
 
 # ---------------------------------------------------------------------------
 # all-nonzero kernel search
 # ---------------------------------------------------------------------------
-
-
-def _combine(F: FieldSpec, coeffs: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    n = len(basis[0])
-    acc = [0] * n
-    for t, row in zip(coeffs, basis):
-        if t == 0:
-            continue
-        for i in range(n):
-            if row[i]:
-                acc[i] = F.add_codes(acc[i], F.mul_codes(t, row[i]))
-    return tuple(acc)
 
 
 def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
@@ -127,49 +122,53 @@ def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
     """Deterministic search for a totally nonzero vector in a span.
 
     ``basis`` rows are code vectors; coefficients are drawn from
-    ``scalar_codes``.  Cheap structured candidates first, then exhaustive
-    enumeration when the coefficient space is small, then seeded (hence
-    reproducible) batch sampling.  Each sampled batch is scanned block by
-    block of _SPAN_BLOCK rows in draw order, so the first totally nonzero
-    combination drawn is returned without evaluating the rest of its batch.
-    Returns None when the budget runs out.
+    ``scalar_codes``.  The candidates form one stream of coefficient blocks
+    (:func:`_coefficient_blocks`): the basis sum and the unit vectors, then
+    every combination in ``itertools.product`` order when the coefficient
+    space is small, else seeded (hence reproducible) draws.  Each block is
+    evaluated with one ``F.vcombine`` and the first totally nonzero
+    combination in stream order is returned.  Returns None when the stream
+    runs out.
     """
-    dim = len(basis)
-    if dim == 0:
+    if len(basis) == 0:
         return None
+    B = np.array(basis, dtype=np.int64)
     scalars = sorted(set(int(s) for s in scalar_codes))
-    # structured candidates: the basis sum, then each basis vector
-    for cand_coeffs in [(1,) * dim] + [tuple(1 if i == d else 0 for i in range(dim))
-                                       for d in range(dim)]:
-        x = _combine(F, cand_coeffs, basis)
-        if all(x):
-            return x
-    space = len(scalars) ** dim
-    if space <= exhaust_limit:
-        for coeffs in itertools.product(scalars, repeat=dim):
-            if not any(coeffs):
-                continue
-            x = _combine(F, coeffs, basis)
-            if all(x):
-                return x
-        return None
-    B = np.array([list(r) for r in basis], dtype=np.int64)
-    for T in _coefficient_draws(F.order, scalars, dim, len(basis[0]),
-                                sample_budget, seed):
+    for T in _coefficient_blocks(F.order, scalars, *B.shape, exhaust_limit,
+                                 sample_budget, seed):
         X = F.vcombine(T, B)
         hits = np.flatnonzero((X != 0).all(axis=1))
         if hits.size:
-            return tuple(int(v) for v in X[hits[0]])
+            return tuple(X[hits[0]].tolist())
     return None
 
 
-def _coefficient_draws(order: int, scalars: list[int], dim: int, n: int,
-                       budget: int, seed: int) -> Iterator[np.ndarray]:
-    """The seeded coefficient draws of the sampled search, in draw order,
-    in blocks of at most _SPAN_BLOCK rows."""
+def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
+                        exhaust_limit: int, budget: int,
+                        seed: int) -> Iterator[np.ndarray]:
+    """The span search's candidate coefficients, in search order.
+
+    1. the basis sum, then each unit vector; the sum gets a block of its
+       own because it often hits, and the unit block costs dim times more;
+    2. if at most ``exhaust_limit`` combinations exist, all of them in
+       ``itertools.product(scalars, repeat=dim)`` order, as mixed-radix
+       digits in blocks of _SPAN_BLOCK rows (the all-zero row never hits,
+       so it is not skipped);
+    3. otherwise the seeded draws: numpy batches of _SAMPLE_BATCH rows up to
+       _NUMPY_DRAW_ORDER_LIMIT, random.Random one row at a time above it.
+    """
+    yield np.ones((1, dim), dtype=np.int64)
+    yield np.eye(dim, dtype=np.int64)
+    sc = np.array(scalars, dtype=np.int64)
+    space = len(scalars) ** dim
+    if space <= exhaust_limit:
+        place = len(scalars) ** np.arange(dim - 1, -1, -1)
+        for lo in range(0, space, _SPAN_BLOCK):
+            rows = np.arange(lo, min(lo + _SPAN_BLOCK, space))
+            yield sc[rows[:, None] // place % len(scalars)]
+        return
     if order <= _NUMPY_DRAW_ORDER_LIMIT:
         rng = np.random.default_rng(seed)
-        sc = np.array(scalars, dtype=np.int64)
         drawn = 0
         while drawn < budget:
             batch = min(_SAMPLE_BATCH, budget - drawn)
@@ -209,17 +208,16 @@ def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
                             exhaust_limit=exhaust_limit, sample_budget=sample_budget)
     if x is None:
         raise NotFound("no totally nonzero kernel vector found within budget")
-    _check_solution(A, x)
-    return tuple(Felt(c, F) for c in x)
+    return _check_solution(A, x)
 
 
 def descend_to_base(A: FMatrix, c: Sequence[Felt]) -> tuple[Felt, ...]:
     """Turn a totally nonzero kernel vector into a base-subfield one.
 
-    Scans shifts g^j, j = 1..q+1: the combination g^j c + (g^j c)^(q)
-    (coordinatewise conjugation) is Frobenius-fixed and still in the kernel
-    when A is row-equivalent to A^(q); the first shift making it totally
-    nonzero wins.  Works whenever the vector is shorter than q+1.
+    Evaluates all shifts g^j, j = 1..q+1, at once: with y = g^j c, the rows
+    y + y^(q) (coordinatewise conjugation) are Frobenius-fixed and still in
+    the kernel when A is row-equivalent to A^(q); the first totally nonzero
+    row wins.  Works whenever the vector is shorter than q+1.
     """
     F = A.field
     codes = [x.code for x in c]
@@ -232,16 +230,13 @@ def descend_to_base(A: FMatrix, c: Sequence[Felt]) -> tuple[Felt, ...]:
     if not A.row_equivalent(A.entrywise_frobenius()):
         raise FrobeniusHypothesisFailed("A is not row-equivalent to A^(q)")
     q = F.q
-    g = F._gen_code()
-    cq = [F.frobenius_code(x) for x in codes]
-    for j in range(1, q + 2):
-        wj = F.pow_code(g, j)
-        wjq = F.frobenius_code(wj)
-        b = [F.add_codes(F.mul_codes(wj, x), F.mul_codes(wjq, xq))
-             for x, xq in zip(codes, cq)]
-        if all(b):
-            if not all(F.in_base_code(x) for x in b):  # pragma: no cover
-                raise NoValidShift("shifted vector escaped the base subfield")
-            _check_solution(A, b)
-            return tuple(Felt(x, F) for x in b)
-    raise NoValidShift(f"no shift among 1..{q + 1} gives a totally nonzero vector")
+    shifts = F.vpow(F._gen_code(), np.arange(1, q + 2))
+    Y = F.vmul(shifts[:, None], np.array(codes, dtype=np.int64))
+    b = F.vadd(Y, F.vpow(Y, q))
+    hits = np.flatnonzero((b != 0).all(axis=1))
+    if not hits.size:
+        raise NoValidShift(f"no shift among 1..{q + 1} gives a totally nonzero vector")
+    b = b[hits[0]]
+    if not _in_base(F, b):  # pragma: no cover
+        raise NoValidShift("shifted vector escaped the base subfield")
+    return _check_solution(A, b)

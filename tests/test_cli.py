@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 import qgrs.cli as cli
 from qgrs.cli import decode_document, encode_document, main
 from qgrs.constructions import construct
-from qgrs.errors import SchemaError
+from qgrs.errors import NotFound, SchemaError
 from qgrs.verifier import CertBundle, MdsReport, MdsStatus
 
 
@@ -74,6 +75,19 @@ def test_decode_rejects_bad_header(mangle, msg):
     mangle(doc)
     with pytest.raises(SchemaError, match=msg):
         decode_document(doc)
+
+
+@pytest.mark.parametrize("p,e", [(2 ** 61 - 1, 1), (2, 10 ** 6)],
+                         ids=["huge-prime-p", "huge-e"])
+def test_decode_rejects_huge_field_quickly(p, e):
+    # the order bound comes before the primality test and before p^(2e)
+    # is formed, so neither trial division nor a huge integer is needed
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
+    doc["field"].update(p=p, e=e)
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="exceeds limit"):
+        decode_document(doc)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decode_rejects_wrong_modulus():
@@ -231,6 +245,26 @@ def test_enumerate_small_grid(runner):
         f, q, h, r, k, n, kq, d, herm, mds = row.split(",")
         assert 2 * int(d) == int(n) - int(kq) + 2
         assert herm == "True" and mds == "True"
+
+
+def test_enumerate_reports_failing_cell_and_exits_3(runner, monkeypatch):
+    args = ["enumerate", "--max-q", "5", "--max-n", "24", "--threads", "1"]
+    healthy = runner.invoke(main, args)
+    real = cli.build_code
+
+    def planted(family, q, h, r, k, *rest):
+        if (family, q, h, r, k) == (2, 5, 6, 5, 4):
+            raise NotFound("planted failure")
+        return real(family, q, h, r, k, *rest)
+
+    monkeypatch.setattr(cli, "build_code", planted)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert "cell family=2 q=5 h=6 r=5 k=4: NotFound: planted failure" in res.stderr
+    # every other row is unchanged; the failing one reports both checks failed
+    assert res.stdout == healthy.stdout.replace("2,5,6,5,4,20,12,5,True,True",
+                                                "2,5,6,5,4,20,12,5,False,False")
+    assert "failed=1" in res.stderr
 
 
 def test_enumerate_json_and_k_max_only(runner):

@@ -17,6 +17,7 @@ from qgrs.constructions import (
     FAMILIES,
     Params,
     QuantumParams,
+    _profile_system,
     construct,
     iter_family_params,
     propagate,
@@ -157,20 +158,32 @@ def test_index_lists_checked_for_shape_and_collision():
 # ---------------------------------------------------------------------------
 
 
-def _base_kernel(F, locators, k):
-    """Base-field basis of the norm-profile solution space."""
-    q = F.q
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            row0, row1 = [], []
-            for a in locators:
-                c0, c1 = F.split_code(F.pow_code(a.code, q * i + j))
-                row0.append(c0)
-                row1.append(c1)
-            rows.append(row0)
-            rows.append(row1)
-    return FMatrix(F, rows, ncols=len(locators)).nullspace()
+def _split_code(F, a):
+    """Scalar reference for the fallback's split: a = a0 + a1 * g."""
+    aq = F.frobenius_code(a)
+    g = F._gen_code()
+    denom = F.sub_codes(g, F.frobenius_code(g))
+    a1 = F.div_codes(F.sub_codes(a, aq), denom)
+    a0 = F.sub_codes(a, F.mul_codes(a1, g))
+    return a0, a1
+
+
+def test_profile_system_matches_scalar_split():
+    for q in (4, 5, 9):
+        F = field_for_q(q)
+        for a in F.elements():
+            a0, a1 = (F.from_code(c) for c in _split_code(F, a.code))
+            assert a0.in_base() and a1.in_base()
+            assert a0 + a1 * F.gen == a
+        locators = [F.zero] + [F.from_log(i) for i in range(0, F.order - 1, 3)]
+        for k in (1, 2, 3):
+            rows = []
+            for i in range(k):
+                for j in range(k):
+                    halves = [_split_code(F, F.pow_code(a.code, q * i + j))
+                              for a in locators]
+                    rows += [tuple(h[0] for h in halves), tuple(h[1] for h in halves)]
+            assert _profile_system(F, locators, k).rows == tuple(rows)
 
 
 def test_full_unit_group_gf16_has_no_k3_profile():
@@ -179,7 +192,7 @@ def test_full_unit_group_gf16_has_no_k3_profile():
     # nonzero — checked here in full, not sampled
     F = field_for_q(4)
     locators = tuple(F.from_log(i) for i in range(15))
-    kern = _base_kernel(F, locators, 3)
+    kern = _profile_system(F, locators, 3).nullspace()
     assert len(kern) == 6
     scalars = F.base_codes()
     hits = 0
@@ -251,7 +264,7 @@ def test_zero_union_strict_coset_bound_is_load_bearing():
     # ANY multipliers — the whole norm-profile space is empty of candidates
     locs = [F.zero] + [F.from_log(l + 5 * nu) for l in (1, 2, 3, 4)
                        for nu in range(3)]
-    full_kern = _base_kernel(F, locs, 3)
+    full_kern = _profile_system(F, locs, 3).nullspace()
     assert len(full_kern) == 4
     assert _exhaust(F, full_kern, 13) == 0
 

@@ -1,6 +1,7 @@
 """Matrix layer tests: frozen eliminations plus randomized algebraic laws."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -115,13 +116,17 @@ def test_empty_matrix_needs_ncols():
 
 def test_nullspace_vectors_are_solutions():
     rng = random.Random(7)
-    F = make_field(3, 1)
-    for _ in range(40):
-        A = _random_matrix(F, rng, rng.randrange(1, 5), rng.randrange(1, 6))
-        ns = A.nullspace()
-        assert len(ns) == A.ncols - A.rank()
-        for v in ns:
-            assert all(c == 0 for c in A.mul_vec(v))
+    for F in (make_field(3, 1), make_field(2, 2)):
+        for _ in range(40):
+            A = _random_matrix(F, rng, rng.randrange(1, 5), rng.randrange(1, 6))
+            ns = A.nullspace()
+            assert len(ns) == A.ncols - A.rank()
+            # identity on the free columns, which with A v = 0 fixes the basis
+            free = [j for j in range(A.ncols) if j not in A.rref()[1]]
+            assert [[v[j] for j in free] for v in ns] == \
+                [[int(i == j) for j in range(len(free))] for i in range(len(free))]
+            for v in ns:
+                assert all(c == 0 for c in A.mul_vec(v))
 
 
 def test_rref_is_idempotent_and_row_equivalent():
@@ -187,16 +192,19 @@ def test_entrywise_frobenius_is_involution_here():
 
 def test_matmul_and_mul_vec_agree():
     rng = random.Random(23)
-    F = make_field(5, 1)
-    A = _random_matrix(F, rng, 3, 4)
-    v = [rng.randrange(F.order) for _ in range(4)]
-    prod = []
-    for r in A.rows:
-        acc = 0
-        for a, b in zip(r, v):
-            acc = F.add_codes(acc, F.mul_codes(a, b))
-        prod.append(acc)
-    assert tuple(prod) == A.mul_vec(v)
+    for F, (nrows, ncols) in itertools.product(
+            (make_field(5, 1), make_field(2, 2), make_field(3, 2)),
+            [(3, 4), (1, 1), (5, 2), (0, 4), (3, 0), (0, 0)]):
+        A = FMatrix(F, [[rng.randrange(F.order) for _ in range(ncols)]
+                        for _ in range(nrows)], ncols=ncols)
+        v = [rng.randrange(F.order) for _ in range(ncols)]
+        prod = []
+        for r in A.rows:
+            acc = 0
+            for a, b in zip(r, v):
+                acc = F.add_codes(acc, F.mul_codes(a, b))
+            prod.append(acc)
+        assert tuple(prod) == A.mul_vec(v)
 
 
 def test_block_diag_rank_adds():

@@ -1,17 +1,21 @@
 """Solver route tests with planted-solution oracles."""
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from qgrs import constructions
+from qgrs import cli, constructions
 from qgrs.errors import (
     ColumnDependence,
     FrobeniusHypothesisFailed,
     HasZeroCoordinate,
     HypothesisFailed,
+    NoValidShift,
     NotASolution,
     WrongShape,
 )
@@ -21,12 +25,21 @@ from qgrs.solver import (
     EXHAUST_LIMIT,
     _SAMPLE_BATCH,
     _SAMPLE_SEED,
-    _combine,
+    _SPAN_BLOCK,
     all_nonzero_in_span,
     descend_to_base,
     solve_all_nonzero,
     solve_projective_unique,
 )
+
+
+def _combine(F, coeffs, basis):
+    """Scalar reference for one span combination: sum_d coeffs[d] * basis[d]."""
+    acc = [0] * len(basis[0])
+    for t, row in zip(coeffs, basis):
+        for i, v in enumerate(row):
+            acc[i] = F.add_codes(acc[i], F.mul_codes(t, v))
+    return tuple(acc)
 
 
 def _base_units(F):
@@ -184,6 +197,68 @@ def test_all_nonzero_in_span_restricted_scalars():
     assert all(F.in_base_code(c) for c in out)
 
 
+def _first_enumerated_hit(F, basis, scalars):
+    """Reference for the structured and exhaustive stages: the basis sum and
+    the unit vectors, then itertools.product over the sorted scalars, each
+    combined with the scalar _combine.  Returns (row, vector) of the first
+    totally nonzero combination, or None."""
+    dim = len(basis)
+    structured = [(1,) * dim] + [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+    candidates = itertools.chain(
+        structured, itertools.product(sorted(set(scalars)), repeat=dim))
+    for row, coeffs in enumerate(candidates):
+        x = _combine(F, coeffs, basis)
+        if all(x):
+            return row, x
+    return None
+
+
+def test_exhaustive_span_hit_in_structured_block():
+    # over GF(9) the basis sum is (0, 2, 0) and the first unit vector
+    # answers; enumeration alone would answer b1 + b2 = (1, 1, 2) first
+    F = make_field(3, 1)
+    basis = [(2, 1, 1), (1, 0, 1), (0, 1, 1)]
+    row, expect = _first_enumerated_hit(F, basis, range(F.order))
+    assert (row, expect) == (1, (2, 1, 1))
+    assert all_nonzero_in_span(F, basis, range(F.order)) == expect
+
+
+def test_exhaustive_span_hit_past_first_block():
+    # GF(256): column (1, 0) kills every row with c0 = 0, so the first 256
+    # enumerated rows miss; (0, 1), (1, 1), (1, g), (1, g^2) kill the
+    # structured candidates and the next few rows
+    F = make_field(2, 4)
+    g = F._gen_code()
+    basis = [(1, 0, 1, 1, 1), (0, 1, 1, g, F.mul_codes(g, g))]
+    row, expect = _first_enumerated_hit(F, basis, range(F.order))
+    assert row > F.order > _SPAN_BLOCK
+    assert all_nonzero_in_span(F, basis, range(F.order)) == expect
+
+
+def test_exhaustive_span_none_when_exhausted():
+    # GF(16): c0 * 1 + c1 * u vanishes on c0 = u c1, and every unit u has a
+    # column, as do c0 = 0 and c1 = 0; no combination is totally nonzero
+    F = make_field(2, 2)
+    units = range(1, F.order)
+    basis = [(1, 0) + (1,) * len(units), (0, 1) + tuple(units)]
+    assert _first_enumerated_hit(F, basis, range(F.order)) is None
+    assert all_nonzero_in_span(F, basis, range(F.order)) is None
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+def test_exhaustive_span_matches_product_order(p, e):
+    F = make_field(p, e)
+    rng = random.Random(10 * p + e)
+    for scalars in (range(F.order), F.base_codes()):
+        for _ in range(30):
+            dim, n = rng.randint(1, 3), rng.randint(2, 8)
+            basis = [tuple(rng.randrange(F.order) if rng.random() < 0.6 else 0
+                           for _ in range(n)) for _ in range(dim)]
+            ref = _first_enumerated_hit(F, basis, scalars)
+            got = all_nonzero_in_span(F, basis, scalars)
+            assert got == (None if ref is None else ref[1])
+
+
 def _first_drawn_hit(F, basis, scalars):
     """Reference for the sampled branch: redraw the seeded batches and scan
     their rows in draw order with the scalar combination."""
@@ -248,6 +323,44 @@ def test_descend_to_base_randomized():
             assert not any(B.mul_vec(codes))
 
 
+def _first_shift(F, codes):
+    """Reference for the descent: the scalar shift loop over j = 1..q+1,
+    returning (j, g^j c + (g^j c)^(q)) for the first totally nonzero one."""
+    g = F._gen_code()
+    for j in range(1, F.q + 2):
+        wj = F.pow_code(g, j)
+        wjq = F.frobenius_code(wj)
+        b = tuple(F.add_codes(F.mul_codes(wj, x), F.mul_codes(wjq, F.frobenius_code(x)))
+                  for x in codes)
+        if all(b):
+            return j, b
+    return None
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (2, 3), (3, 2)])
+def test_descend_to_base_matches_scalar_shift_loop(p, e):
+    F = make_field(p, e)
+    rng = random.Random(100 * p + e)
+    shifts = set()
+    for _ in range(40):
+        r = rng.randint(3, min(6, F.q - 1))
+        B = _scaled_vandermonde(F, rng, r - 2, r)
+        # a full-field combination of the base-valued kernel basis
+        c = _combine(F, [rng.randrange(1, F.order) for _ in range(2)], B.nullspace())
+        if not all(c):
+            continue
+        felts = [F.from_code(x) for x in c]
+        ref = _first_shift(F, c)
+        if ref is None:
+            with pytest.raises(NoValidShift):
+                descend_to_base(B, felts)
+            continue
+        j, expect = ref
+        shifts.add(j)
+        assert tuple(x.code for x in descend_to_base(B, felts)) == expect
+    assert len(shifts) > 1
+
+
 def test_descend_rejects_bad_inputs():
     F = make_field(5, 1)
     A = FMatrix(F, [[1, 1, 1]])
@@ -265,3 +378,20 @@ def test_descend_frobenius_hypothesis():
     c = [g, -F.one]
     with pytest.raises(FrobeniusHypothesisFailed):
         descend_to_base(A, c)
+
+
+# ---------------------------------------------------------------- pinned documents
+
+# span-search cells at q > 13 on both draw streams: the numpy draws (order
+# <= 4096) and random.Random (above it); the chosen kernel point fixes the
+# document's multipliers
+@pytest.mark.parametrize("args,sha", [
+    ((5, 16, 15, 7, 2), "4dcc8558e6a32d9b72dd63a1b5190f3c28f403a552c1cd77c3cd20d44046d500"),
+    ((5, 16, 15, 8, 2), "05cc0784f3459a7ee1a141b98551f6c014b2342af3cb0a88f02a0e5a20158958"),
+    ((1, 67, 68, 3, 2), "4f4aaadf1c696e9d9fd613d08c028bea2afa70afe1c5861c46ba5f3329bf2bf7"),
+    ((5, 81, 80, 2, 2), "ffbf66c33011a6c28786a983419da285421bb5b02054042dac540ee9305a4cfc"),
+    ((1, 128, 129, 2, 2), "e5fe2189958ef29847b8f49d28accef7bfb023e9c270124d39c497d7001f4c4b"),
+], ids=["q16-r7-numpy", "q16-r8-numpy", "q67-random", "q81-random", "q128-random"])
+def test_span_search_documents_pinned(args, sha):
+    doc = json.dumps(cli.encode_document(constructions.construct(*args)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == sha
