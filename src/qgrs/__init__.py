@@ -11,14 +11,13 @@ from .constructions import (
     to_quantum,
     validate,
 )
-from .field import Felt, FieldSpec, field_for_q, make_field
+from .field import FieldSpec, field_for_q, make_field
 from .grs import GrsSpec, dual_containment_check, hermitian_gram
 from .verifier import CertBundle, certify, check_mds
 
 __all__ = [
     "CertBundle",
     "FAMILIES",
-    "Felt",
     "FieldSpec",
     "GrsSpec",
     "Params",

@@ -1,9 +1,9 @@
 """Vectorized exact-arithmetic kernels.
 
 numpy is used strictly as a bulk table-lookup engine: every value is an int
-code and every operation goes through the field's vectorized ops
-(``FieldSpec.v*``), which work at every order, so the results are
-bit-identical to the scalar ``*_code`` ops (which the tests enforce).
+code, the package's only element representation, and every operation goes
+through the field's vectorized ops (``FieldSpec.v*``), which work at every
+order.  The tests hold the results to the scalar ``*_code`` reference ops.
 """
 from __future__ import annotations
 

@@ -14,15 +14,15 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Sequence
+from typing import Any
 
 import click
 
 from .constructions import construct as build_code
 from .constructions import iter_family_params, to_quantum
-from .errors import ParamsRejected, QgrsError, SchemaError
+from .errors import NonCanonicalModulus, ParamsRejected, QgrsError, SchemaError
 from .exponents import InvalidScenario
-from .field import Felt, check_modulus, make_field, prime_power_decompose
+from .field import check_modulus, make_field, prime_power_decompose
 from .grs import GrsSpec, hermitian_gram
 from .verifier import DEFAULT_MINOR_BUDGET, DEFAULT_WORD_BUDGET, certify
 
@@ -36,13 +36,12 @@ SCHEMA_VERSION = 1
 
 def encode_document(spec: GrsSpec) -> dict[str, Any]:
     F = spec.field
-    locs = ["zero" if x.is_zero else x.log for x in spec.locators]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "field": {"p": F.p, "e": F.e, "modulus": list(F.modulus)},
         "k": spec.k,
-        "locators": locs,
-        "multipliers": [v.log for v in spec.multipliers],
+        "locators": ["zero" if x == 0 else F.dlog_code(x) for x in spec.locators],
+        "multipliers": [F.dlog_code(v) for v in spec.multipliers],
     }
     if spec.provenance is not None:
         doc["provenance"] = spec.provenance
@@ -80,21 +79,22 @@ def decode_document(doc: Any) -> GrsSpec:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed document: {exc}") from exc
     try:
-        F = make_field(p, e)
+        check_modulus(p, e, modulus)
+    except NonCanonicalModulus:
+        raise
     except (QgrsError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
-    check_modulus(F, modulus)
+    F = make_field(p, e)  # only now: building the tables is the slow part
     n_units = F.order - 1
 
-    def _unit(log: Any, what: str) -> Felt:
+    def _unit(log: Any, what: str) -> int:
         log = _exact_int(log, f"{what} log")
         if not 0 <= log < n_units:
             raise SchemaError(f"log {log} outside [0, {n_units})")
-        return F.from_log(log)
+        return int(F.vexp(log))
 
     # "zero" is a locator only: a zero multiplier is never a unit
-    locators = tuple(F.zero if x == "zero" else _unit(x, "locator")
-                     for x in raw_locs)
+    locators = tuple(0 if x == "zero" else _unit(x, "locator") for x in raw_locs)
     multipliers = tuple(_unit(x, "multiplier") for x in raw_mults)
     try:
         return GrsSpec(F, locators, multipliers, k,
@@ -221,9 +221,8 @@ def cmd_verify(path, minor_budget, word_budget):
         click.echo(f"  quantum: {cert.quantum}")
     if not cert.herm_ok:
         gram = hermitian_gram(spec)
-        bad = [(i, j, gram.entry(i, j).code)
-               for i in range(k) for j in range(k)
-               if not gram.entry(i, j).is_zero]
+        bad = [(i, j, code) for i, row in enumerate(gram.rows)
+               for j, code in enumerate(row) if code]
         for i, j, code in bad[:8]:
             click.echo(f"  gram[{i}][{j}] = {code} (nonzero)")
         if len(bad) > 8:

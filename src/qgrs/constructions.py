@@ -50,7 +50,7 @@ from .errors import (
     SubfieldAssertionFailed,
 )
 from .exponents import Scenario, ScenarioKind
-from .field import Felt, FieldSpec, field_for_q, prime_power_decompose
+from .field import FieldSpec, field_for_q, prime_power_decompose
 from .grs import GrsSpec, lagrange_weights
 from .matrix import FMatrix
 from .solver import (
@@ -269,26 +269,35 @@ def validate(family: int, q: int, h: int, r: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# shared assembly helpers
+# shared assembly helpers (every element is an int code)
 # ---------------------------------------------------------------------------
 
 
-def _coset_locators(F: FieldSpec, exps: Sequence[int], h: int, m: int) -> list[Felt]:
+def _coset_locators(F: FieldSpec, exps: Sequence[int], h: int, m: int) -> np.ndarray:
     """Concatenated cosets g^(e) * <g^h>, coset-major, orbit index ascending."""
-    out = []
-    for e in exps:
-        for nu in range(m):
-            out.append(F.from_log(e + h * nu))
-    return out
+    logs = np.add.outer(np.asarray(exps, dtype=np.int64), h * np.arange(m))
+    return F.vexp(logs.ravel())
 
 
-def _twisted_multipliers(F: FieldSpec, per_coset: Sequence[Felt], m: int,
-                         twist: int) -> list[Felt]:
-    out = []
-    for v in per_coset:
-        for nu in range(m):
-            out.append(v if twist == 0 else v * F.from_log(nu * twist))
-    return out
+def _twisted_multipliers(F: FieldSpec, per_coset, m: int, twist: int) -> np.ndarray:
+    """Per-coset multipliers v, each spread over its coset as v * g^(nu * twist)."""
+    return F.vmul(np.asarray(per_coset)[:, None], F.vexp(twist * np.arange(m))).ravel()
+
+
+def _profile_rows(F: FieldSpec, xi_log: int, alpha_log: int, us,
+                  idx: Sequence[int]) -> FMatrix:
+    """Rows (xi^i * alpha^(i*u))_{i in idx}, one per u in us, from the
+    discrete logs of xi and alpha."""
+    us, idx = np.asarray(us, dtype=np.int64), np.asarray(idx, dtype=np.int64)
+    codes = F.vexp(np.outer(xi_log + alpha_log * us, idx))
+    return FMatrix(F, codes.tolist(), ncols=len(idx))
+
+
+def _spec(F: FieldSpec, p: Params, locators, multipliers, **extra) -> GrsSpec:
+    """The code on these code arrays, with the cell's provenance plus extra."""
+    return GrsSpec(F, tuple(np.asarray(locators).tolist()),
+                   tuple(np.asarray(multipliers).tolist()), p.k,
+                   provenance={**p.provenance(), **extra})
 
 
 def _coprimality_guard(F: FieldSpec, m: int) -> None:
@@ -310,19 +319,18 @@ def _build_zero_union_cosets(p: Params) -> GrsSpec:
     _coprimality_guard(F, p.m)
     r, m = p.r, p.m
     a_start = p.s - p.t if p.h % 2 == 0 else p.s - p.t + 1
-    alpha = F.from_log(m)
-    rows = [[1] * (r + 1)]
-    for u in range(a_start, a_start + r - 2):
-        rows.append([0] + [(alpha ** (l * u)).code for l in range(1, r + 1)])
-    A = FMatrix(F, rows, ncols=r + 1)
-    x = descend_to_base(A, solve_all_nonzero(A))
-    mbar = F.from_code(F.embed_int(m))
-    v0 = F.solve_norm(x[0] * mbar)
-    per_coset = [F.solve_norm(x[l]) for l in range(1, r + 1)]
-    locators = [F.zero] + _coset_locators(F, range(1, r + 1), p.h, m)
-    multipliers = [v0] + _twisted_multipliers(F, per_coset, m, twist=0)
-    return GrsSpec(F, tuple(locators), tuple(multipliers), p.k,
-                   provenance=p.provenance())
+    # a row of ones, then (0, alpha^(l*u))_{l=1..r}, alpha = g^m
+    us = np.arange(a_start, a_start + r - 2)
+    rows = np.zeros((r - 1, r + 1), dtype=np.int64)
+    rows[0] = 1
+    rows[1:, 1:] = F.vexp(m * np.outer(us, np.arange(1, r + 1)))
+    A = FMatrix(F, rows.tolist(), ncols=r + 1)
+    x = np.array(descend_to_base(A, solve_all_nonzero(A)))
+    x[0] = F.mul_codes(int(x[0]), F.embed_int(m))
+    v = F.vsolve_norm(x)
+    locators = np.concatenate([[0], _coset_locators(F, range(1, r + 1), p.h, m)])
+    multipliers = np.concatenate([v[:1], _twisted_multipliers(F, v[1:], m, twist=0)])
+    return _spec(F, p, locators, multipliers)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +342,13 @@ def _build_twisted_cosets(p: Params) -> GrsSpec:
     F = field_for_q(p.q)
     _coprimality_guard(F, p.m)
     q, r, m = p.q, p.r, p.m
-    alpha = F.from_log(m)
-    xi = F.from_log((q + 1) // p.h - (q + 1))
+    # xi = g^((q+1)/h - (q+1)), alpha = g^m
     a_start = p.s - p.t
-    rows = []
-    for rho in range(r - 1):
-        u = a_start + rho
-        rows.append([(xi ** i * alpha ** (i * u)).code for i in p.i_list])
-    A = FMatrix(F, rows, ncols=r)
-    prof = solve_projective_unique(A)
-    per_coset = [F.solve_norm(y) for y in prof]
-    locators = _coset_locators(F, p.i_list, p.h, m)
-    multipliers = _twisted_multipliers(F, per_coset, m, twist=p.h - 1)
-    return GrsSpec(F, tuple(locators), tuple(multipliers), p.k,
-                   provenance=p.provenance())
+    A = _profile_rows(F, (q + 1) // p.h - (q + 1), m,
+                      range(a_start, a_start + r - 1), p.i_list)
+    per_coset = F.vsolve_norm(solve_projective_unique(A))
+    return _spec(F, p, _coset_locators(F, p.i_list, p.h, m),
+                 _twisted_multipliers(F, per_coset, m, twist=p.h - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +359,12 @@ def _build_twisted_cosets(p: Params) -> GrsSpec:
 def _build_square_cosets(p: Params) -> GrsSpec:
     F = field_for_q(p.q)
     _coprimality_guard(F, p.m)
-    q, r, m, s = p.q, p.r, p.m, p.s
-    beta = F.from_log(2 * m)
-    xi = F.from_log(-(q + 1))
-    rows = []
-    for rho in range(r - 1):
-        u = rho + 1
-        rows.append([(xi ** i * beta ** (i * u)).code for i in p.i_list])
-    B = FMatrix(F, rows, ncols=r)
-    prof = solve_projective_unique(B)
-    per_coset = [F.solve_norm(y) for y in prof]
-    locators = _coset_locators(F, [2 * i for i in p.i_list], p.h, m)
-    multipliers = _twisted_multipliers(F, per_coset, m, twist=s)
-    return GrsSpec(F, tuple(locators), tuple(multipliers), p.k,
-                   provenance=p.provenance())
+    q, r, m = p.q, p.r, p.m
+    # xi = g^(-(q+1)), beta = g^(2m)
+    B = _profile_rows(F, -(q + 1), 2 * m, range(1, r), p.i_list)
+    per_coset = F.vsolve_norm(solve_projective_unique(B))
+    return _spec(F, p, _coset_locators(F, [2 * i for i in p.i_list], p.h, m),
+                 _twisted_multipliers(F, per_coset, m, twist=p.s))
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +375,14 @@ def _build_square_cosets(p: Params) -> GrsSpec:
 def _build_mixed_cosets(p: Params) -> GrsSpec:
     F = field_for_q(p.q)
     _coprimality_guard(F, p.m)
-    q, r, m, s, t = p.q, p.r, p.m, p.s, p.t
-    beta = F.from_log(2 * m)
-    xi = F.from_log(-(q + 1))
-
-    def _block(idx):
-        rows = []
-        for rho in range(t - 1):
-            u = rho + 1
-            rows.append([(xi ** i * beta ** (i * u)).code for i in idx])
-        return FMatrix(F, rows, ncols=len(idx))
-
-    A = FMatrix.block_diag(F, [_block(p.i_list), _block(p.j_list)])
-    prof = descend_to_base(A, solve_all_nonzero(A))
-    per_coset = [F.solve_norm(y) for y in prof]
+    q, m, t = p.q, p.m, p.t
+    # one family-3 block per coset kind, xi = g^(-(q+1)), beta = g^(2m)
+    A = FMatrix.block_diag(F, [_profile_rows(F, -(q + 1), 2 * m, range(1, t), idx)
+                               for idx in (p.i_list, p.j_list)])
+    per_coset = F.vsolve_norm(descend_to_base(A, solve_all_nonzero(A)))
     exps = [2 * i for i in p.i_list] + [2 * j + 1 for j in p.j_list]
-    locators = _coset_locators(F, exps, p.h, m)
-    multipliers = _twisted_multipliers(F, per_coset, m, twist=s)
-    return GrsSpec(F, tuple(locators), tuple(multipliers), p.k,
-                   provenance=p.provenance())
+    return _spec(F, p, _coset_locators(F, exps, p.h, m),
+                 _twisted_multipliers(F, per_coset, m, twist=p.s))
 
 
 # ---------------------------------------------------------------------------
@@ -411,49 +393,36 @@ def _build_mixed_cosets(p: Params) -> GrsSpec:
 def _build_explicit_weights(p: Params) -> GrsSpec:
     F = field_for_q(p.q)
     _coprimality_guard(F, p.m)
-    r, m = p.r, p.m
+    q, m = p.q, p.m
     locators = _coset_locators(F, p.i_list, p.h, m)
-    n = len(locators)
 
-    # closed-form node products, cross-checked against the direct O(n^2) route
-    alpha = F.from_log(m)
-    mbar = F.from_code(F.embed_int(m))
-    coset_gaps = []
-    for lam, i in enumerate(p.i_list):
-        acc = F.one
-        for sig, i2 in enumerate(p.i_list):
-            if sig != lam:
-                acc = acc * (alpha ** i - alpha ** i2)
-        coset_gaps.append(acc)
-    weights = []
-    for lam in range(r):
-        for nu in range(m):
-            a = locators[lam * m + nu]
-            weights.append(mbar * a ** (m - 1) * coset_gaps[lam])
-    assert tuple(weights) == lagrange_weights(tuple(locators))
+    # closed-form node products, cross-checked against the direct O(n^2)
+    # route: u = m * a^(m-1) * prod over the other cosets of (alpha^i - alpha^i2)
+    heads = F.vexp(m * np.asarray(p.i_list))
+    gaps = F.vsub(heads[:, None], heads[None, :])
+    np.fill_diagonal(gaps, 1)
+    weights = F.vmul(F.vmul(F.vpow(locators, m - 1), np.repeat(F.vprod(gaps, axis=1), m)),
+                     F.embed_int(m))
+    assert (weights == lagrange_weights(F, locators)).all()
 
-    for a, u in zip(locators, weights):
-        if not (a * u).in_base() or (a * u).is_zero:
-            raise SubfieldAssertionFailed(
-                f"a*u = {(a * u)!r} escapes the base units at locator {a!r}")
+    au = F.vmul(locators, weights)
+    bad = np.flatnonzero((au == 0) | (F.vpow(au, q) != au))
+    if bad.size:
+        i = int(bad[0])
+        raise SubfieldAssertionFailed(
+            f"a*u = {au[i]} escapes the base units at locator {locators[i]}")
 
-    traces = [a.conj() + a for a in locators]
-    if all(traces):
+    traces = F.vadd(F.vpow(locators, q), locators)
+    if traces.all():
         path = "explicit"
-        multipliers = []
-        for a, u, tr in zip(locators, weights, traces):
-            v_prime = F.solve_norm((a * u).inv())
-            multipliers.append(v_prime * F.solve_norm(tr))
+        multipliers = F.vmul(F.vsolve_norm(F.vinv(au)), F.vsolve_norm(traces))
     else:
         path = "kernel"
         multipliers = _profile_fallback(F, locators, p.k)
-    prov = p.provenance()
-    prov["path"] = path
-    return GrsSpec(F, tuple(locators), tuple(multipliers), p.k,
-                   provenance=prov)
+    return _spec(F, p, locators, multipliers, path=path)
 
 
-def _profile_fallback(F: FieldSpec, locators: list[Felt], k: int) -> list[Felt]:
+def _profile_fallback(F: FieldSpec, locators, k: int) -> np.ndarray:
     """Solve the self-orthogonality profile system directly.
 
     The gram conditions are linear in the norm profile y_i = v_i^(q+1),
@@ -470,10 +439,10 @@ def _profile_fallback(F: FieldSpec, locators: list[Felt], k: int) -> list[Felt]:
     y = np.array(profile, dtype=np.int64)
     if not (F.vpow(y, F.q) == y).all():  # pragma: no cover - kernel is base-valued
         raise SubfieldAssertionFailed("profile escaped the base subfield")
-    return [F.solve_norm(F.from_code(v)) for v in profile]
+    return F.vsolve_norm(y)
 
 
-def _profile_system(F: FieldSpec, locators: list[Felt], k: int) -> FMatrix:
+def _profile_system(F: FieldSpec, locators, k: int) -> FMatrix:
     """The profile system restricted to the base subfield.
 
     Each gram condition sum_l y_l a_l^(q*i + j) = 0 splits over the basis
@@ -483,9 +452,9 @@ def _profile_system(F: FieldSpec, locators: list[Felt], k: int) -> FMatrix:
     """
     q = F.q
     exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
-    P = bulk.power_codes(F, [a.code for a in locators], exps)
-    g = F._gen_code()
-    c1 = F.vmul(F.vsub(P, F.vpow(P, q)), F.inv_code(F.sub_codes(g, F.pow_code(g, q))))
+    P = bulk.power_codes(F, locators, exps)
+    g = F.vexp(1)
+    c1 = F.vmul(F.vsub(P, F.vpow(P, q)), F.vinv(F.vsub(g, F.vpow(g, q))))
     c0 = F.vsub(P, F.vmul(c1, g))
     halves = np.stack([c0, c1], axis=1)
     assert (F.vpow(halves, q) == halves).all(), "split left the base subfield"

@@ -13,11 +13,10 @@ the residue class of x, which is a generator by construction (that is what
 and the norm onto the base subfield are all table lookups; addition is
 digitwise mod p (a plain XOR when p = 2).
 
-Two APIs share those tables.  The scalar ``*_code`` methods work on one int
-code at a time and are the reference the tests hold everything else to.
-The ``v*`` methods work elementwise on numpy arrays of codes, at every
-order, from 1-D tables of size O(order) — the log/exp lookup-table design of
-the galois library (https://galois.readthedocs.io):
+An element is its int code everywhere in the package; there is no element
+object.  The ``v*`` methods work elementwise on numpy arrays of codes, at
+every order, from 1-D tables of size O(order) — the log/exp lookup-table
+design of the galois library (https://galois.readthedocs.io):
 
 * multiply is ``exp[log a + log b]``; log(0) is a sentinel, 3(order - 1),
   whose sums all land in a zero tail of the padded exp table, so zero
@@ -28,12 +27,14 @@ the galois library (https://galois.readthedocs.io):
   (2p - 1)^(2e) entries; above _SPREAD_TABLE_CAP the two base-q halves of
   a sum are reduced separately against a (2p - 1)^e table instead.
 
+The scalar ``*_code`` methods compute the same results one int at a time;
+they are the reference the tests hold the ``v*`` methods to.
+
 Orders are capped (default 2^20) because the tables are built eagerly.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -147,6 +148,7 @@ def _x_has_full_order(f: list[int], p: int, group_order: int,
     return True
 
 
+@lru_cache(maxsize=64)
 def canonical_modulus(p: int, degree: int) -> tuple[int, ...]:
     """First primitive monic polynomial of the given degree over F_p.
 
@@ -181,6 +183,26 @@ def _respread(values: np.ndarray, digits: int, src: int, dst: int,
     return out
 
 
+def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
+    """p^(2e), once e >= 1, the order bound and the primality of p hold.
+
+    The bound is checked before p is tested or the power is formed: a
+    hostile document may carry a huge p or e.
+    """
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    if p < 2:
+        raise NotPrime("p < 2 is not prime")
+    order = 1
+    for _ in range(2 * e):
+        order *= p
+        if order > limit:
+            raise FieldTooLarge(f"p^(2e) exceeds limit {limit}")
+    if not _is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    return order
+
+
 # --------------------------------------------------------------------------
 # the field itself
 # --------------------------------------------------------------------------
@@ -195,23 +217,10 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, e: int, limit: int) -> None:
-        if e < 1:
-            raise ValueError("e must be >= 1")
-        if p < 2:
-            raise NotPrime("p < 2 is not prime")
-        # bound p^(2e) before testing p or forming the power: a hostile
-        # document may carry a huge p or e
-        order = 1
-        for _ in range(2 * e):
-            order *= p
-            if order > limit:
-                raise FieldTooLarge(f"p^(2e) exceeds limit {limit}")
-        if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
+        self.order = field_order(p, e, limit)
         self.p = p
         self.e = e
         self.q = p ** e
-        self.order = order
         self.modulus = canonical_modulus(p, 2 * e)
         self._build_tables()
         self._build_vector_tables()
@@ -366,55 +375,9 @@ class FieldSpec:
             return True
         return int(self._log[a]) % (self.q + 1) == 0
 
-    def solve_norm_code(self, u: int) -> int:
-        """Smallest-dlog v with v^(q+1) = u, for u in the base subfield."""
-        if u == 0:
-            raise ZeroArgument("norm preimage of zero")
-        lu = int(self._log[u])
-        if lu % (self.q + 1) != 0:
-            raise NotInBaseField(f"dlog {lu} is not a multiple of q+1 = {self.q + 1}")
-        # (q+1) * i = lu (mod q^2 - 1)  <=>  i = lu/(q+1) (mod q-1)
-        i = (lu // (self.q + 1)) % (self.q - 1)
-        v = int(self._exp[i])
-        assert self.norm_code(v) == u
-        return v
-
     def embed_int(self, n: int) -> int:
         """The image of the rational integer n in the field (n mod p)."""
         return n % self.p
-
-    def _gen_code(self) -> int:
-        return int(self._exp[1])
-
-    # -- element API ----------------------------------------------------------
-
-    @property
-    def zero(self) -> "Felt":
-        return Felt(0, self)
-
-    @property
-    def one(self) -> "Felt":
-        return Felt(1, self)
-
-    @property
-    def gen(self) -> "Felt":
-        """A fixed multiplicative generator: the residue class of x."""
-        return Felt(self._gen_code(), self)
-
-    def from_log(self, i: int) -> "Felt":
-        return Felt(int(self._exp[i % (self.order - 1)]), self)
-
-    def from_code(self, code: int) -> "Felt":
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for order {self.order}")
-        return Felt(code, self)
-
-    def solve_norm(self, u: "Felt") -> "Felt":
-        return Felt(self.solve_norm_code(u.code), self)
-
-    def elements(self) -> Iterator["Felt"]:
-        for code in range(self.order):
-            yield Felt(code, self)
 
     def base_codes(self) -> list[int]:
         """All codes of base-subfield elements, ascending (0 included)."""
@@ -436,6 +399,22 @@ class FieldSpec:
 
     def vmul(self, a, b) -> np.ndarray:
         return self._exp[self._log[a] + self._log[b]]
+
+    def vexp(self, logs) -> np.ndarray:
+        """g^logs elementwise, g the generator (the residue class of x); any
+        integer logs, negative ones included."""
+        return self._exp[np.asarray(logs) % (self.order - 1)]
+
+    def vsolve_norm(self, u) -> np.ndarray:
+        """Smallest-dlog v with v^(q+1) = u, elementwise, for base units u."""
+        u = np.asarray(u)
+        if (u == 0).any():
+            raise ZeroArgument("norm preimage of zero")
+        lu = self._log[u]
+        if (lu % (self.q + 1)).any():
+            raise NotInBaseField(f"norm preimage of a non-member of GF({self.q})")
+        # (q+1) * i = lu (mod q^2 - 1)  <=>  i = lu/(q+1) (mod q-1)
+        return self._exp[(lu // (self.q + 1)) % (self.q - 1)]
 
     def vinv(self, a) -> np.ndarray:
         """Elementwise inverse; zero maps to zero."""
@@ -499,101 +478,6 @@ class FieldSpec:
         return f"GF({self.order})[p={self.p},e={self.e}]"
 
 
-class Felt:
-    """A field element: an int code bound to its field.
-
-    Hashable and totally ordered (by code, within one field) so that sorts
-    and set operations are deterministic.
-    """
-
-    __slots__ = ("code", "field")
-
-    def __init__(self, code: int, field: FieldSpec) -> None:
-        self.code = code
-        self.field = field
-
-    # arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "Felt") -> "Felt":
-        return Felt(self.field.add_codes(self.code, other.code), self.field)
-
-    def __sub__(self, other: "Felt") -> "Felt":
-        return Felt(self.field.sub_codes(self.code, other.code), self.field)
-
-    def __mul__(self, other: "Felt") -> "Felt":
-        return Felt(self.field.mul_codes(self.code, other.code), self.field)
-
-    def __truediv__(self, other: "Felt") -> "Felt":
-        return Felt(self.field.div_codes(self.code, other.code), self.field)
-
-    def __pow__(self, n: int) -> "Felt":
-        return Felt(self.field.pow_code(self.code, n), self.field)
-
-    def __neg__(self) -> "Felt":
-        return Felt(self.field.neg_code(self.code), self.field)
-
-    def inv(self) -> "Felt":
-        return Felt(self.field.inv_code(self.code), self.field)
-
-    def conj(self) -> "Felt":
-        """The q-power (Frobenius) conjugate."""
-        return Felt(self.field.frobenius_code(self.code), self.field)
-
-    def norm(self) -> "Felt":
-        return Felt(self.field.norm_code(self.code), self.field)
-
-    # structure -------------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        p, d = self.field.p, 2 * self.field.e
-        c = self.code
-        out = []
-        for _ in range(d):
-            out.append(c % p)
-            c //= p
-        return tuple(out)
-
-    @property
-    def log(self) -> int:
-        return self.field.dlog_code(self.code)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def in_base(self) -> bool:
-        return self.field.in_base_code(self.code)
-
-    # protocol --------------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Felt):
-            return NotImplemented
-        return (self.field is other.field
-                or (self.field.p, self.field.e) == (other.field.p, other.field.e)) \
-            and self.code == other.code
-
-    def __lt__(self, other: "Felt") -> bool:
-        if self.field is not other.field:
-            raise TypeError("ordering requires a common field")
-        return self.code < other.code
-
-    def __le__(self, other: "Felt") -> bool:
-        return self == other or self < other
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.e, self.code))
-
-    def __repr__(self) -> str:
-        if self.code == 0:
-            return f"<0 of {self.field!r}>"
-        return f"<g^{self.log} of {self.field!r}>"
-
-
 @lru_cache(maxsize=64)
 def _make_field_cached(p: int, e: int, limit: int) -> FieldSpec:
     return FieldSpec(p, e, limit)
@@ -610,9 +494,12 @@ def field_for_q(q: int, *, limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     return make_field(p, e, limit=limit)
 
 
-def check_modulus(field: FieldSpec, coeffs) -> None:
-    """Reject a serialized modulus that is not the canonical one."""
-    if tuple(coeffs) != field.modulus:
+def check_modulus(p: int, e: int, coeffs) -> None:
+    """Reject a serialized modulus that is not the canonical one for
+    GF(p^(2e)), after field_order's checks and without building tables."""
+    order = field_order(p, e)
+    expected = canonical_modulus(p, 2 * e)
+    if tuple(coeffs) != expected:
         raise NonCanonicalModulus(
-            f"modulus {tuple(coeffs)} is not canonical for GF({field.order}); "
-            f"expected {field.modulus}")
+            f"modulus {tuple(coeffs)} is not canonical for GF({order}); "
+            f"expected {expected}")

@@ -23,17 +23,18 @@ from typing import Any
 import numpy as np
 
 from . import bulk
-from .field import Felt, FieldSpec
+from .field import FieldSpec
 from .matrix import FMatrix
 
 
 @dataclass(frozen=True)
 class GrsSpec:
-    """Evaluation code data: locators a_i, multipliers v_i, dimension k."""
+    """Evaluation code data: locators a_i, multipliers v_i (int codes), and
+    the dimension k."""
 
     field: FieldSpec
-    locators: tuple[Felt, ...]
-    multipliers: tuple[Felt, ...]
+    locators: tuple[int, ...]
+    multipliers: tuple[int, ...]
     k: int
     provenance: dict[str, Any] | None = dc_field(default=None, compare=False, repr=False)
 
@@ -45,32 +46,25 @@ class GrsSpec:
             raise ValueError("empty code")
         if not 1 <= self.k <= n:
             raise ValueError(f"k = {self.k} outside [1, n = {n}]")
+        order = self.field.order
         for x in self.locators + self.multipliers:
-            if x.field is not self.field:
-                raise ValueError("mixed fields")
-        if len({x.code for x in self.locators}) != n:
+            if type(x) is not int or not 0 <= x < order:
+                raise ValueError(f"{x!r} is not a code of GF({order})")
+        if len(set(self.locators)) != n:
             raise ValueError("locators must be distinct")
-        if any(v.is_zero for v in self.multipliers):
+        if 0 in self.multipliers:
             raise ValueError("multipliers must be nonzero")
 
     @property
     def n(self) -> int:
         return len(self.locators)
 
-    def locator_codes(self) -> list[int]:
-        return [x.code for x in self.locators]
-
-    def multiplier_codes(self) -> list[int]:
-        return [x.code for x in self.multipliers]
-
 
 def generator_matrix(spec: GrsSpec) -> FMatrix:
     """k x n matrix with rows (v_i * a_i^j), j = 0..k-1; 0^0 = 1."""
     F = spec.field
-    a = np.array(spec.locator_codes(), dtype=np.int64)
-    v = np.array(spec.multiplier_codes(), dtype=np.int64)
-    powers = bulk.power_codes(F, a, np.arange(spec.k))
-    rows = F.vmul(powers, v)
+    powers = bulk.power_codes(F, spec.locators, np.arange(spec.k))
+    rows = F.vmul(powers, np.array(spec.multipliers, dtype=np.int64))
     return FMatrix(F, rows.tolist(), ncols=spec.n)
 
 
@@ -82,23 +76,21 @@ def hermitian_gram(spec: GrsSpec) -> FMatrix:
     """
     F = spec.field
     k, q = spec.k, F.q
-    a = np.array(spec.locator_codes(), dtype=np.int64)
-    norms = np.array([F.norm_code(v) for v in spec.multiplier_codes()], dtype=np.int64)
+    norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
     exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
-    terms = bulk.power_codes(F, a, exps)          # (k*k, n)
+    terms = bulk.power_codes(F, spec.locators, exps)   # (k*k, n)
     terms = F.vmul(terms, norms)
-    sums = bulk.digit_sum(F, terms, axis=1)       # (k*k,)
-    rows = [[int(sums[i * k + j]) for j in range(k)] for i in range(k)]
-    return FMatrix(F, rows, ncols=k)
+    sums = bulk.digit_sum(F, terms, axis=1)            # (k*k,)
+    return FMatrix(F, sums.reshape(k, k).tolist(), ncols=k)
 
 
-def lagrange_weights(locators: tuple[Felt, ...]) -> tuple[Felt, ...]:
-    """u_i = prod_{j != i} (a_i - a_j)  (the node products, not inverted)."""
-    F = locators[0].field
-    a = np.array([x.code for x in locators], dtype=np.int64)
+def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:
+    """u_i = prod_{j != i} (a_i - a_j)  (the node products, not inverted),
+    as an array of codes."""
+    a = np.array(locators, dtype=np.int64)
     diffs = F.vsub(a[:, None], a[None, :])
     np.fill_diagonal(diffs, 1)
-    return tuple(Felt(int(c), F) for c in F.vprod(diffs, axis=1))
+    return F.vprod(diffs, axis=1)
 
 
 def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
@@ -113,15 +105,11 @@ def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
     """
     F = spec.field
     n, k, q = spec.n, spec.k, F.q
-    a_codes = spec.locator_codes()
-    u = [x.code for x in lagrange_weights(spec.locators)]
-    norms = [F.norm_code(v) for v in spec.multiplier_codes()]
-    a = np.array(a_codes, dtype=np.int64)
-    conj_exps = np.array([q * j for j in range(k)], dtype=np.int64)
-    conj_pows = bulk.power_codes(F, a, conj_exps)       # (k, n)
-    weights = F.vmul(np.array(u, dtype=np.int64), np.array(norms, dtype=np.int64))
+    norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
+    weights = F.vmul(lagrange_weights(F, spec.locators), norms)
+    conj_pows = bulk.power_codes(F, spec.locators, q * np.arange(k))   # (k, n)
     values = F.vmul(conj_pows, weights)
-    dd = bulk.newton_coefficients(F, a_codes, values)   # (k, n)
+    dd = bulk.newton_coefficients(F, spec.locators, values)           # (k, n)
     top = dd[:, n - k:] if k > 0 else dd[:, :0]
     bad = np.flatnonzero((top != 0).any(axis=1))
     if bad.size:

@@ -1,10 +1,9 @@
 """Exact dense linear algebra over GF(q^2).
 
 Matrices are immutable: every operation returns a fresh object.  Entries are
-raw int codes internally (see field.py); elimination runs as numpy row
-operations on the field's vectorized ops, and Felt objects appear only at
-the API edges.  Pivoting is deterministic — first nonzero entry in column
-order — so reduced echelon forms, ranks and nullspace bases are
+int codes (see field.py), and elimination runs as numpy row operations on
+the field's vectorized ops.  Pivoting is deterministic — first nonzero entry
+in column order — so reduced echelon forms, ranks and nullspace bases are
 reproducible across runs, which the serialization layer relies on.
 """
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import WrongShape
-from .field import Felt, FieldSpec
+from .field import FieldSpec
 
 
 class FMatrix:
@@ -46,15 +45,6 @@ class FMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_felts(cls, rows: Sequence[Sequence[Felt]], field: FieldSpec | None = None,
-                   ncols: int | None = None) -> "FMatrix":
-        if field is None:
-            if not rows or not rows[0]:
-                raise WrongShape("cannot infer field from empty input")
-            field = rows[0][0].field
-        return cls(field, [[x.code for x in r] for r in rows], ncols=ncols)
-
-    @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMatrix":
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
 
@@ -81,9 +71,6 @@ class FMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
-
-    def entry(self, i: int, j: int) -> Felt:
-        return Felt(self.rows[i][j], self.field)
 
     def is_zero(self) -> bool:
         return all(c == 0 for r in self.rows for c in r)

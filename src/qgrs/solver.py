@@ -39,7 +39,7 @@ from .errors import (
     NotFound,
     WrongShape,
 )
-from .field import Felt, FieldSpec
+from .field import FieldSpec
 from .matrix import FMatrix
 
 EXHAUST_LIMIT = 200_000
@@ -54,14 +54,14 @@ _SPAN_BLOCK = 128
 _NUMPY_DRAW_ORDER_LIMIT = 4096
 
 
-def _check_solution(A: FMatrix, codes: Sequence[int]) -> tuple[Felt, ...]:
-    """Check a candidate kernel vector and return it as field elements."""
-    codes = [int(c) for c in codes]
-    if any(c == 0 for c in codes):
+def _check_solution(A: FMatrix, codes: Sequence[int]) -> tuple[int, ...]:
+    """Check a candidate kernel vector and return it as a tuple of codes."""
+    codes = tuple(int(c) for c in codes)
+    if 0 in codes:
         raise HasZeroCoordinate("solution has a zero coordinate")
     if any(A.mul_vec(codes)):
         raise NotASolution("candidate does not satisfy the system")
-    return tuple(Felt(c, A.field) for c in codes)
+    return codes
 
 
 def _in_base(F: FieldSpec, codes: np.ndarray) -> bool:
@@ -69,7 +69,7 @@ def _in_base(F: FieldSpec, codes: np.ndarray) -> bool:
     return bool((F.vpow(codes, F.q) == codes).all())
 
 
-def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
+def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
     """Unique-kernel route: returns the base-subfield representative.
 
     Requires shape (r-1, r), every column-deletion invertible, and
@@ -103,7 +103,7 @@ def solve_projective_unique(A: FMatrix) -> tuple[Felt, ...]:
     assert F.pow_code(lam, F.q + 1) == 1
     # want mu = g^j with mu^(q-1) * lam = 1:  (q-1) j = -dlog(lam)  (mod q^2-1)
     j = (-(llam // (F.q - 1))) % (F.q + 1)
-    out = F.vmul(F.pow_code(F._gen_code(), j), c)
+    out = F.vmul(F.vexp(j), c)
     if not _in_base(F, out):  # pragma: no cover
         raise NoValidShift("normalized vector escaped the base subfield")
     return _check_solution(A, out)
@@ -186,7 +186,7 @@ def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
 
 
 def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
-                      sample_budget: int = SAMPLE_BUDGET) -> tuple[Felt, ...]:
+                      sample_budget: int = SAMPLE_BUDGET) -> tuple[int, ...]:
     """Counting route: a totally nonzero kernel vector over the full field.
 
     Hypotheses: deleting any single column leaves the rank unchanged, and
@@ -211,7 +211,7 @@ def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
     return _check_solution(A, x)
 
 
-def descend_to_base(A: FMatrix, c: Sequence[Felt]) -> tuple[Felt, ...]:
+def descend_to_base(A: FMatrix, c: Sequence[int]) -> tuple[int, ...]:
     """Turn a totally nonzero kernel vector into a base-subfield one.
 
     Evaluates all shifts g^j, j = 1..q+1, at once: with y = g^j c, the rows
@@ -220,18 +220,16 @@ def descend_to_base(A: FMatrix, c: Sequence[Felt]) -> tuple[Felt, ...]:
     row wins.  Works whenever the vector is shorter than q+1.
     """
     F = A.field
-    codes = [x.code for x in c]
-    if len(codes) != A.ncols:
+    if len(c) != A.ncols:
         raise WrongShape("vector length mismatch")
-    if any(x == 0 for x in codes):
+    if 0 in c:
         raise HasZeroCoordinate("input vector has a zero coordinate")
-    if any(A.mul_vec(codes)):
+    if any(A.mul_vec(c)):
         raise NotASolution("input vector is not in the kernel")
     if not A.row_equivalent(A.entrywise_frobenius()):
         raise FrobeniusHypothesisFailed("A is not row-equivalent to A^(q)")
     q = F.q
-    shifts = F.vpow(F._gen_code(), np.arange(1, q + 2))
-    Y = F.vmul(shifts[:, None], np.array(codes, dtype=np.int64))
+    Y = F.vmul(F.vexp(np.arange(1, q + 2))[:, None], np.array(c, dtype=np.int64))
     b = F.vadd(Y, F.vpow(Y, q))
     hits = np.flatnonzero((b != 0).all(axis=1))
     if not hits.size:

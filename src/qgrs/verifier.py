@@ -25,14 +25,13 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as iter_product
 
 import numpy as np
 
 from . import bulk
 from .constructions import QuantumParams
 from .errors import VerificationMismatch
-from .field import Felt, FieldSpec
+from .field import FieldSpec
 from .grs import (
     GrsSpec,
     dual_containment_check,
@@ -275,10 +274,9 @@ def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINOR
     """
     n, k = spec.n, spec.k
     F = spec.field
-    codes = spec.locator_codes()
-    if len(set(codes)) != n:  # pragma: no cover - GrsSpec enforces this
+    if len(set(spec.locators)) != n:  # pragma: no cover - GrsSpec enforces this
         return MdsReport(MdsStatus.FAILED, "structural", 0, "repeated locator")
-    if any(v == 0 for v in spec.multiplier_codes()):  # pragma: no cover
+    if 0 in spec.multipliers:  # pragma: no cover
         return MdsReport(MdsStatus.FAILED, "structural", 0, "zero multiplier")
     total = math.comb(n, k)
     # stdlib RNG: C(n, k) routinely exceeds int64, numpy draws cannot
@@ -363,47 +361,3 @@ def certify(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
                                 spec.field.q)
     return CertBundle(spec, gram_ok, interp_ok, mds, quantum,
                       time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# brute-force existence oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    found: tuple[Felt, ...] | None
-    tried: int
-    exhausted: bool
-
-
-def brute_force_multiplier_search(F: FieldSpec, locators: tuple[Felt, ...],
-                                  k: int, *, budget: int = 2_000_000) -> SearchReport:
-    """Search norm profiles y in (F_q*)^n making all gram sums vanish.
-
-    The gram conditions are linear in y, so y_0 may be fixed to 1.  Intended
-    as an independent existence oracle for small instances; the coset
-    constructions never call it.
-    """
-    n = len(locators)
-    exps = [F.q * i + j for i in range(k) for j in range(k)]
-    powers = [[F.pow_code(a.code, e) for a in locators] for e in exps]
-    base_units = [c for c in F.base_codes() if c != 0]
-    tried = 0
-    for tail in iter_product(base_units, repeat=n - 1):
-        tried += 1
-        if tried > budget:
-            return SearchReport(None, tried - 1, False)
-        y = (1,) + tail
-        good = True
-        for row in powers:
-            acc = 0
-            for yi, pi in zip(y, row):
-                acc = F.add_codes(acc, F.mul_codes(yi, pi))
-            if acc != 0:
-                good = False
-                break
-        if good:
-            found = tuple(F.solve_norm(F.from_code(c)) for c in y)
-            return SearchReport(found, tried, False)
-    return SearchReport(None, tried, True)

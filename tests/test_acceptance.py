@@ -185,8 +185,8 @@ def test_criterion_6_solver_descent_properties():
                 x = descend_to_base(A, solve_all_nonzero(A))
             except QgrsError:
                 continue  # no totally nonzero solution for this draw
-            assert all(not xi.is_zero and xi.in_base() for xi in x)
-            assert all(v == 0 for v in A.mul_vec([xi.code for xi in x]))
+            assert all(xi != 0 and F.in_base_code(xi) for xi in x)
+            assert all(v == 0 for v in A.mul_vec(x))
             done += 1
     # the unique-kernel route is exercised by every family-2/3 build; its
     # internal projective-uniqueness assertions are what raises on violation
@@ -233,11 +233,11 @@ def _mutate(rng, spec, same_norm):
     F = spec.field
     i = rng.randrange(spec.n)
     old = spec.multipliers[i]
-    old_norm = F.norm_code(old.code)
+    old_norm = F.norm_code(old)
     candidates = [c for c in range(1, F.order)
-                  if c != old.code and (F.norm_code(c) == old_norm) == same_norm]
+                  if c != old and (F.norm_code(c) == old_norm) == same_norm]
     mutated = list(spec.multipliers)
-    mutated[i] = F.from_code(candidates[rng.randrange(len(candidates))])
+    mutated[i] = candidates[rng.randrange(len(candidates))]
     return GrsSpec(F, spec.locators, tuple(mutated), spec.k)
 
 
@@ -253,8 +253,7 @@ def test_criterion_8_mutation_sensitivity(sweep):
         interp_ok, _ = dual_containment_check(bad)
         assert gram.is_zero() == interp_ok  # routes stay in agreement
         if not gram.is_zero():
-            assert any(not gram.entry(i2, j2).is_zero
-                       for i2 in range(rec.spec.k) for j2 in range(rec.spec.k))
+            assert any(c != 0 for row in gram.rows for c in row)
             flipped += 1
     assert flipped >= 49, f"only {flipped}/50 mutations detected"
     # ... and the blind spot is real, not a vacuous check: a same-norm

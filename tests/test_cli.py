@@ -35,8 +35,8 @@ def test_document_round_trip_exact():
     spec = construct(1, 7, 8, 5, 5)
     back = decode_document(json.loads(json.dumps(encode_document(spec))))
     assert back.field is spec.field
-    assert back.locator_codes() == spec.locator_codes()
-    assert back.multiplier_codes() == spec.multiplier_codes()
+    assert back.locators == spec.locators
+    assert back.multipliers == spec.multipliers
     assert back.k == spec.k
     assert back.provenance == spec.provenance
 
@@ -96,6 +96,24 @@ def test_decode_rejects_wrong_modulus():
     doc["field"]["modulus"] = [1, 0, 0, 1, 1]
     with pytest.raises(NonCanonicalModulus):
         decode_document(doc)
+
+
+def test_decode_rejects_wrong_modulus_before_building_tables(monkeypatch):
+    # GF(3^12) takes seconds to tabulate, while its canonical modulus takes a
+    # fraction of that: a wrong modulus is rejected before any table exists
+    from qgrs import field
+    from qgrs.errors import NonCanonicalModulus
+
+    def no_tables(*args):
+        raise AssertionError("field tables built for a rejected document")
+
+    monkeypatch.setattr(field, "FieldSpec", no_tables)
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
+    doc["field"].update(p=3, e=6, modulus=[1] * 13)
+    start = time.perf_counter()
+    with pytest.raises(NonCanonicalModulus):
+        decode_document(doc)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def codes(draw):
     provenance = draw(st.none() | st.dictionaries(
         st.text(max_size=4), st.none() | st.booleans() | st.integers() | st.text(max_size=4),
         max_size=3))
-    return GrsSpec(F, tuple(F.from_code(c) for c in locs),
-                   tuple(F.from_code(c) for c in mults),
+    return GrsSpec(F, tuple(locs), tuple(mults),
                    draw(st.integers(1, len(locs))), provenance=provenance)
 
 
@@ -102,8 +101,8 @@ def test_encode_decode_round_trip(spec):
     doc = json.loads(json.dumps(encode_document(spec)))
     back = decode_document(doc)
     assert back.field is spec.field
-    assert back.locator_codes() == spec.locator_codes()
-    assert back.multiplier_codes() == spec.multiplier_codes()
+    assert back.locators == spec.locators
+    assert back.multipliers == spec.multipliers
     assert back.k == spec.k
     assert back.provenance == spec.provenance
     assert encode_document(back) == doc

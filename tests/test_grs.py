@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from qgrs.field import make_field
@@ -24,9 +25,7 @@ from qgrs.grs import (
 
 
 def _full_field_spec(F, k):
-    locs = tuple(F.elements())
-    mults = tuple(F.one for _ in locs)
-    return GrsSpec(F, locs, mults, k)
+    return GrsSpec(F, tuple(range(F.order)), (1,) * F.order, k)
 
 
 def test_full_length_unit_code_gf9():
@@ -39,7 +38,7 @@ def test_full_length_unit_code_gf9():
     gram = hermitian_gram(bad3)
     assert not gram.is_zero()
     # the offending entry is (i, j) = (2, 2): power sum of x^8 = -1
-    assert gram.entry(2, 2).code == F.neg_code(1)
+    assert gram.rows[2][2] == F.neg_code(1)
     ok_dual, bad_j = dual_containment_check(bad3)
     assert not ok_dual
     assert bad_j == 2
@@ -47,40 +46,45 @@ def test_full_length_unit_code_gf9():
 
 def test_generator_matrix_frozen_gf4():
     F = make_field(2, 2)
-    w = F.gen
-    spec = GrsSpec(F, (F.zero, F.one, w), (F.one, F.one, w), k=2)
+    w = int(F.vexp(1))
+    spec = GrsSpec(F, (0, 1, w), (1, 1, w), k=2)
     G = generator_matrix(spec)
     assert G.shape == (2, 3)
     # row 0: multipliers times a^0 (0^0 = 1), row 1: multipliers times a
-    assert G.rows[0] == (1, 1, w.code)
-    assert G.rows[1] == (0, 1, (w * w).code)
+    assert G.rows[0] == (1, 1, w)
+    assert G.rows[1] == (0, 1, F.mul_codes(w, w))
 
 
 def test_zero_locator_power_convention():
     F = make_field(3, 1)
-    spec = GrsSpec(F, (F.zero, F.one), (F.one, F.one), k=2)
+    spec = GrsSpec(F, (0, 1), (1, 1), k=2)
     G = generator_matrix(spec)
-    assert G.entry(0, 0) == F.one   # 0^0
-    assert G.entry(1, 0) == F.zero  # 0^1
+    assert G.rows[0][0] == 1  # 0^0
+    assert G.rows[1][0] == 0  # 0^1
 
 
 def test_spec_validation():
     F = make_field(3, 1)
-    with pytest.raises(ValueError):
-        GrsSpec(F, (F.one, F.one), (F.one, F.one), 1)  # repeated locator
-    with pytest.raises(ValueError):
-        GrsSpec(F, (F.zero, F.one), (F.one, F.zero), 1)  # zero multiplier
-    with pytest.raises(ValueError):
-        GrsSpec(F, (F.zero, F.one), (F.one, F.one), 3)  # k > n
-    with pytest.raises(ValueError):
-        GrsSpec(F, (F.zero, F.one), (F.one,), 1)  # length mismatch
+    for locs, mults, k in [
+        ((1, 1), (1, 1), 1),            # repeated locator
+        ((0, 1), (1, 0), 1),            # zero multiplier
+        ((0, 1), (1, 1), 3),            # k > n
+        ((0, 1), (1,), 1),              # length mismatch
+        ((0, 9), (1, 1), 1),            # locator code past the order
+        ((0, 1), (1, -1), 1),           # negative multiplier code
+        ((0, 1), (1, 9), 1),            # multiplier code past the order
+        ((0, 1.0), (1, 1), 1),          # not an int
+        ((0, True), (1, 1), 1),         # a bool is not a code
+        ((0, np.int64(1)), (1, 1), 1),  # nor is a numpy scalar
+        ((0, "1"), (1, 1), 1),
+    ]:
+        with pytest.raises(ValueError):
+            GrsSpec(F, locs, mults, k)
 
 
 def test_lagrange_weights_frozen():
     F = make_field(7, 1)
-    locs = (F.from_code(1), F.from_code(2), F.from_code(3))
-    u = lagrange_weights(locs)
-    assert [x.code for x in u] == [2, 6, 2]
+    assert lagrange_weights(F, (1, 2, 3)).tolist() == [2, 6, 2]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (13, 1), (2, 6), (3, 4)],
@@ -97,8 +101,7 @@ def test_lagrange_weights_match_scalar_products(p, e):
                 if j != i:
                     acc = F.mul_codes(acc, F.sub_codes(ai, aj))
             want.append(acc)
-        got = lagrange_weights(tuple(F.from_code(c) for c in codes))
-        assert [x.code for x in got] == want
+        assert lagrange_weights(F, codes).tolist() == want
 
 
 def test_routes_always_agree_on_random_specs():
@@ -110,9 +113,7 @@ def test_routes_always_agree_on_random_specs():
             k = rng.randrange(1, n + 1)
             loc_codes = rng.sample(range(F.order), n)
             mult_codes = [rng.randrange(1, F.order) for _ in range(n)]
-            spec = GrsSpec(F,
-                           tuple(F.from_code(c) for c in loc_codes),
-                           tuple(F.from_code(c) for c in mult_codes), k)
+            spec = GrsSpec(F, tuple(loc_codes), tuple(mult_codes), k)
             gram_ok = hermitian_gram(spec).is_zero()
             dual_ok, _ = dual_containment_check(spec)
             assert gram_ok == dual_ok
@@ -133,8 +134,8 @@ def test_exhaustive_distance_is_singleton_for_tiny_grs():
     F = make_field(3, 1)
     rng = random.Random(8)
     loc_codes = rng.sample(range(F.order), 4)
-    spec = GrsSpec(F, tuple(F.from_code(c) for c in loc_codes),
-                   tuple(F.from_code(rng.randrange(1, F.order)) for _ in range(4)), 2)
+    spec = GrsSpec(F, tuple(loc_codes),
+                   tuple(rng.randrange(1, F.order) for _ in range(4)), 2)
     G = generator_matrix(spec)
     best = spec.n + 1
     for m0 in range(F.order):

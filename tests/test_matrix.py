@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qgrs.errors import WrongShape
@@ -161,10 +162,10 @@ def test_row_equivalence_under_random_row_ops():
 def test_vandermonde_rank():
     # distinct evaluation points give full rank — classical, used as oracle
     F = make_field(7, 1)
-    pts = [F.from_log(i) for i in range(6)]
-    V = FMatrix.from_felts([[x ** j for j in range(4)] for x in pts])
+    pts = F.vexp(np.arange(6)).tolist()
+    V = FMatrix(F, [[F.pow_code(x, j) for j in range(4)] for x in pts])
     assert V.rank() == 4
-    W = FMatrix.from_felts([[x ** j for j in range(8)] for x in pts])
+    W = FMatrix(F, [[F.pow_code(x, j) for j in range(8)] for x in pts])
     assert W.rank() == 6
 
 
@@ -187,7 +188,7 @@ def test_entrywise_frobenius_is_involution_here():
     assert B.entrywise_frobenius() == A
     for i in range(3):
         for j in range(3):
-            assert B.entry(i, j) == A.entry(i, j) ** F.q
+            assert B.rows[i][j] == F.pow_code(A.rows[i][j], F.q)
 
 
 def test_matmul_and_mul_vec_agree():

@@ -1,5 +1,5 @@
 """Verifier tests: the three MDS routes, the certificate bundle, and the
-brute-force existence oracle.
+brute-force existence oracle (tests/oracle.py).
 
 The failure paths need codes that are NOT MDS, which honest constructions
 never produce; a minimal duck-typed stand-in with a repeated locator
@@ -23,8 +23,6 @@ from qgrs.matrix import FMatrix
 from qgrs.verifier import (
     MdsReport,
     MdsStatus,
-    SearchReport,
-    brute_force_multiplier_search,
     certify,
     check_matrix_minors,
     check_mds,
@@ -33,6 +31,8 @@ from qgrs.verifier import (
     projective_word_count,
     structural_minor_certificate,
 )
+
+from oracle import SearchReport, brute_force_multiplier_search
 
 
 class _FakeSpec:
@@ -48,18 +48,10 @@ class _FakeSpec:
     def n(self):
         return len(self.locators)
 
-    def locator_codes(self):
-        return [x.code for x in self.locators]
-
-    def multiplier_codes(self):
-        return [x.code for x in self.multipliers]
-
 
 def _degenerate_spec():
     F = make_field(3, 1)
-    one = F.one
-    locs = (F.zero, one, one)          # repeated locator
-    return _FakeSpec(F, locs, (one, one, one), 2)
+    return _FakeSpec(F, (0, 1, 1), (1, 1, 1), 2)   # repeated locator
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +181,7 @@ def test_structural_route_rechecks_inputs():
     assert r.detail == "repeated locator"
 
     F = make_field(3, 1)
-    bad = _FakeSpec(F, (F.zero, F.one), (F.one, F.zero), 1)
+    bad = _FakeSpec(F, (0, 1), (1, 0), 1)
     r2 = structural_minor_certificate(bad)
     assert r2.status is MdsStatus.FAILED
     assert r2.detail == "zero multiplier"
@@ -241,10 +233,10 @@ def _reference_distance(spec):
 def test_exhaustive_distance_matches_scalar_oracle_at_gf6561():
     F = make_field(3, 4)
     rng = random.Random(81)
-    locs = [F.from_code(c) for c in rng.sample(range(F.order), 8)]
-    mults = [F.from_code(rng.randrange(1, F.order)) for _ in range(8)]
+    locs = rng.sample(range(F.order), 8)
+    mults = [rng.randrange(1, F.order) for _ in range(8)]
     good = GrsSpec(F, tuple(locs), tuple(mults), 2)
-    bad = _FakeSpec(F, locs[:5] + [locs[2]] + locs[5:], mults + [F.one], 2)
+    bad = _FakeSpec(F, locs[:5] + [locs[2]] + locs[5:], mults + [1], 2)
     for spec in (good, bad):
         status, checked, msg, weight = _reference_distance(spec)
         r = check_min_distance_exhaustive(spec, chunk=1000)
@@ -277,8 +269,7 @@ def test_certify_mismatch_is_loud(small_spec, monkeypatch):
 
 def test_certify_non_orthogonal_code_yields_no_quantum():
     F = make_field(3, 1)
-    locs = tuple(F.elements())
-    spec = GrsSpec(F, locs, tuple(F.one for _ in locs), 3)  # gram nonzero
+    spec = GrsSpec(F, tuple(range(F.order)), (1,) * F.order, 3)  # gram nonzero
     cert = certify(spec)
     assert not cert.herm_gram_ok and not cert.herm_interp_ok
     assert cert.quantum is None
@@ -303,7 +294,7 @@ def test_brute_force_exhausts_impossible_instance():
     # all 8 units of GF(9) at k = 3: one dimension above the sharp ceiling,
     # so the full 2^7-point profile space contains nothing
     F = field_for_q(3)
-    locators = tuple(F.from_log(i) for i in range(8))
+    locators = tuple(F.vexp(np.arange(8)).tolist())
     rep = brute_force_multiplier_search(F, locators, 3)
     assert rep.found is None
     assert rep.exhausted
@@ -312,7 +303,7 @@ def test_brute_force_exhausts_impossible_instance():
 
 def test_brute_force_budget_stops_early():
     F = field_for_q(3)
-    locators = tuple(F.from_log(i) for i in range(8))
+    locators = tuple(F.vexp(np.arange(8)).tolist())
     rep = brute_force_multiplier_search(F, locators, 3, budget=5)
     assert rep.found is None and not rep.exhausted and rep.tried == 5
 
