@@ -4,9 +4,16 @@ numpy is used strictly as a bulk table-lookup engine: every value is an int
 code, the package's only element representation, and every operation goes
 through the field's vectorized ops (``FieldSpec.v*``), which work at every
 order.  The tests hold the results to the scalar ``*_code`` reference ops.
+
+Column k-subsets are ranked and unranked in lexicographic order against one
+cached binomial table per (n, k) (:func:`comb_table`): :func:`unrank_lex`
+turns a whole batch of ranks into subsets one position at a time, with no
+per-subset Python loop, and works on Python ints once C(n, k) passes int64.
+The tests hold it to the scalar unranker kept in ``tests/oracle.py``.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,50 +124,56 @@ def schur_children(F: FieldSpec, R: np.ndarray, count: int
 
 def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:
     """A (count, k) block of k-subsets of range(n) in lexicographic order,
-    beginning at lexicographic rank ``start`` (unranked directly, so blocks
-    deep inside a huge combination space cost nothing to reach)."""
-    first = _unrank_lex(n, k, start)
-    out = np.empty((count, k), dtype=np.int32)
-    cur = list(first)
-    for row in range(count):
-        out[row] = cur
-        # advance to next combination in lexicographic order
-        i = k - 1
-        while i >= 0 and cur[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            out = out[: row + 1]
-            break
-        cur[i] += 1
-        for j in range(i + 1, k):
-            cur[j] = cur[j - 1] + 1
-    return out
+    beginning at lexicographic rank ``start``; a block that runs past the
+    last subset is truncated."""
+    return unrank_lex(n, k, range(start, min(start + count, math.comb(n, k))))
 
 
-def _unrank_lex(n: int, k: int, rank: int) -> list[int]:
-    """Lexicographic unranking of k-subsets of range(n)."""
-    out = []
-    prev = -1
+@functools.lru_cache(maxsize=128)
+def comb_table(n: int, k: int) -> np.ndarray:
+    """T[i, x] = min(C(x, i), C(n, k)) for 0 <= i <= k, 0 <= x <= n.
+
+    Clipping at C(n, k) keeps every row nondecreasing and leaves every entry
+    that ranking and unranking can select exact.  The dtype follows the
+    data: int64 when C(n, k) fits, Python ints otherwise.  The cached array
+    is read-only.
+    """
+    total = math.comb(n, k)
+    T = np.zeros((k + 1, n + 1), dtype=object)
+    T[0] = 1
+    for i in range(1, k + 1):
+        # hockey stick: C(x, i) = sum of C(y, i - 1) over y < x
+        T[i, 1:] = np.cumsum(T[i - 1, :-1])
+    T = np.minimum(T, total)
+    if total < 2 ** 63:
+        T = T.astype(np.int64)
+    T.flags.writeable = False
+    return T
+
+
+def unrank_lex(n: int, k: int, ranks) -> np.ndarray:
+    """(len(ranks), k) int32 array: row r is the k-subset of range(n) of
+    lexicographic rank ranks[r].
+
+    Combinadic unranking, one position at a time for all ranks together:
+    the complement rank C(n, k) - 1 - r is sum_pos C(n - 1 - c_pos, k - pos),
+    and each term is the largest table entry of its row not above what is
+    left.
+    """
+    T = comb_table(n, k)
+    rest = T[k, n] - 1 - np.asarray(ranks, dtype=T.dtype)
+    out = np.empty((len(rest), k), dtype=np.int32)
     for pos in range(k):
-        c = prev + 1
-        while True:
-            block = math.comb(n - c - 1, k - pos - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        prev = c
+        row = T[k - pos]
+        x = np.searchsorted(row, rest, side="right") - 1
+        rest -= row[x]
+        out[:, pos] = n - 1 - x
     return out
 
 
 def _rank_lex(n: int, k: int, subset) -> int:
     """Lexicographic rank of a sorted k-subset of range(n); inverse of
-    :func:`_unrank_lex`."""
-    rank = 0
-    prev = -1
-    for pos, c in enumerate(subset):
-        for skipped in range(prev + 1, c):
-            rank += math.comb(n - skipped - 1, k - pos - 1)
-        prev = c
-    return rank
+    :func:`unrank_lex`."""
+    T = comb_table(n, k)
+    x = n - 1 - np.asarray(subset, dtype=np.intp)
+    return int(T[k, n] - 1 - T[np.arange(k, 0, -1), x].sum())

@@ -9,7 +9,8 @@ k the realized set only shrinks, so systems built from the closed form stay
 sufficient.
 
 Everything here is plain integer arithmetic — no field is involved — and the
-closed forms are pinned against exhaustive enumeration in the test suite.
+closed forms are pinned against exhaustive enumeration (``tests/oracle.py``)
+in the test suite.
 """
 from __future__ import annotations
 
@@ -104,31 +105,3 @@ class Scenario:
         if self.kind is ScenarioKind.SHIFTED_EVEN:
             return frozenset(range(s - t, s + t + 2))
         return frozenset(set(range(1, t)) | set(range(s + 1, s + t)))
-
-
-def enumerate_quotients(q: int, m: int, offset: int, k: int) -> frozenset[int]:
-    """Exhaustive dual of :attr:`Scenario.quotients`: walk all (i, j) pairs.
-
-    Kept separate from the closed forms on purpose — the two routes check
-    each other and are never merged.
-    """
-    out = set()
-    for i in range(k):
-        base = q * i + offset
-        for j in range(k):
-            e = base + j
-            if e % m == 0:
-                out.add(e // m)
-    return frozenset(out)
-
-
-def all_valid_scenarios(kind: ScenarioKind, q: int) -> list[Scenario]:
-    """Every (s, t) the validator accepts for this kind and q."""
-    out = []
-    for s in range(1, q + 2):
-        for t in range(0, s + 1):
-            try:
-                out.append(Scenario(kind, q, s, t))
-            except InvalidScenario:
-                continue
-    return out

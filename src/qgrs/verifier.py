@@ -126,8 +126,8 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     k, n = G.shape
     width = min(k, _LEAF_WIDTH)
     tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
-    # completions[f]: how many tails start at column f or later
-    completions = np.array([math.comb(n - f, width) for f in range(n + 1)])
+    # completions[f] = C(n - f, width): how many tails start at column f or later
+    completions = bulk.comb_table(n, width)[width, ::-1]
     rows = np.arange(width)[None, :, None]
     # queued leaf batches, all before any subset not yet queued:
     # (mats, head, first child column or None, member, tail ids)
@@ -283,7 +283,7 @@ def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINOR
     rng = random.Random(seed)
     picks = min(samples, total)
     ranks = sorted({rng.randrange(total) for _ in range(picks)})
-    cols = np.array([bulk._unrank_lex(n, k, r) for r in ranks], dtype=np.int32)
+    cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
     if F.order > _RANK_SAMPLES_ABOVE_ORDER:
         good = np.array([G.submatrix(range(k), c).rank() == k for c in cols])

@@ -1,13 +1,20 @@
-"""Brute-force existence oracle for Hermitian self-orthogonal multipliers.
+"""Test-only reference implementations that ``src/`` never calls.
 
-Test-only: the constructions never call it.  The tests use it as an
-independent check on small instances.
+* a brute-force existence oracle for Hermitian self-orthogonal multipliers,
+  an independent check on small instances;
+* the exhaustive exponent-window enumeration that the closed forms of
+  :attr:`qgrs.exponents.Scenario.quotients` are pinned against;
+* the scalar lexicographic unranker that :func:`qgrs.bulk.unrank_lex` is
+  held equal to.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from qgrs.errors import InvalidScenario
+from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import FieldSpec
 
 
@@ -46,3 +53,48 @@ def brute_force_multiplier_search(F: FieldSpec, locators: tuple[int, ...],
         if good:
             return SearchReport(tuple(F.vsolve_norm(y).tolist()), tried, False)
     return SearchReport(None, tried, True)
+
+
+def enumerate_quotients(q: int, m: int, offset: int, k: int) -> frozenset[int]:
+    """Exhaustive dual of :attr:`Scenario.quotients`: walk all (i, j) pairs.
+
+    Kept separate from the closed forms on purpose — the two routes check
+    each other and are never merged.
+    """
+    out = set()
+    for i in range(k):
+        base = q * i + offset
+        for j in range(k):
+            e = base + j
+            if e % m == 0:
+                out.add(e // m)
+    return frozenset(out)
+
+
+def all_valid_scenarios(kind: ScenarioKind, q: int) -> list[Scenario]:
+    """Every (s, t) the validator accepts for this kind and q."""
+    out = []
+    for s in range(1, q + 2):
+        for t in range(0, s + 1):
+            try:
+                out.append(Scenario(kind, q, s, t))
+            except InvalidScenario:
+                continue
+    return out
+
+
+def _unrank_lex(n: int, k: int, rank: int) -> list[int]:
+    """Lexicographic unranking of k-subsets of range(n)."""
+    out = []
+    prev = -1
+    for pos in range(k):
+        c = prev + 1
+        while True:
+            block = math.comb(n - c - 1, k - pos - 1)
+            if rank < block:
+                break
+            rank -= block
+            c += 1
+        out.append(c)
+        prev = c
+    return out

@@ -21,12 +21,14 @@ from qgrs.constructions import (
     to_quantum,
 )
 from qgrs.errors import QgrsError
-from qgrs.exponents import ScenarioKind, all_valid_scenarios, enumerate_quotients
+from qgrs.exponents import ScenarioKind
 from qgrs.field import field_for_q
 from qgrs.grs import GrsSpec, dual_containment_check, hermitian_gram
 from qgrs.matrix import FMatrix
 from qgrs.solver import descend_to_base, solve_all_nonzero
 from qgrs.verifier import certify
+
+from oracle import all_valid_scenarios, enumerate_quotients
 
 SWEEP_QS = (3, 4, 5, 7, 8, 9, 11, 13)
 SWEEP_N_MAX = 64

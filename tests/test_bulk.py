@@ -7,10 +7,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrs import bulk
 from qgrs.field import make_field
 from qgrs.matrix import FMatrix
+
+import oracle
 
 
 def test_digit_sum_matches_scalar():
@@ -133,17 +137,66 @@ def test_combinations_array_matches_itertools():
     # a block that overruns the end is truncated
     tail = bulk.combinations_array(n, k, total - 2, 10)
     assert len(tail) == 2
+    # k = 0: one empty subset; k = n: the whole range
+    assert bulk.combinations_array(n, 0, 0, 5).shape == (1, 0)
+    assert bulk.combinations_array(n, n, 0, 5).tolist() == [list(range(n))]
+    # a block that starts past the last subset is empty
+    for start in (total, total + 3):
+        empty = bulk.combinations_array(n, k, start, 4)
+        assert empty.shape == (0, k) and empty.dtype == np.int32
 
 
 def test_unrank_lex():
     n, k = 9, 4
     ref = list(itertools.combinations(range(n), k))
     for rank in [0, 1, 17, 100, len(ref) - 1]:
-        assert tuple(bulk._unrank_lex(n, k, rank)) == ref[rank]
+        assert tuple(bulk.unrank_lex(n, k, [rank])[0]) == ref[rank]
 
 
 def test_rank_lex_inverts_unrank():
     for n, k in [(9, 4), (6, 1), (6, 6), (12, 2)]:
         for rank, subset in enumerate(itertools.combinations(range(n), k)):
             assert bulk._rank_lex(n, k, subset) == rank
-            assert bulk._unrank_lex(n, k, rank) == list(subset)
+            assert bulk.unrank_lex(n, k, [rank])[0].tolist() == list(subset)
+
+
+def test_unrank_lex_every_rank_up_to_n10():
+    for n in range(11):
+        for k in range(n + 1):
+            ref = list(itertools.combinations(range(n), k))
+            got = bulk.unrank_lex(n, k, range(len(ref)))
+            assert got.shape == (len(ref), k) and got.dtype == np.int32
+            assert [tuple(row) for row in got.tolist()] == ref, (n, k)
+            assert [tuple(oracle._unrank_lex(n, k, r))
+                    for r in range(len(ref))] == ref, (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(60, 5), (66, 33), (67, 33), (68, 34),
+                                 (82, 24), (127, 32), (164, 42), (300, 150)])
+def test_unrank_lex_matches_scalar_oracle(n, k):
+    # the structural route's rank stream; C(n, k) passes 2^63 from n = 67
+    total = math.comb(n, k)
+    rng = random.Random(0xC0DE)
+    ranks = sorted({rng.randrange(total) for _ in range(min(512, total))})
+    ranks += [0, total - 1]
+    got = bulk.unrank_lex(n, k, ranks)
+    assert got.tolist() == [oracle._unrank_lex(n, k, r) for r in ranks]
+    assert got[-2].tolist() == list(range(k))
+    assert got[-1].tolist() == list(range(n - k, n))
+    assert bulk.comb_table(n, k).dtype == (object if total >= 2 ** 63 else np.int64)
+
+
+@st.composite
+def _ranked(draw):
+    n = draw(st.integers(0, 200))
+    k = draw(st.integers(0, n))
+    return n, k, draw(st.integers(0, math.comb(n, k) - 1))
+
+
+@settings(max_examples=200)
+@given(_ranked())
+def test_rank_lex_inverts_unrank_lex_property(case):
+    n, k, rank = case
+    (subset,) = bulk.unrank_lex(n, k, [rank]).tolist()
+    assert subset == sorted(set(subset)) and all(0 <= c < n for c in subset)
+    assert bulk._rank_lex(n, k, subset) == rank

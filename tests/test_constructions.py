@@ -33,13 +33,13 @@ from qgrs.errors import (
     ParityViolated,
     RangeViolated,
 )
-from qgrs.exponents import Scenario, ScenarioKind, enumerate_quotients
+from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import field_for_q
 from qgrs.grs import GrsSpec, hermitian_gram
 from qgrs.matrix import FMatrix
 from qgrs.verifier import certify
 
-from oracle import brute_force_multiplier_search
+from oracle import brute_force_multiplier_search, enumerate_quotients
 
 
 def _lift(spec):

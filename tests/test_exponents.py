@@ -4,12 +4,9 @@ from __future__ import annotations
 import pytest
 
 from qgrs.errors import InvalidScenario
-from qgrs.exponents import (
-    Scenario,
-    ScenarioKind,
-    all_valid_scenarios,
-    enumerate_quotients,
-)
+from qgrs.exponents import Scenario, ScenarioKind
+
+from oracle import all_valid_scenarios, enumerate_quotients
 
 
 def test_frozen_spot_checks():

@@ -7,6 +7,7 @@ supplies those without weakening GrsSpec's own invariants.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -192,6 +193,38 @@ def test_structural_certificate_survives_huge_binomials():
     spec = construct(1, 17, 9, 8, 15)
     r = structural_minor_certificate(spec)
     assert r.ok and 0 < r.checked <= 512
+
+
+@pytest.mark.parametrize("args,i_list,nk,digest", [
+    # a sweep-small spec
+    pytest.param((2, 11, 6, 3, 5), None, (60, 5),
+                 "1809ba212b783e3c5f07deeb47049cc2e94b6760996aa9ee1f7f7a130e562651",
+                 id="q11-n60-k5"),
+    # `construct --family 3 --q 81 --h 80 --r 2 --k 42 --i-list 0,1`;
+    # C(164, 42) > 2^63
+    pytest.param((3, 81, 80, 2, 42), (0, 1), (164, 42),
+                 "db2fad19d2ea0ddd569b01a234a46319ec0ae4746040e7a0606a321368691393",
+                 id="q81-n164-k42"),
+])
+def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
+    # sha256 of the (512, k) int32 column array that the scalar unranker
+    # produced for these ranks
+    spec = construct(*args, i_list=i_list)
+    assert (spec.n, spec.k) == nk
+    seen = []
+    unrank = bulk.unrank_lex
+
+    def recording(n, k, ranks):
+        seen.append(unrank(n, k, ranks))
+        return seen[-1]
+
+    monkeypatch.setattr(bulk, "unrank_lex", recording)
+    r = structural_minor_certificate(spec)
+    assert r.ok and r.checked == 512
+    assert r.detail == "factorization argument + 512 sampled minors"
+    (cols,) = seen
+    assert cols.shape == (512, spec.k) and cols.dtype == np.int32
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
 
 def test_minor_sweep_matches_rank_oracle_at_gf6561():
