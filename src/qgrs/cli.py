@@ -221,12 +221,11 @@ def cmd_verify(path, minor_budget, word_budget):
         click.echo(f"  quantum: {cert.quantum}")
     if not cert.herm_ok:
         gram = hermitian_gram(spec)
-        bad = [(i, j, code) for i, row in enumerate(gram.rows)
-               for j, code in enumerate(row) if code]
-        for i, j, code in bad[:8]:
-            click.echo(f"  gram[{i}][{j}] = {code} (nonzero)")
-        if len(bad) > 8:
-            click.echo(f"  ... and {len(bad) - 8} more nonzero entries")
+        rows, cols = gram.nonzero()  # row-major
+        for i, j in zip(rows[:8], cols[:8]):
+            click.echo(f"  gram[{i}][{j}] = {gram[i, j]} (nonzero)")
+        if len(rows) > 8:
+            click.echo(f"  ... and {len(rows) - 8} more nonzero entries")
     sys.exit(0 if (cert.herm_ok and cert.mds_ok) else 1)
 
 

@@ -290,7 +290,7 @@ def _profile_rows(F: FieldSpec, xi_log: int, alpha_log: int, us,
     discrete logs of xi and alpha."""
     us, idx = np.asarray(us, dtype=np.int64), np.asarray(idx, dtype=np.int64)
     codes = F.vexp(np.outer(xi_log + alpha_log * us, idx))
-    return FMatrix(F, codes.tolist(), ncols=len(idx))
+    return FMatrix(F, codes)
 
 
 def _spec(F: FieldSpec, p: Params, locators, multipliers, **extra) -> GrsSpec:
@@ -324,7 +324,7 @@ def _build_zero_union_cosets(p: Params) -> GrsSpec:
     rows = np.zeros((r - 1, r + 1), dtype=np.int64)
     rows[0] = 1
     rows[1:, 1:] = F.vexp(m * np.outer(us, np.arange(1, r + 1)))
-    A = FMatrix(F, rows.tolist(), ncols=r + 1)
+    A = FMatrix(F, rows)
     x = np.array(descend_to_base(A, solve_all_nonzero(A)))
     x[0] = F.mul_codes(int(x[0]), F.embed_int(m))
     v = F.vsolve_norm(x)
@@ -431,7 +431,7 @@ def _profile_fallback(F: FieldSpec, locators, k: int) -> np.ndarray:
     spanned by its base-field points: restrict scalars and search there.
     """
     kernel = _profile_system(F, locators, k).nullspace()
-    if not kernel:
+    if not len(kernel):
         raise NotFound("profile system has a trivial base-field kernel")
     profile = all_nonzero_in_span(F, kernel, F.base_codes())
     if profile is None:
@@ -458,7 +458,7 @@ def _profile_system(F: FieldSpec, locators, k: int) -> FMatrix:
     c0 = F.vsub(P, F.vmul(c1, g))
     halves = np.stack([c0, c1], axis=1)
     assert (F.vpow(halves, q) == halves).all(), "split left the base subfield"
-    return FMatrix(F, halves.reshape(-1, len(locators)).tolist(), ncols=len(locators))
+    return FMatrix(F, halves.reshape(-1, len(locators)))
 
 
 # ---------------------------------------------------------------------------

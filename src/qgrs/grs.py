@@ -6,14 +6,15 @@ locators and nonzero multipliers; what the constructions fight for is
 containment in the Hermitian dual, and that is checked by two genuinely
 different routes:
 
-1. :func:`hermitian_gram` — the k x k matrix of Hermitian inner products of
+1. :func:`hermitian_gram` — the k x k array of Hermitian inner products of
    generator rows, which must vanish identically.
 2. :func:`dual_containment_check` — an interpolation argument: for each
    monomial, the vector of weighted conjugate evaluations must interpolate
    to a polynomial of degree <= n-k-1.
 
 The two routes share no intermediate results, and the verifier insists both
-agree before certifying anything.
+agree before certifying anything.  The generator and gram matrices are plain
+int64 code arrays.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import bulk
 from .field import FieldSpec
-from .matrix import FMatrix
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,15 @@ class GrsSpec:
         return len(self.locators)
 
 
-def generator_matrix(spec: GrsSpec) -> FMatrix:
-    """k x n matrix with rows (v_i * a_i^j), j = 0..k-1; 0^0 = 1."""
+def generator_matrix(spec: GrsSpec) -> np.ndarray:
+    """(k, n) int64 code array with rows (v_i * a_i^j), j = 0..k-1; 0^0 = 1."""
     F = spec.field
     powers = bulk.power_codes(F, spec.locators, np.arange(spec.k))
-    rows = F.vmul(powers, np.array(spec.multipliers, dtype=np.int64))
-    return FMatrix(F, rows.tolist(), ncols=spec.n)
+    return F.vmul(powers, np.array(spec.multipliers, dtype=np.int64))
 
 
-def hermitian_gram(spec: GrsSpec) -> FMatrix:
-    """Gram matrix G[i][j] = sum_l (v_l a_l^j) (v_l a_l^i)^q.
+def hermitian_gram(spec: GrsSpec) -> np.ndarray:
+    """(k, k) int64 code array G[i][j] = sum_l (v_l a_l^j) (v_l a_l^i)^q.
 
     Expanded: sum_l norm(v_l) * a_l^(q*i + j); computed directly from that
     expansion (route 1 — no interpolation machinery involved).
@@ -81,7 +80,7 @@ def hermitian_gram(spec: GrsSpec) -> FMatrix:
     terms = bulk.power_codes(F, spec.locators, exps)   # (k*k, n)
     terms = F.vmul(terms, norms)
     sums = bulk.digit_sum(F, terms, axis=1)            # (k*k,)
-    return FMatrix(F, sums.reshape(k, k).tolist(), ncols=k)
+    return sums.reshape(k, k)
 
 
 def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:

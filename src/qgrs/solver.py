@@ -89,7 +89,7 @@ def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
     ns = A.nullspace()
     if len(ns) != 1:  # pragma: no cover - column independence forces this
         raise HypothesisFailed(f"kernel dimension {len(ns)} != 1")
-    c = np.array(ns[0], dtype=np.int64)
+    c = ns[0]
     if not c.all():
         raise HasZeroCoordinate("kernel vector has a zero coordinate")
     # c^(q) is again in the kernel, hence proportional to c
@@ -114,7 +114,7 @@ def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
+def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]],
                         scalar_codes: Sequence[int], *,
                         exhaust_limit: int = EXHAUST_LIMIT,
                         sample_budget: int = SAMPLE_BUDGET,
@@ -132,7 +132,7 @@ def all_nonzero_in_span(F: FieldSpec, basis: Sequence[Sequence[int]],
     """
     if len(basis) == 0:
         return None
-    B = np.array(basis, dtype=np.int64)
+    B = np.asarray(basis, dtype=np.int64)
     scalars = sorted(set(int(s) for s in scalar_codes))
     for T in _coefficient_blocks(F.order, scalars, *B.shape, exhaust_limit,
                                  sample_budget, seed):
@@ -202,7 +202,7 @@ def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
         if A.delete_column(i).rank() != base_rank:
             raise HypothesisFailed(f"rank drops when deleting column {i}")
     ns = A.nullspace()
-    if not ns:
+    if not len(ns):
         raise HypothesisFailed("trivial kernel")  # pragma: no cover - rank check implies
     x = all_nonzero_in_span(F, ns, list(range(F.order)),
                             exhaust_limit=exhaust_limit, sample_budget=sample_budget)

@@ -39,6 +39,7 @@ from .grs import (
     hermitian_gram,
     singleton_distance,
 )
+from .matrix import FMatrix
 
 DEFAULT_MINOR_BUDGET = 10_000_000
 DEFAULT_WORD_BUDGET = 10_000_000
@@ -88,8 +89,7 @@ def check_mds_minors(spec: GrsSpec, *, budget: int = DEFAULT_MINOR_BUDGET,
     if total > budget:
         return MdsReport(MdsStatus.BUDGET_EXCEEDED, "minors", 0,
                          f"C({n},{k}) = {total} > budget {budget}")
-    G = np.array(generator_matrix(spec).rows, dtype=np.int64)
-    return check_matrix_minors(spec.field, G, chunk=chunk)
+    return check_matrix_minors(spec.field, generator_matrix(spec), chunk=chunk)
 
 
 def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
@@ -227,7 +227,6 @@ def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_B
                          f"{total} projective words > budget {budget}")
     d_target = singleton_distance(n, k)
     G = generator_matrix(spec)
-    Gnp = np.array(G.rows, dtype=np.int64)
     checked = 0
     for lead in range(k):
         # messages (0, ..., 0, 1, tail) with tail free over F^(k-lead-1)
@@ -241,7 +240,7 @@ def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_B
             idx = np.arange(done, done + count, dtype=np.int64)
             for t in range(tail_len):
                 msgs[:, lead + 1 + t] = (idx // (F.order ** t)) % F.order
-            words = F.vcombine(msgs[:, lead:], Gnp[lead:])
+            words = F.vcombine(msgs[:, lead:], G[lead:])
             weights = (words != 0).sum(axis=1)
             if (weights < d_target).any():
                 b = int(np.flatnonzero(weights < d_target)[0])
@@ -286,10 +285,9 @@ def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINOR
     cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
     if F.order > _RANK_SAMPLES_ABOVE_ORDER:
-        good = np.array([G.submatrix(range(k), c).rank() == k for c in cols])
+        good = np.array([FMatrix(F, G[:, c]).rank() == k for c in cols])
     else:
-        Gnp = np.array(G.rows, dtype=np.int64)
-        good = bulk.batch_minors_nonsingular(F, Gnp[:, cols].transpose(1, 0, 2))
+        good = bulk.batch_minors_nonsingular(F, G[:, cols].transpose(1, 0, 2))
     if not good.all():  # pragma: no cover - would contradict the argument
         bad = cols[int(np.flatnonzero(~good)[0])]
         return MdsReport(MdsStatus.FAILED, "structural", len(ranks),
@@ -347,7 +345,7 @@ def certify(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
     bug in this package by definition and raises VerificationMismatch.
     """
     t0 = time.perf_counter()
-    gram_ok = hermitian_gram(spec).is_zero()
+    gram_ok = not hermitian_gram(spec).any()
     interp_ok, bad_j = dual_containment_check(spec)
     if gram_ok != interp_ok:
         raise VerificationMismatch(

@@ -119,7 +119,7 @@ def test_batch_minors_match_rank(p, e, k):
     F = make_field(p, e)
     mats = _planted_minor_stack(F, k, random.Random(21 + 100 * F.order + k))
     got = bulk.batch_minors_nonsingular(F, mats)
-    expect = [FMatrix(F, m.tolist()).rank() == k for m in mats]
+    expect = [FMatrix(F, m).rank() == k for m in mats]
     assert got.tolist() == expect
     assert any(expect) and not all(expect)
 

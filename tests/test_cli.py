@@ -194,6 +194,32 @@ def test_verify_mutated_multiplier_exits_1(tmp_path, runner):
     assert "gram[" in res.output and "nonzero" in res.output
 
 
+def test_verify_lists_gram_entries_row_major(tmp_path, runner):
+    # one multiplier off a family-2 code: all 16 gram entries turn nonzero,
+    # the first 8 are listed in row-major order and the rest are counted
+    out, _ = _doc(tmp_path, runner,
+                  ["construct", "--family", "2", "--q", "5", "--h", "6",
+                   "--r", "5", "--k", "4"])
+    doc = json.loads(out.read_text())
+    doc["multipliers"][5] = (doc["multipliers"][5] + 1) % 24
+    mut = tmp_path / "mut.json"
+    mut.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(mut)])
+    assert res.exit_code == 1
+    listing = res.output.splitlines()[5:]
+    assert listing == [
+        "  gram[0][0] = 2 (nonzero)",
+        "  gram[0][1] = 20 (nonzero)",
+        "  gram[0][2] = 14 (nonzero)",
+        "  gram[0][3] = 22 (nonzero)",
+        "  gram[1][0] = 6 (nonzero)",
+        "  gram[1][1] = 1 (nonzero)",
+        "  gram[1][2] = 10 (nonzero)",
+        "  gram[1][3] = 7 (nonzero)",
+        "  ... and 8 more nonzero entries",
+    ]
+
+
 def test_verify_rejects_wrong_modulus(tmp_path, runner):
     out, _ = _doc(tmp_path, runner,
                   ["construct", "--family", "5", "--q", "4", "--h", "3",

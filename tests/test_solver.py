@@ -57,17 +57,17 @@ def _scaled_vandermonde(F, rng, nrows, ncols):
     rows = []
     for e in range(1, nrows + 1):
         rows.append([F.mul_codes(d, F.pow_code(x, e)) for x, d in zip(nodes, scalars)])
-    return FMatrix(F, rows, ncols=ncols)
+    return FMatrix(F, rows)
 
 
 def _random_row_scaling(F, rng, A):
     """Scale each row by a random full-field unit: kernel unchanged, and the
     matrix stays row-equivalent to its entrywise q-th power."""
     rows = []
-    for r in A.rows:
+    for r in A.array.tolist():
         s = rng.randrange(1, F.order)
         rows.append([F.mul_codes(s, c) for c in r])
-    return FMatrix(F, rows, ncols=A.ncols)
+    return FMatrix(F, rows)
 
 
 # ---------------------------------------------------------------- unique route
@@ -81,7 +81,7 @@ def test_projective_unique_frozen_tiny():
 
 def test_projective_unique_r_equals_one():
     F = make_field(5, 1)
-    A = FMatrix(F, [], ncols=1)
+    A = FMatrix(F, np.zeros((0, 1), dtype=np.int64))
     assert solve_projective_unique(A) == (1,)
 
 
@@ -105,7 +105,7 @@ def test_projective_unique_randomized(q, p, e):
 def test_projective_unique_shape_and_dependence_errors():
     F = make_field(5, 1)
     with pytest.raises(WrongShape):
-        solve_projective_unique(FMatrix(F, [[1, 2, 3], [2, 3, 4]], ncols=3).transpose())
+        solve_projective_unique(FMatrix(F, np.array([[1, 2, 3], [2, 3, 4]]).T))
     # a zero column makes the complementary columns dependent
     A = FMatrix(F, [[1, 0, 2], [2, 0, 4]])
     with pytest.raises(ColumnDependence):
@@ -135,7 +135,7 @@ def _planted_kernel_matrix(F, rng, nrows, ncols):
             acc = F.add_codes(acc, F.mul_codes(c, v))
         last = F.div_codes(F.neg_code(acc), x[-1])
         rows.append(r + [last])
-    return FMatrix(F, rows, ncols=ncols), x
+    return FMatrix(F, rows), x
 
 
 def test_all_nonzero_planted_instances():
@@ -156,14 +156,14 @@ def test_all_nonzero_planted_instances():
 
 def test_all_nonzero_field_too_small():
     F = make_field(3, 1)
-    A = FMatrix.zeros(F, 1, 9)
+    A = FMatrix(F, np.zeros((1, 9), dtype=np.int64))
     with pytest.raises(HypothesisFailed):
         solve_all_nonzero(A)
 
 
 def test_all_nonzero_rank_drop_detected():
     F = make_field(5, 1)
-    A = FMatrix.identity(F, 3)
+    A = FMatrix(F, np.eye(3, dtype=np.int64))
     with pytest.raises(HypothesisFailed):
         solve_all_nonzero(A)
 
@@ -303,7 +303,8 @@ def test_descend_to_base_randomized():
         F = make_field(p, e)
         rng = random.Random(p)
         for r in range(2, min(6, F.q)):
-            B = _scaled_vandermonde(F, rng, r - 2, r) if r > 2 else FMatrix(F, [], ncols=2)
+            B = (_scaled_vandermonde(F, rng, r - 2, r) if r > 2
+                 else FMatrix(F, np.zeros((0, 2), dtype=np.int64)))
             # plant: kernel vector over the base, times a full-field unit
             ns = B.nullspace()
             combo = all_nonzero_in_span(F, ns, F.base_codes())

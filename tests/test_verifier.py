@@ -106,8 +106,7 @@ def _reference_minors(F, G, chunk, by_rank=False):
     k, n = G.shape
     subsets = np.array(list(itertools.combinations(range(n), k)))
     if by_rank:
-        good = np.array([FMatrix(F, G[:, c].tolist()).rank() == k
-                         for c in subsets])
+        good = np.array([FMatrix(F, G[:, c]).rank() == k for c in subsets])
     else:
         good = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
     total = len(subsets)
@@ -245,7 +244,7 @@ def test_minor_sweep_matches_rank_oracle_at_gf6561():
 def _reference_distance(spec):
     """Projective messages in the route's order, weights by scalar ops."""
     F, n, k = spec.field, spec.n, spec.k
-    G = generator_matrix(spec).rows
+    G = generator_matrix(spec).tolist()
     checked = 0
     for lead in range(k):
         for tail in range(F.order ** (k - lead - 1)):
