@@ -64,9 +64,6 @@ class FMatrix:
     def shape(self) -> tuple[int, int]:
         return self.array.shape
 
-    def is_zero(self) -> bool:
-        return not self.array.any()
-
     def delete_column(self, j: int) -> "FMatrix":
         if not 0 <= j < self.ncols:
             raise WrongShape(f"no column {j}")

@@ -8,7 +8,9 @@ The Singleton distance is decided by the cheapest affordable route:
 
 1. all maximal minors of the generator matrix (complete, cost C(n, k));
 2. exhaustive codeword-weight enumeration over projective messages
-   (complete, cost (q^2k - 1)/(q^2 - 1));
+   (complete: all (q^2k - 1)/(q^2 - 1) words are decided, at a cost of
+   about q^(2(k-2)) partial words x n, since one histogram of the roots
+   in the last message coordinate counts the zeros of q^2 words at once);
 3. a structural certificate — every maximal minor of a matrix with rows
    v_i * a_i^j factors as a product of multipliers times a Vandermonde
    determinant in the locators, so distinct locators and nonzero
@@ -217,7 +219,10 @@ def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_B
     """Walk every projective message, check no codeword has weight < n-k+1.
 
     Weights are invariant under scaling the message, so only representatives
-    with first nonzero coordinate equal to 1 are enumerated.
+    with first nonzero coordinate equal to 1 are enumerated: for each lead
+    row, the messages (0, ..., 0, 1, tail) in the order of the tail read as
+    a base-order number, least significant digit first.  Every word's weight
+    is decided; see _first_light_word for how ``chunk`` words share a batch.
     """
     n, k = spec.n, spec.k
     F = spec.field
@@ -229,29 +234,68 @@ def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_B
     G = generator_matrix(spec)
     checked = 0
     for lead in range(k):
-        # messages (0, ..., 0, 1, tail) with tail free over F^(k-lead-1)
-        tail_len = k - lead - 1
-        tail_total = F.order ** tail_len
-        done = 0
-        while done < tail_total:
-            count = min(chunk, tail_total - done)
-            msgs = np.zeros((count, k), dtype=np.int64)
-            msgs[:, lead] = 1
-            idx = np.arange(done, done + count, dtype=np.int64)
-            for t in range(tail_len):
-                msgs[:, lead + 1 + t] = (idx // (F.order ** t)) % F.order
-            words = F.vcombine(msgs[:, lead:], G[lead:])
-            weights = (words != 0).sum(axis=1)
-            if (weights < d_target).any():
-                b = int(np.flatnonzero(weights < d_target)[0])
-                msg = tuple(int(x) for x in msgs[b])
-                return MdsReport(MdsStatus.FAILED, "exhaustive-distance",
-                                 checked + b + 1,
-                                 f"message {msg} gives weight {int(weights[b])} "
-                                 f"< {d_target}")
-            done += count
-            checked += count
+        if lead == k - 1:
+            # the single message (0, ..., 0, 1)
+            weight = int(np.count_nonzero(G[lead]))
+            light = (0, (0,) * lead + (1,), weight) if weight < d_target else None
+        else:
+            light = _first_light_word(F, G, lead, chunk)
+        if light is not None:
+            first, msg, weight = light
+            return MdsReport(MdsStatus.FAILED, "exhaustive-distance",
+                             checked + first + 1,
+                             f"message {msg} gives weight {weight} "
+                             f"< {d_target}")
+        checked += F.order ** (k - lead - 1)
     return MdsReport(MdsStatus.VERIFIED, "exhaustive-distance", checked)
+
+
+def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
+                      chunk: int) -> tuple[int, tuple[int, ...], int] | None:
+    """The first message with lead row ``lead`` < k - 1 whose word has at
+    least k zeros, as (tail index, message, weight), or None.
+
+    Let L = k - lead - 1.  A message's tail index is c * order^(L-1) + i, c
+    its last coordinate and i the index of its other tail digits, so the
+    order words of the partial word W_i = G[lead] + sum_t d_t G[lead+1+t]
+    (t < L - 1) differ only in c.  Where G[k-1, j] != 0, column j of the
+    word W_i + c G[k-1] vanishes for exactly one c, -W_ij / G[k-1, j]; one
+    bincount over (i, c) pairs then counts the zeros of all order words at
+    once.  Where G[k-1, j] = 0 (locator 0), the column is zero for every c
+    iff W_ij = 0.  A batch holds max(1, chunk // order) partial words, so
+    about ``chunk`` words.
+    """
+    k, n = G.shape
+    order = F.order
+    last = G[k - 1]
+    live = last != 0
+    inv_last = F.vinv(last[live])
+    rows = G[lead:k - 1]
+    span = order ** (k - lead - 2)
+    per_batch = max(1, chunk // order)
+    best = None
+    for lo in range(0, span, per_batch):
+        idx = np.arange(lo, min(lo + per_batch, span), dtype=np.int64)
+        coeffs = np.ones((len(idx), len(rows)), dtype=np.int64)
+        for t in range(1, len(rows)):
+            coeffs[:, t] = (idx // order ** (t - 1)) % order
+        W = F.vcombine(coeffs, rows)
+        roots = F.vmul(F.vneg(W[:, live]), inv_last)
+        keys = roots + (np.arange(len(idx)) * order)[:, None]
+        zeros = np.bincount(keys.ravel(), minlength=len(idx) * order)
+        zeros = zeros.reshape(len(idx), order)
+        zeros += np.count_nonzero(W[:, ~live] == 0, axis=1)[:, None]
+        light_i, light_c = np.nonzero(zeros >= k)
+        if not light_i.size:
+            continue
+        tails = light_c * span + idx[light_i]
+        b = int(np.argmin(tails))
+        if best is None or tails[b] < best[0]:
+            i, c = light_i[b], light_c[b]
+            msg = ((0,) * lead + (1,) + tuple(coeffs[i, 1:].tolist())
+                   + (int(c),))
+            best = (int(tails[b]), msg, n - int(zeros[i, c]))
+    return best
 
 
 # ---------------------------------------------------------------------------

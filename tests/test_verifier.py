@@ -1,5 +1,7 @@
 """Verifier tests: the three MDS routes, the certificate bundle, and the
-brute-force existence oracle (tests/oracle.py).
+brute-force existence oracle (tests/oracle.py).  The exhaustive distance
+route is held equal to the chunked whole-message scan kept in
+tests/oracle.py.
 
 The failure paths need codes that are NOT MDS, which honest constructions
 never produce; a minimal duck-typed stand-in with a repeated locator
@@ -18,7 +20,7 @@ import pytest
 from qgrs import bulk
 from qgrs.constructions import construct
 from qgrs.errors import VerificationMismatch
-from qgrs.field import field_for_q, make_field
+from qgrs.field import FieldSpec, field_for_q, make_field
 from qgrs.grs import GrsSpec, generator_matrix
 from qgrs.matrix import FMatrix
 from qgrs.verifier import (
@@ -33,7 +35,11 @@ from qgrs.verifier import (
     structural_minor_certificate,
 )
 
-from oracle import SearchReport, brute_force_multiplier_search
+from oracle import (
+    SearchReport,
+    brute_force_multiplier_search,
+    scan_min_distance_exhaustive,
+)
 
 
 class _FakeSpec:
@@ -276,6 +282,94 @@ def test_exhaustive_distance_matches_scalar_oracle_at_gf6561():
         if msg is not None:
             assert r.detail.startswith(f"message {msg} gives weight {weight} ")
     assert checked < projective_word_count(F.order, 2)
+
+
+_DISTANCE_FIELDS = [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)]
+
+
+def _random_code(F, rng, k, n, with_zero):
+    """Distinct locators (0 among them when ``with_zero``) and nonzero
+    multipliers, as lists."""
+    locs = rng.sample(range(F.order), n)
+    if with_zero and 0 not in locs:
+        locs[rng.randrange(n)] = 0
+    return locs, [rng.randrange(1, F.order) for _ in range(n)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000, None])
+def test_exhaustive_distance_matches_combine_oracle_on_mds_codes(chunk,
+                                                                 monkeypatch):
+    rng = random.Random(4049)
+    kw = {} if chunk is None else {"chunk": chunk}
+    combine = FieldSpec.vcombine
+    batches = []
+
+    def recording(F, coeffs, rows):
+        batches.append(len(coeffs))
+        return combine(F, coeffs, rows)
+
+    seen = set()
+    for p, e in _DISTANCE_FIELDS:
+        F = make_field(p, e)
+        for _ in range(4):
+            k = rng.randint(1, 3)
+            n = rng.randint(k, min(F.order, 11))
+            with_zero = rng.random() < 0.5
+            spec = GrsSpec(F, *map(tuple, _random_code(F, rng, k, n, with_zero)), k)
+            want = scan_min_distance_exhaustive(spec)
+            batches.clear()
+            monkeypatch.setattr(FieldSpec, "vcombine", recording)
+            got = check_min_distance_exhaustive(spec, **kw)
+            monkeypatch.undo()
+            assert got == want, (F, spec.locators, spec.multipliers, k)
+            # a batch holds about ``chunk`` words: chunk // order partial words
+            assert max(batches, default=1) <= max(1, (chunk or 8192) // F.order)
+            assert got.ok and got.checked == projective_word_count(F.order, k)
+            seen.add((p == 2, k, 0 in spec.locators))
+    assert {(two, 1) for two in (True, False)} <= {s[:2] for s in seen}
+    assert (True, 3, True) in seen and (False, 3, True) in seen
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000, None])
+def test_exhaustive_distance_matches_combine_oracle_on_failing_codes(chunk):
+    rng = random.Random(9049)
+    kw = {} if chunk is None else {"chunk": chunk}
+    failed = 0
+    for trial in range(60):
+        F = make_field(*_DISTANCE_FIELDS[trial % len(_DISTANCE_FIELDS)])
+        k = rng.randint(1, 4 if F.order <= 9 else 3)
+        n = rng.randint(max(k, 2), min(F.order, 10))
+        locs, mults = _random_code(F, rng, k, n, rng.random() < 0.5)
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.5:
+                locs[a] = locs[b]         # repeated locator
+            else:
+                mults[a] = 0              # zero multiplier
+        spec = _FakeSpec(F, locs, mults, k)
+        want = scan_min_distance_exhaustive(spec)
+        assert check_min_distance_exhaustive(spec, **kw) == want, (
+            F, locs, mults, k)
+        failed += want.status is MdsStatus.FAILED
+    assert 20 < failed < 60
+
+
+def test_exhaustive_distance_matches_combine_oracle_over_spread_cap():
+    # (2p - 1)^(2e) = 5^10 > _SPREAD_TABLE_CAP: additions reduce per half
+    F = make_field(3, 5)
+    assert F._half
+    rng = random.Random(59049)
+    locs, mults = _random_code(F, rng, 2, 9, True)
+    good = GrsSpec(F, tuple(locs), tuple(mults), 2)
+    dup = next(a for a in locs if a)
+    bad = _FakeSpec(F, locs[:8] + [dup], mults, 2)
+    for spec in (good, bad):
+        want = scan_min_distance_exhaustive(spec)
+        for chunk in (1, 3, 1000, None):
+            kw = {} if chunk is None else {"chunk": chunk}
+            assert check_min_distance_exhaustive(spec, **kw) == want
+    assert want.status is MdsStatus.FAILED
+    assert want.checked < projective_word_count(F.order, 2)
 
 
 # ---------------------------------------------------------------------------
