@@ -9,7 +9,10 @@ discrete log in a serialized code document reproducible.
 
 The multiplicative group is represented through exp/log tables built from
 the residue class of x, which is a generator by construction (that is what
-"primitive" buys us).  Multiplication, inversion, powers, the q-power map
+"primitive" buys us).  The exp table is filled by doubling, x^(s + i) =
+x^s * x^i, with multiplication by x^s applied as the companion matrix's
+power C^s through two tables of size q; the log table is its inverse
+permutation.  Multiplication, inversion, powers, the q-power map
 and the norm onto the base subfield are all table lookups; addition is
 digitwise mod p (a plain XOR when p = 2).
 
@@ -183,6 +186,17 @@ def _respread(values: np.ndarray, digits: int, src: int, dst: int,
     return out
 
 
+def _mat_pow_mod(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    """M^n mod p for a square int64 matrix M and n >= 0."""
+    out = np.eye(len(M), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ M % p
+        M = M @ M % p
+        n >>= 1
+    return out
+
+
 def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
     """p^(2e), once e >= 1, the order bound and the primality of p hold.
 
@@ -222,82 +236,81 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = canonical_modulus(p, 2 * e)
+        self._build_add_tables()
         self._build_tables()
-        self._build_vector_tables()
+        self._build_unit_tables()
 
     # -- construction -------------------------------------------------------
 
+    def _build_add_tables(self) -> None:
+        p, e = self.p, self.e
+        self._half = 0
+        if p == 2:
+            self._sp = self._red = self._redsp = None
+            return
+        base = 2 * p - 1
+        # a code is hi * q + lo, so its spread is spread(hi) * base^e + spread(lo)
+        half_sp = _respread(np.arange(self.q, dtype=np.int64), e, p, base)
+        self._sp = (half_sp[:, None] * base ** e + half_sp).ravel()
+        width = 2 * e
+        if base ** width > _SPREAD_TABLE_CAP:
+            width = e
+            self._half = base ** width
+        sums = np.arange(base ** width, dtype=np.int64)
+        self._red = _respread(sums, width, base, p, mod=p)
+        self._redsp = _respread(sums, width, base, base, mod=p)
+
     def _build_tables(self) -> None:
-        p, d, order = self.p, 2 * self.e, self.order
-        n_units = order - 1
+        """exp[i] = x^i by doubling: x^(s + i) = x^s * x^i for i < s.
+
+        Multiplying by x^s is the F_p-linear map C^s, C the companion matrix
+        of the modulus.  Its values on the low and on the high e digits of a
+        code are two tables of size q, so one doubling step is two lookups
+        and one field addition per unit.
+        """
+        p, e, d, q = self.p, self.e, 2 * self.e, self.q
+        n_units = self.order - 1
+        C = np.zeros((d, d), dtype=np.int64)  # column b is the digits of x * x^b
+        C[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+        C[:, -1] = np.negative(self.modulus[:d]) % p
+        weights = p ** np.arange(d, dtype=np.int64)
+        half_digits = (np.arange(q)[:, None] // weights[:e]) % p
         # g^(i mod n_units) below 3 * n_units, enough for a sum of three
         # logs; zero above, where every sum with log(0) = 3 * n_units lands
         exp = np.zeros(7 * n_units, dtype=np.int64)
-        log = np.full(order, -1, dtype=np.int64)
-        tail = self.modulus[:d]
-        if p == 2:
-            packed = sum(c << i for i, c in enumerate(self.modulus))
-            code = 1
-            for i in range(n_units):
-                if log[code] != -1:  # pragma: no cover - primitivity guarantees
-                    raise RuntimeError("generator order defect")
-                exp[i] = code
-                log[code] = i
-                code <<= 1
-                if code & order:
-                    code ^= packed
-            if code != 1:  # pragma: no cover
-                raise RuntimeError("generator order defect")
-        else:
-            cur = [0] * d
-            cur[0] = 1
-            for i in range(n_units):
-                code = 0
-                pw = 1
-                for c in cur:
-                    code += c * pw
-                    pw *= p
-                if log[code] != -1:  # pragma: no cover
-                    raise RuntimeError("generator order defect")
-                exp[i] = code
-                log[code] = i
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    for j in range(d):
-                        cur[j] = (cur[j] - top * tail[j]) % p
-            if cur[0] != 1 or any(cur[1:]):  # pragma: no cover
-                raise RuntimeError("generator order defect")
+        exp[0] = 1
+        power, s = C, 1  # power = C^s
+        while s < n_units:
+            m = min(s, n_units - s)
+            lo = (half_digits @ power[:, :e].T % p) @ weights
+            hi = (half_digits @ power[:, e:].T % p) @ weights
+            hi_part, lo_part = np.divmod(exp[:m], q)
+            exp[s:s + m] = self.vadd(lo[lo_part], hi[hi_part])
+            power = power @ power % p
+            s *= 2
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp[:n_units]] = np.arange(n_units)
+        # the codes must be the n_units distinct units, and x of order n_units
+        order_ok = np.array_equal(_mat_pow_mod(C, n_units, p), np.eye(d))
+        if (log[1:] < 0).any() or not order_ok:  # pragma: no cover
+            raise RuntimeError("generator order defect")
         exp[n_units:2 * n_units] = exp[:n_units]
         exp[2 * n_units:3 * n_units] = exp[:n_units]
         log[0] = 3 * n_units
         self._exp = exp
         self._log = log
 
-    def _build_vector_tables(self) -> None:
-        p, d, order = self.p, 2 * self.e, self.order
-        n_units = order - 1
-        codes = np.arange(order, dtype=np.int64)
-        inv = np.zeros(order, dtype=np.int64)
+    def _build_unit_tables(self) -> None:
+        n_units = self.order - 1
+        inv = np.zeros(self.order, dtype=np.int64)
         inv[1:] = self._exp[n_units - self._log[1:]]
         self._inv = inv
-        self._half = 0
-        if p == 2:
-            self._neg = codes
-            self._sp = self._red = self._redsp = None
+        if self.p == 2:
+            self._neg = np.arange(self.order, dtype=np.int64)
             self._spexp = self._exp
             return
         # -a = (-1) * a, and -1 = g^(n_units / 2)
         self._neg = self._exp[self._log + n_units // 2]
-        base = 2 * p - 1
-        self._sp = _respread(codes, d, p, base)
-        width = d
-        if base ** d > _SPREAD_TABLE_CAP:
-            width = self.e
-            self._half = base ** width
-        sums = np.arange(base ** width, dtype=np.int64)
-        self._red = _respread(sums, width, base, p, mod=p)
-        self._redsp = _respread(sums, width, base, base, mod=p)
         self._spexp = self._sp[self._exp]
 
     # -- scalar ops on int codes --------------------------------------------

@@ -2,10 +2,13 @@
 
 A matrix is one read-only int64 array of int codes (see field.py), checked
 once on construction for shape and code range.  Every operation returns a
-fresh object, and elimination runs as numpy row operations on the field's
-vectorized ops.  Pivoting is deterministic — first nonzero entry in column
-order — so reduced echelon forms, ranks and nullspace bases are
-reproducible across runs, which the serialization layer relies on.
+fresh object.  Elimination makes one fused update per pivot: the scaled
+pivot row clears its column in every row with a single ``veliminate``, rows
+with a zero multiplier passing through unchanged.  The reduced form is
+wrapped without a second copy or range check, since the field's tables
+only produce codes in range.  Pivoting is deterministic — first nonzero
+entry in column order — so reduced echelon forms, ranks and nullspace bases
+are reproducible across runs, which the serialization layer relies on.
 """
 from __future__ import annotations
 
@@ -37,6 +40,17 @@ class FMatrix:
         self.field = field
         self.array = array
         self._rref_memo = None
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, array: np.ndarray) -> "FMatrix":
+        """Wrap an int64 array of in-range codes that this module built; it
+        is frozen, not copied or range-checked again."""
+        array.flags.writeable = False
+        out = cls.__new__(cls)
+        out.field = field
+        out.array = array
+        out._rref_memo = None
+        return out
 
     @classmethod
     def block_diag(cls, field: FieldSpec, blocks: Iterable["FMatrix"]) -> "FMatrix":
@@ -98,22 +112,22 @@ class FMatrix:
         for col in range(self.ncols):
             if pr == self.nrows:
                 break
-            nz = np.flatnonzero(A[pr:, col])
-            if not nz.size:
+            nz = A[pr:, col] != 0
+            sel = int(nz.argmax())
+            if not nz[sel]:
                 continue
-            sel = pr + int(nz[0])
+            sel += pr
             if sel != pr:
                 A[[pr, sel]] = A[[sel, pr]]
-            # rows from pr on are zero left of col, so only col.. changes
-            A[pr, col:] = F.vmul(A[pr, col:], F.vinv(A[pr, col]))
-            others = np.flatnonzero(A[:, col])
-            others = others[others != pr]
-            if others.size:
-                A[others, col:] = F.veliminate(A[others, col:], A[others, col, None],
-                                               A[pr, col:])
+            # every row is zero left of col, so only col.. changes; a zero
+            # multiplier leaves its row as it is, and the pivot row clears
+            # itself before the scaled row is written back
+            row = F.vmul(A[pr, col:], F.vinv(A[pr, col]))
+            A[:, col:] = F.veliminate(A[:, col:], A[:, col, None], row)
+            A[pr, col:] = row
             pivots.append(col)
             pr += 1
-        memo = (FMatrix(F, A), tuple(pivots))
+        memo = (FMatrix._trusted(F, A), tuple(pivots))
         self._rref_memo = memo
         return memo
 

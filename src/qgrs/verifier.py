@@ -51,7 +51,8 @@ _SAMPLED_MINORS = 512
 _SAMPLE_SEED = 0xC0DE
 #: above this order the structural route ranks its sampled minors one by
 #: one with FMatrix.rank instead of batch_minors_nonsingular.  The verdict
-#: is the same either way; the branch is kept only because the benchmark's
+#: is the same either way (the tests compare the two, sample for sample, on
+#: two q = 81 codes); the branch is kept only because the benchmark's
 #: verify-docs workload expects a matrix.rref span from its q = 81 documents.
 _RANK_SAMPLES_ABOVE_ORDER = 4096
 

@@ -7,7 +7,9 @@
 * the scalar lexicographic unranker that :func:`qgrs.bulk.unrank_lex` is
   held equal to;
 * the chunked codeword scan, one ``vcombine`` per batch of whole messages,
-  that :func:`qgrs.verifier.check_min_distance_exhaustive` is held equal to.
+  that :func:`qgrs.verifier.check_min_distance_exhaustive` is held equal to;
+* the unit-by-unit walk over the powers of x that the field's exp/log
+  tables, built by companion-matrix doubling, are held equal to.
 """
 from __future__ import annotations
 
@@ -92,6 +94,46 @@ def all_valid_scenarios(kind: ScenarioKind, q: int) -> list[Scenario]:
             except InvalidScenario:
                 continue
     return out
+
+
+def stepped_exp_log(p: int, e: int,
+                    modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """exp/log tables of GF(p^(2e)) in the layout of ``FieldSpec._exp`` and
+    ``_log``, built one unit at a time: multiply by x, reduce by the
+    modulus, record the code."""
+    d = 2 * e
+    order = p ** d
+    n_units = order - 1
+    exp = np.zeros(7 * n_units, dtype=np.int64)
+    log = np.full(order, -1, dtype=np.int64)
+    if p == 2:  # codes are bit masks: shift, and XOR the modulus back in
+        packed = sum(c << i for i, c in enumerate(modulus))
+        code = 1
+        for i in range(n_units):
+            assert log[code] == -1, "x has order below 2^(2e) - 1"
+            exp[i] = code
+            log[code] = i
+            code <<= 1
+            if code & order:
+                code ^= packed
+        assert code == 1, "x^(2^(2e) - 1) != 1"
+    else:
+        tail = modulus[:d]
+        cur = [1] + [0] * (d - 1)
+        for i in range(n_units):
+            code = sum(c * p ** j for j, c in enumerate(cur))
+            assert log[code] == -1, "x has order below p^(2e) - 1"
+            exp[i] = code
+            log[code] = i
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [(c - top * t) % p for c, t in zip(cur, tail)]
+        assert cur == [1] + [0] * (d - 1), "x^(p^(2e) - 1) != 1"
+    exp[n_units:2 * n_units] = exp[:n_units]
+    exp[2 * n_units:3 * n_units] = exp[:n_units]
+    log[0] = 3 * n_units
+    return exp, log
 
 
 def _unrank_lex(n: int, k: int, rank: int) -> list[int]:

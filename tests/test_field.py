@@ -21,12 +21,16 @@ from qgrs.errors import (
     ZeroArgument,
 )
 from qgrs.field import (
+    DEFAULT_ORDER_LIMIT,
+    FieldSpec,
     canonical_modulus,
     check_modulus,
     field_for_q,
     make_field,
     prime_power_decompose,
 )
+
+from oracle import stepped_exp_log
 
 # (p, e) -> canonical modulus of degree 2e, ascending coefficients
 FROZEN_MODULI = {
@@ -84,6 +88,29 @@ def test_exp_log_bijectivity():
         assert F.dlog_code(int(F.vexp(i))) == i
     # logs are read modulo the group order, negative ones included
     assert F.vexp(-1) == F.vexp(F.order - 2) == F.vexp(2 * F.order - 3)
+
+
+def _prime_power(q):
+    try:
+        return prime_power_decompose(q)
+    except ValueError:
+        return None
+
+
+# every field the tests and the benchmark build (q <= 81 and GF(3^10)), and
+# three past them whose tables the unit-by-unit walk took 0.7-1.8 s to build
+TABLE_FIELDS = sorted({pe for pe in map(_prime_power, range(2, 82)) if pe}
+                      | {(3, 5), (3, 6), (5, 4), (2, 10)})
+
+
+@pytest.mark.parametrize("pe", TABLE_FIELDS,
+                         ids=lambda pe: f"GF{pe[0] ** (2 * pe[1])}")
+def test_doubled_tables_match_stepped_walk(pe):
+    # built outside make_field's cache, so the large tables are not kept
+    F = FieldSpec(*pe, DEFAULT_ORDER_LIMIT)
+    exp, log = stepped_exp_log(*pe, F.modulus)
+    assert np.array_equal(F._exp, exp)
+    assert np.array_equal(F._log, log)
 
 
 def test_dlog_zero_raises():

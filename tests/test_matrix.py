@@ -83,6 +83,40 @@ def test_rref_matches_scalar_reference(p, e):
         deficient += len(pivots) < min(nrows, ncols)
     assert deficient > 10
 
+def test_rref_of_tall_matrices_with_zero_rows_above_the_pivot():
+    # each step picks its pivot below the cursor past zero rows, and the
+    # fused update passes zero multipliers (and the zero rows) through
+    F = make_field(3, 4)
+    rng = random.Random(6561 + 1)
+    for _ in range(30):
+        ncols = rng.randrange(1, 6)
+        nrows = ncols + rng.randrange(1, 6)
+        rows = _rank_deficient(F, rng, nrows - 2, ncols)
+        for _ in range(2):
+            rows.insert(rng.randrange(len(rows) // 2 + 1), [0] * ncols)
+        # a leading column with a single late entry: zero rows lie above
+        # the first pivot however the rows were drawn
+        if rng.randrange(2):
+            rows = [[0] + r for r in rows]
+            rows[-1][0] = rng.randrange(1, F.order)
+        R, pivots = FMatrix(F, rows).rref()
+        assert (R.array.tolist(), pivots) == _reference_rref(F, rows, len(rows[0]))
+
+
+def test_rref_memo_is_frozen_and_in_range():
+    rng = random.Random(41)
+    for F in (make_field(3, 4), make_field(2, 3), make_field(5, 1)):
+        for nrows, ncols in [(4, 7), (7, 4), (5, 5)]:
+            A = FMatrix(F, _rank_deficient(F, rng, nrows, ncols))
+            memo = A.rref()
+            R = memo[0]
+            assert A.rref() is memo
+            assert R.array.dtype == np.int64 and R.shape == A.shape
+            assert R.array.min() >= 0 and R.array.max() < F.order
+            with pytest.raises(ValueError):
+                R.array[0, 0] = 1
+
+
 def test_frozen_rref_over_prime_subfield():
     # arithmetic on {0,1,2} inside GF(9) is plain mod-3 arithmetic
     F = make_field(3, 1)

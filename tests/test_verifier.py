@@ -232,6 +232,37 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,i_list", [
+    ((3, 81, 80, 1, 12), (0,)),
+    ((3, 81, 80, 2, 42), (0, 1)),
+], ids=["q81-n82-k12", "q81-n164-k42"])
+def test_structural_rank_branch_agrees_with_batch_kernel(monkeypatch, args, i_list):
+    # at q = 81 the structural route ranks each sample with FMatrix.rank;
+    # batch_minors_nonsingular must give the same verdict, sample for sample
+    spec = construct(*args, i_list=i_list)
+    F, k = spec.field, spec.k
+    seen = []
+    unrank = bulk.unrank_lex
+
+    def recording(n, k, ranks):
+        seen.append(unrank(n, k, ranks))
+        return seen[-1]
+
+    monkeypatch.setattr(bulk, "unrank_lex", recording)
+    assert structural_minor_certificate(spec).checked == 512
+    (cols,) = seen
+    G = generator_matrix(spec)
+    # the samples themselves, then each with its second column replaced by
+    # its first, which makes every minor singular
+    twins = cols.copy()
+    twins[:, 1] = twins[:, 0]
+    for subsets, want in ((cols, True), (twins, False)):
+        ranked = np.array([FMatrix(F, G[:, c]).rank() == k for c in subsets])
+        batched = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
+        assert np.array_equal(ranked, batched)
+        assert (ranked == want).all()
+
+
 def test_minor_sweep_matches_rank_oracle_at_gf6561():
     F = make_field(3, 4)
     rng = random.Random(6561)
