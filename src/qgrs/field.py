@@ -249,7 +249,7 @@ class FieldSpec:
             self._sp = self._red = self._redsp = None
             return
         base = 2 * p - 1
-        # a code is hi * q + lo, so its spread is spread(hi) * base^e + spread(lo)
+        # a code is hi * q + lo: its spread is spread(hi) * base^e + spread(lo)
         half_sp = _respread(np.arange(self.q, dtype=np.int64), e, p, base)
         self._sp = (half_sp[:, None] * base ** e + half_sp).ravel()
         width = 2 * e

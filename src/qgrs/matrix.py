@@ -119,9 +119,9 @@ class FMatrix:
             sel += pr
             if sel != pr:
                 A[[pr, sel]] = A[[sel, pr]]
-            # every row is zero left of col, so only col.. changes; a zero
-            # multiplier leaves its row as it is, and the pivot row clears
-            # itself before the scaled row is written back
+            # the pivot row is zero left of col, so only col.. changes; a
+            # zero multiplier leaves its row as it is, and the pivot row
+            # clears itself before the scaled row is written back
             row = F.vmul(A[pr, col:], F.vinv(A[pr, col]))
             A[:, col:] = F.veliminate(A[:, col:], A[:, col, None], row)
             A[pr, col:] = row

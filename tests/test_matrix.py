@@ -83,6 +83,7 @@ def test_rref_matches_scalar_reference(p, e):
         deficient += len(pivots) < min(nrows, ncols)
     assert deficient > 10
 
+
 def test_rref_of_tall_matrices_with_zero_rows_above_the_pivot():
     # each step picks its pivot below the cursor past zero rows, and the
     # fused update passes zero multipliers (and the zero rows) through
