@@ -98,28 +98,26 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return ok & (M[:, 0, 0] != 0) if k else ok
 
 
-def schur_children(F: FieldSpec, R: np.ndarray, count: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One elimination step for each of the first ``count`` columns of R.
+def schur_children(F: FieldSpec, R: np.ndarray, nodes: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """One elimination step per (node, column) pair, all in one batch.
 
-    R is an (m, w) code matrix.  For column c, the pivot row is the first
-    row with a nonzero entry in c; child c, shape (m - 1, w), holds the other
-    rows after the pivot row's multiple that clears column c is subtracted.  Row operations keep
-    every maximal minor up to a nonzero factor, so a k-subset S of columns
-    containing c has a nonzero minor exactly when child c's minor on S - {c}
-    is nonzero.  alive[c] is False when column c is zero: then every subset
-    through c is singular (and child c is meaningless).
+    R is a (B, m, w) stack of code matrices.  Child i eliminates column
+    cols[i] of R[nodes[i]]: the pivot row is the first row with a nonzero
+    entry in that column (the caller guarantees one), and the child, shape
+    (m - 1, w), holds the other rows after the pivot row's multiple that
+    clears the column is subtracted.  Row operations keep every maximal
+    minor up to a nonzero factor, so a k-subset S of columns containing c
+    has a nonzero minor exactly when the child's minor on S - {c} is nonzero.
     """
-    m = R.shape[0]
-    heads = R[:, :count]
-    nz = heads != 0
-    piv = nz.argmax(axis=0)
-    cols = np.arange(count)
-    alive = nz[piv, cols]
-    rest = np.arange(m - 1)[None, :]
-    rest = rest + (rest >= piv[:, None])               # (count, m - 1) rows kept
-    return alive, F.veliminate(R[rest], heads[rest, cols[:, None], None],
-                               R[piv][:, None, :], heads[piv, cols, None, None])
+    heads = R[nodes, :, cols]                          # (C, m)
+    piv = (heads != 0).argmax(axis=1)
+    rest = np.arange(R.shape[1] - 1)[None, :]
+    rest = rest + (rest >= piv[:, None])               # (C, m - 1) rows kept
+    pick = np.arange(len(nodes))[:, None]
+    return F.veliminate(R[nodes[:, None], rest], heads[pick, rest, None],
+                        R[nodes, piv][:, None, :],
+                        heads[pick[:, 0], piv, None, None])
 
 
 def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:

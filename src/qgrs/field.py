@@ -27,8 +27,9 @@ design of the galois library (https://galois.readthedocs.io):
 * add is XOR for p = 2.  For odd p each code's base-p digits are spread
   into base 2p - 1 (``_sp``), where adding two spreads cannot carry, and a
   reduction table maps the digitwise sum back.  That table has
-  (2p - 1)^(2e) entries; above _SPREAD_TABLE_CAP the two base-q halves of
-  a sum are reduced separately against a (2p - 1)^e table instead.
+  (2p - 1)^(2e) entries, joined from the (2p - 1)^e table of one half;
+  above _SPREAD_TABLE_CAP the two halves of a sum are reduced separately
+  against the half table instead.
 
 The scalar ``*_code`` methods compute the same results one int at a time;
 they are the reference the tests hold the ``v*`` methods to.
@@ -249,16 +250,19 @@ class FieldSpec:
             self._sp = self._red = self._redsp = None
             return
         base = 2 * p - 1
-        # a code is hi * q + lo: its spread is spread(hi) * base^e + spread(lo)
+        half = base ** e
+        # a code is hi * q + lo: its spread is spread(hi) * base^e + spread(lo);
+        # a sum of spreads, hi * base^e + lo, reduces digitwise half by half
         half_sp = _respread(np.arange(self.q, dtype=np.int64), e, p, base)
-        self._sp = (half_sp[:, None] * base ** e + half_sp).ravel()
-        width = 2 * e
-        if base ** width > _SPREAD_TABLE_CAP:
-            width = e
-            self._half = base ** width
-        sums = np.arange(base ** width, dtype=np.int64)
-        self._red = _respread(sums, width, base, p, mod=p)
-        self._redsp = _respread(sums, width, base, base, mod=p)
+        self._sp = (half_sp[:, None] * half + half_sp).ravel()
+        sums = np.arange(half, dtype=np.int64)
+        self._red = _respread(sums, e, base, p, mod=p)
+        self._redsp = _respread(sums, e, base, base, mod=p)
+        if half * half > _SPREAD_TABLE_CAP:
+            self._half = half
+        else:
+            self._red = (self._red[:, None] * self.q + self._red).ravel()
+            self._redsp = (self._redsp[:, None] * half + self._redsp).ravel()
 
     def _build_tables(self) -> None:
         """exp[i] = x^i by doubling: x^(s + i) = x^s * x^i for i < s.

@@ -47,6 +47,9 @@ DEFAULT_MINOR_BUDGET = 10_000_000
 DEFAULT_WORD_BUDGET = 10_000_000
 _MINOR_CHUNK = 8192
 _LEAF_WIDTH = 2
+#: about how many residual entries one slice of a level of the minor walk
+#: holds; this bounds the walk's memory
+_SLICE_ENTRIES = 1 << 14
 _SAMPLED_MINORS = 512
 _SAMPLE_SEED = 0xC0DE
 #: above this order the structural route ranks its sampled minors one by
@@ -116,15 +119,21 @@ def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
 
 def _first_singular(F: FieldSpec, G: np.ndarray,
                     chunk: int) -> tuple[int, ...] | None:
-    """Depth-first walk over the column k-subsets in lexicographic order.
+    """Walk the column k-subsets one level at a time, in lexicographic order.
 
-    A node of depth d holds the residual of G after eliminating its d
-    prefix columns (bulk.schur_children), restricted to the columns after
-    the last one; a zero residual column ends the walk below it, since every
-    completion through that column is singular.  Once _LEAF_WIDTH rows are
-    left, every _LEAF_WIDTH-subset of the remaining columns is a leaf minor,
-    decided in batches of at most ``chunk``.  Returns the first singular
-    subset, or None.
+    A node of depth d is a prefix of d columns.  It holds the residual of G
+    after eliminating them, over columns d..n-1, and extends the prefix by
+    one of the columns after its last.  A level is a stack of nodes in
+    lexicographic order, walked in slices of about _SLICE_ENTRIES residual
+    entries; each slice is finished down to its leaves before the next, so
+    the subsets are still decided in lexicographic order.  One batched Schur
+    step (bulk.schur_children) makes a slice's children.  A zero residual
+    column makes every completion through it singular: the first such
+    completion is the answer unless a subset before it fails, and no later
+    node is expanded.  Once _LEAF_WIDTH rows are left, every
+    _LEAF_WIDTH-subset of a node's remaining columns is a leaf minor; the
+    leaves of a slice are decided in batches of at most ``chunk``.  Returns
+    the first singular subset, or None.
     """
     k, n = G.shape
     width = min(k, _LEAF_WIDTH)
@@ -132,82 +141,58 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
     rows = np.arange(width)[None, :, None]
-    # queued leaf batches, all before any subset not yet queued:
-    # (mats, head, first child column or None, member, tail ids)
-    queue: list[tuple] = []
-    queued = 0
 
-    def flush() -> tuple[int, ...] | None:
-        nonlocal queued
-        if not queue:
-            return None
-        good = bulk.batch_minors_nonsingular(
-            F, np.concatenate([piece[0] for piece in queue]))
-        if not good.all():
-            b = int(np.flatnonzero(~good)[0])
-            for mats, head, child0, member, ids in queue:
-                if b < len(mats):
-                    child = () if child0 is None else (child0 + int(member[b]),)
-                    return head + child + tuple(int(c) for c in tails[ids[b]])
-                b -= len(mats)
-        queue.clear()
-        queued = 0
+    def leaves(R: np.ndarray, starts: np.ndarray,
+               heads: np.ndarray) -> tuple[int, ...] | None:
+        # node b's leaves are its prefix plus each of the last
+        # completions[starts[b]] tails; leaf i of the slice is node member[i]'s
+        ends = np.cumsum(completions[starts])
+        for lo in range(0, int(ends[-1]), chunk):
+            idx = np.arange(lo, min(lo + chunk, int(ends[-1])))
+            member = np.searchsorted(ends, idx, side="right")
+            cols = tails[idx + (len(tails) - ends)[member]]
+            good = bulk.batch_minors_nonsingular(
+                F, R[member[:, None, None], rows,
+                     cols[:, None, :] - (n - R.shape[2])])
+            if not good.all():
+                b = int(np.flatnonzero(~good)[0])
+                return tuple(heads[member[b]].tolist() + cols[b].tolist())
         return None
 
-    def leaves(X: np.ndarray, start: int, head: tuple[int, ...],
-               children: bool) -> tuple[int, ...] | None:
-        """Queue the leaf minors of the residuals X over columns start..n-1.
-
-        With ``children`` set, X[i] is the child through column start + i of
-        the node with prefix ``head``, and its tails lie after that column;
-        otherwise X[0] is that node itself and its tails start at ``start``.
-        """
-        nonlocal queued
-        firsts = start + 1 + np.arange(len(X)) if children else np.array([start])
-        cnt = completions[firsts]
-        member = np.repeat(np.arange(len(X)), cnt)
-        ids = np.arange(int(cnt.sum())) + np.repeat(
-            len(tails) - cnt - (np.cumsum(cnt) - cnt), cnt)
-        for lo in range(0, len(ids), chunk):
-            part_member, part_ids = member[lo:lo + chunk], ids[lo:lo + chunk]
-            cols = tails[part_ids] - start
-            mats = X[part_member[:, None, None], rows, cols[:, None, :]]
-            if queued + len(mats) > chunk:
-                bad = flush()
-                if bad is not None:
-                    return bad
-            queue.append((mats, head, start if children else None,
-                          part_member, part_ids))
-            queued += len(mats)
-        return None
-
-    def walk(R: np.ndarray, start: int,
-             head: tuple[int, ...]) -> tuple[int, ...] | None:
-        m, w = R.shape
+    def level(R: np.ndarray, starts: np.ndarray,
+              heads: np.ndarray) -> tuple[int, ...] | None:
+        m, w = R.shape[1:]
         if m == width:
-            return leaves(R[None], start, head, False)
-        alive, kids = bulk.schur_children(F, R, w - m + 1)
-        dead = np.flatnonzero(~alive)
-        live = int(dead[0]) if dead.size else len(alive)
-        if m - 1 == width:
-            bad = leaves(kids[:live], start, head, True)
-            if bad is not None:
-                return bad
-        else:
-            for j in range(live):
-                bad = walk(kids[j, :, j + 1:], start + j + 1, head + (start + j,))
-                if bad is not None:
-                    return bad
-        if not dead.size:
-            return None
-        bad = flush()
-        if bad is not None:
-            return bad
-        # the first completion through the dead column
-        return head + tuple(range(start + live, start + live + m))
+            return leaves(R, starts, heads)
+        d = n - w
+        # node b's children go through columns starts[b]..n-m
+        counts = n - m + 1 - starts
+        at = np.arange(d, n)
+        zero = ~R.any(axis=1) & (at >= starts[:, None]) & (at <= n - m)
+        dead = zero.any(axis=1)
+        bad = None
+        if dead.any():
+            b = int(dead.argmax())
+            c = d + int(zero[b].argmax())
+            bad = tuple(heads[b].tolist()) + tuple(range(c, c + m))
+            counts = counts[:b + 1].copy()
+            counts[b] = c - starts[b]
+        # the children in lexicographic order, as (parent, column) pairs
+        parents = np.repeat(np.arange(len(counts)), counts)
+        cols = np.arange(len(parents)) + np.repeat(
+            starts[:len(counts)] - np.cumsum(counts) + counts, counts)
+        per = max(1, _SLICE_ENTRIES // ((m - 1) * (w - 1)))
+        for lo in range(0, len(parents), per):
+            nodes, through = parents[lo:lo + per], cols[lo:lo + per]
+            kids = bulk.schur_children(F, R, nodes, through - d)[:, :, 1:]
+            found = level(kids, through + 1,
+                          np.column_stack([heads[nodes], through]))
+            if found is not None:
+                return found
+        return bad
 
-    bad = walk(G.astype(np.int64), 0, ())
-    return flush() if bad is None else bad
+    return level(G.astype(np.int64)[None], np.zeros(1, dtype=np.int64),
+                 np.zeros((1, 0), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,31 @@ def test_doubled_tables_match_stepped_walk(pe):
     assert np.array_equal(F._log, log)
 
 
+def _digitwise_reduction(p, width, out_base):
+    """Each base-(2p - 1) digit of every sum below (2p - 1)^width, reduced
+    mod p and read in base ``out_base``, one digit at a time."""
+    base = 2 * p - 1
+    sums = np.arange(base ** width)
+    out = np.zeros_like(sums)
+    for i in range(width):
+        out += (sums // base ** i % base % p) * out_base ** i
+    return out
+
+
+# every odd-p field of order at most 2^16; GF(3^10) is the one whose
+# reduction tables cover half a sum
+@pytest.mark.parametrize("pe", [pe for pe in map(_prime_power, range(3, 257))
+                                if pe and pe[0] % 2],
+                         ids=lambda pe: f"GF{pe[0] ** (2 * pe[1])}")
+def test_add_tables_match_digitwise_build(pe):
+    p, e = pe
+    F = FieldSpec(p, e, DEFAULT_ORDER_LIMIT)
+    width = e if F._half else 2 * e
+    assert F._half == (0 if width == 2 * e else (2 * p - 1) ** e)
+    assert np.array_equal(F._red, _digitwise_reduction(p, width, p))
+    assert np.array_equal(F._redsp, _digitwise_reduction(p, width, 2 * p - 1))
+
+
 def test_dlog_zero_raises():
     F = make_field(3, 1)
     with pytest.raises(ZeroArgument):

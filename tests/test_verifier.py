@@ -13,11 +13,12 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qgrs import bulk
+from qgrs import bulk, verifier
 from qgrs.constructions import construct
 from qgrs.errors import VerificationMismatch
 from qgrs.field import FieldSpec, field_for_q, make_field
@@ -106,23 +107,26 @@ def test_minors_catch_repeated_locator():
     assert "(1, 2)" in r.detail
 
 
-def _reference_minors(F, G, chunk, by_rank=False):
-    """Every k-subset in itertools order, decided in one batch, or one at a
-    time by FMatrix.rank with ``by_rank``."""
+def _reference_minors(F, G, chunk, by_rank=False, block=4096):
+    """Every k-subset in itertools order, decided ``block`` at a time in one
+    batch, or one at a time by FMatrix.rank with ``by_rank``, up to the
+    first singular one."""
     k, n = G.shape
-    subsets = np.array(list(itertools.combinations(range(n), k)))
-    if by_rank:
-        good = np.array([FMatrix(F, G[:, c]).rank() == k for c in subsets])
-    else:
-        good = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
-    total = len(subsets)
-    if good.all():
-        return MdsReport(MdsStatus.VERIFIED, "minors", total)
-    rank = int(np.flatnonzero(~good)[0])
-    bad = tuple(int(c) for c in subsets[rank])
-    return MdsReport(MdsStatus.FAILED, "minors",
-                     min(total, (rank // chunk + 1) * chunk),
-                     f"singular minor at columns {bad}")
+    total = math.comb(n, k)
+    subsets = itertools.combinations(range(n), k)
+    for start in range(0, total, block):
+        cols = np.array(list(itertools.islice(subsets, block)))
+        if by_rank:
+            good = np.array([FMatrix(F, G[:, c]).rank() == k for c in cols])
+        else:
+            good = bulk.batch_minors_nonsingular(F, G[:, cols].transpose(1, 0, 2))
+        if not good.all():
+            rank = start + int(np.flatnonzero(~good)[0])
+            bad = tuple(int(c) for c in cols[rank - start])
+            return MdsReport(MdsStatus.FAILED, "minors",
+                             min(total, (rank // chunk + 1) * chunk),
+                             f"singular minor at columns {bad}")
+    return MdsReport(MdsStatus.VERIFIED, "minors", total)
 
 
 def _planted_matrix(F, rng, k, n):
@@ -140,32 +144,75 @@ def _planted_matrix(F, rng, k, n):
     return G
 
 
+def _deep_planted_matrix(F, rng, k, n, plant):
+    """An MDS matrix (rows v_j * a_j^i over distinct locators a_j); with
+    ``plant``, its column a is a combination of 3..k-1 others, so the
+    subsets through all of them are singular and the walk sees it no less
+    than three columns deep."""
+    locators = rng.sample(range(F.order), n)
+    mults = [rng.randrange(1, F.order) for _ in range(n)]
+    G = np.array([[F.mul_codes(v, F.pow_code(a, i))
+                   for a, v in zip(locators, mults)] for i in range(k)])
+    if plant:
+        a, *others = rng.sample(range(n), rng.randint(4, k))
+        coeffs = np.array([[rng.randrange(1, F.order) for _ in others]])
+        G[:, a] = F.vcombine(coeffs, G[:, others].T)[0]
+    return G
+
+
 def test_minor_sweep_matches_itertools_oracle(monkeypatch):
     rng = random.Random(2302)
     fields = [make_field(2, 1), make_field(3, 1), make_field(5, 1)]
+    # order 25 and order 729 hold n = 24 distinct locators
+    deep_fields = [make_field(5, 1), make_field(3, 3)]
     batch = bulk.batch_minors_nonsingular
+    schur = bulk.schur_children
     sizes = []
+    schur_calls = []
 
     def recording(F, mats):
         sizes.append(len(mats))
         return batch(F, mats)
 
-    singular = 0
-    for _ in range(400):
-        F = rng.choice(fields)
-        k = rng.randint(1, 6)
-        n = rng.randint(k, 14)
-        G = _planted_matrix(F, rng, k, n)
-        chunk = rng.choice([1, 5, 64, 8192])
+    def counting(F, R, nodes, cols):
+        schur_calls.append(len(nodes))
+        return schur(F, R, nodes, cols)
+
+    singular = deep_singular = later_slice = 0
+    for case in range(550):
+        if case < 400:
+            F = rng.choice(fields)
+            k = rng.randint(1, 6)
+            n = rng.randint(k, 14)
+            G = _planted_matrix(F, rng, k, n)
+            chunk = rng.choice([1, 5, 64, 8192])
+        else:
+            F = rng.choice(deep_fields)
+            k = rng.randint(7, 12)
+            n = rng.randint(k + 1, 24)
+            # the oracle decides every minor of an unplanted matrix
+            plant = math.comb(n, k) > 20000 or rng.random() < 0.7
+            G = _deep_planted_matrix(F, rng, k, n, plant)
+            chunk = rng.choice([5, 64, 8192])
+        slice_entries = rng.choice([1, 50, 400, verifier._SLICE_ENTRIES])
         want = _reference_minors(F, G, chunk)
         sizes.clear()
+        schur_calls.clear()
         monkeypatch.setattr(bulk, "batch_minors_nonsingular", recording)
+        monkeypatch.setattr(bulk, "schur_children", counting)
+        monkeypatch.setattr(verifier, "_SLICE_ENTRIES", slice_entries)
         got = check_matrix_minors(F, G, chunk=chunk)
         monkeypatch.undo()
-        assert got == want, (F, G.tolist(), chunk)
+        assert got == want, (F, G.tolist(), chunk, slice_entries)
         assert max(sizes, default=0) <= chunk
-        singular += want.status is MdsStatus.FAILED
-    assert 100 < singular < 400
+        failed = want.status is MdsStatus.FAILED
+        singular += failed
+        if case >= 400:
+            deep_singular += failed
+            # one slice per level reaches the first leaves in k - 2 steps
+            later_slice += failed and len(schur_calls) > k - 2
+    assert 150 < singular < 550
+    assert deep_singular > 100 and later_slice > 30
 
 
 def test_minor_sweep_decides_every_minor_of_36_6():
@@ -173,6 +220,28 @@ def test_minor_sweep_decides_every_minor_of_36_6():
     assert (spec.n, spec.k) == (36, 6)
     r = check_mds_minors(spec)
     assert r.ok and r.method == "minors" and r.checked == math.comb(36, 6)
+
+
+def test_minor_sweep_decides_every_minor_of_24_12():
+    # mid k, where the paper's new codes live: d = k + 1 = 13 > q/2 + 1
+    spec = construct(3, 23, 22, 1, 12)
+    assert (spec.n, spec.k) == (24, 12)
+    r = check_mds_minors(spec)
+    assert r.ok and r.method == "minors" and r.checked == math.comb(24, 12)
+
+
+def test_minor_sweep_memory_is_bounded():
+    # a walk that stacked whole levels would peak near 100 MB here
+    F = make_field(5, 1)
+    G = _deep_planted_matrix(F, random.Random(24), 8, 24, plant=False)
+    tracemalloc.start()
+    try:
+        r = check_matrix_minors(F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.ok and r.checked == math.comb(24, 8)
+    assert peak < 4 * 2 ** 20
 
 
 def test_exhaustive_distance_catches_repeated_locator():
