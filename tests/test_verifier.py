@@ -107,13 +107,14 @@ def test_minors_catch_repeated_locator():
     assert "(1, 2)" in r.detail
 
 
-def _reference_minors(F, G, chunk, by_rank=False, block=4096):
-    """Every k-subset in itertools order, decided ``block`` at a time in one
+def _reference_minors(F, G, chunk, by_rank=False):
+    """Every k-subset in itertools order, decided 4096 at a time in one
     batch, or one at a time by FMatrix.rank with ``by_rank``, up to the
     first singular one."""
     k, n = G.shape
     total = math.comb(n, k)
     subsets = itertools.combinations(range(n), k)
+    block = 4096
     for start in range(0, total, block):
         cols = np.array(list(itertools.islice(subsets, block)))
         if by_rank:
