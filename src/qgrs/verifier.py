@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bulk
 from .constructions import QuantumParams
-from .errors import VerificationMismatch
+from .errors import VerificationMismatch, WrongShape
 from .field import FieldSpec
 from .grs import (
     GrsSpec,
@@ -107,6 +107,8 @@ def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
     ``chunk``-sized block of lexicographic ranks that holds it.
     """
     k, n = G.shape
+    if k > n:
+        raise WrongShape(f"a {k} x {n} matrix has no maximal {k}-minors")
     total = math.comb(n, k)
     bad = _first_singular(F, G, chunk)
     if bad is None:
@@ -131,32 +133,40 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     column makes every completion through it singular: the first such
     completion is the answer unless a subset before it fails, and no later
     node is expanded.  Once _LEAF_WIDTH rows are left, every
-    _LEAF_WIDTH-subset of a node's remaining columns is a leaf minor; the
-    leaves of a slice are decided in batches of at most ``chunk``.  Returns
-    the first singular subset, or None.
+    _LEAF_WIDTH-subset of a node's remaining columns is a leaf minor, read
+    by one flat take of block offsets; the leaves of a slice are decided in
+    batches of at most ``chunk``.  Returns the first singular subset, or None.
     """
     k, n = G.shape
     width = min(k, _LEAF_WIDTH)
     tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
-    rows = np.arange(width)[None, :, None]
+    # a leaf residual is width x w, over columns n-w..n-1; offs[t] lists where
+    # tail t's width x width block lies in one flattened such residual
+    w = n - k + width
+    offs = (tails[:, None] + w * np.arange(width)[:, None] - (n - w)).reshape(
+        len(tails), -1)
 
     def leaves(R: np.ndarray, starts: np.ndarray,
                heads: np.ndarray) -> tuple[int, ...] | None:
         # node b's leaves are its prefix plus each of the last
-        # completions[starts[b]] tails; leaf i of the slice is node member[i]'s
+        # completions[starts[b]] tails.  Leaves lo..hi-1 are got[j] leaves of
+        # each node b0 + j < b1; node b's blocks start at flat entry b*width*w
+        flat = R.reshape(-1)
         ends = np.cumsum(completions[starts])
         for lo in range(0, int(ends[-1]), chunk):
-            idx = np.arange(lo, min(lo + chunk, int(ends[-1])))
-            member = np.searchsorted(ends, idx, side="right")
-            cols = tails[idx + (len(tails) - ends)[member]]
-            good = bulk.batch_minors_nonsingular(
-                F, R[member[:, None, None], rows,
-                     cols[:, None, :] - (n - R.shape[2])])
+            hi = min(lo + chunk, int(ends[-1]))
+            b0, b1 = np.searchsorted(ends, [lo, hi - 1], side="right") + (0, 1)
+            got = np.diff(np.concatenate(([lo], ends[b0:b1 - 1], [hi])))
+            t = np.arange(lo, hi) + np.repeat(len(tails) - ends[b0:b1], got)
+            base = np.repeat(np.arange(b0, b1) * (width * w), got)
+            good = bulk.batch_minors_nonsingular(F, flat.take(
+                offs[t] + base[:, None]).reshape(len(t), width, width))
             if not good.all():
-                b = int(np.flatnonzero(~good)[0])
-                return tuple(heads[member[b]].tolist() + cols[b].tolist())
+                i = int(np.flatnonzero(~good)[0])
+                return tuple(heads[base[i] // (width * w)].tolist()
+                             + tails[t[i]].tolist())
         return None
 
     def level(R: np.ndarray, starts: np.ndarray,

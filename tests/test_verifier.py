@@ -20,7 +20,7 @@ import pytest
 
 from qgrs import bulk, verifier
 from qgrs.constructions import construct
-from qgrs.errors import VerificationMismatch
+from qgrs.errors import VerificationMismatch, WrongShape
 from qgrs.field import FieldSpec, field_for_q, make_field
 from qgrs.grs import GrsSpec, generator_matrix
 from qgrs.matrix import FMatrix
@@ -214,6 +214,34 @@ def test_minor_sweep_matches_itertools_oracle(monkeypatch):
             later_slice += failed and len(schur_calls) > k - 2
     assert 150 < singular < 550
     assert deep_singular > 100 and later_slice > 30
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5, 64, 8192])
+@pytest.mark.parametrize("k, n", [(1, 9), (2, 11), (3, 13), (6, 14),
+                                  (4, 4), (7, 7)])
+def test_minor_sweep_decides_each_leaf_once(monkeypatch, k, n, chunk):
+    # batches straddle node boundaries whenever chunk does not divide a
+    # node's leaf count; on an MDS matrix every leaf is decided, exactly once
+    F = make_field(5, 1)
+    G = _deep_planted_matrix(F, random.Random(k * 100 + n), k, n, plant=False)
+    batch = bulk.batch_minors_nonsingular
+    sizes = []
+
+    def recording(F, mats):
+        sizes.append(len(mats))
+        return batch(F, mats)
+
+    monkeypatch.setattr(bulk, "batch_minors_nonsingular", recording)
+    r = check_matrix_minors(F, G, chunk=chunk)
+    assert r.ok and r.checked == math.comb(n, k)
+    assert sum(sizes) == math.comb(n, k) and max(sizes) <= chunk
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 0), (5, 4)])
+def test_matrix_minors_reject_more_rows_than_columns(shape):
+    # a k x n matrix with k > n has no maximal k-minors and rank < k
+    with pytest.raises(WrongShape):
+        check_matrix_minors(make_field(5, 1), np.ones(shape, dtype=np.int64))
 
 
 def test_minor_sweep_decides_every_minor_of_36_6():
