@@ -100,7 +100,7 @@ def check_mds_minors(spec: GrsSpec, *, budget: int = DEFAULT_MINOR_BUDGET,
 
 def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
                         chunk: int = _MINOR_CHUNK) -> MdsReport:
-    """Decide every maximal minor of the k x n code matrix G.
+    """Decide every maximal minor of the k x n code matrix G, k <= n.
 
     On failure the report names the lexicographically first singular
     k-subset, and ``checked`` counts the minors up to the end of the
@@ -142,11 +142,11 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
-    # a leaf residual is width x w, over columns n-w..n-1; offs[t] lists where
-    # tail t's width x width block lies in one flattened such residual
+    # offs[t]: where tail t's width x width block lies in a flat width x w leaf
+    # residual (columns n-w..n-1); int32 halves a batch's index memory
     w = n - k + width
     offs = (tails[:, None] + w * np.arange(width)[:, None] - (n - w)).reshape(
-        len(tails), -1)
+        len(tails), -1).astype(np.int32)
 
     def leaves(R: np.ndarray, starts: np.ndarray,
                heads: np.ndarray) -> tuple[int, ...] | None:
@@ -160,7 +160,7 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
             b0, b1 = np.searchsorted(ends, [lo, hi - 1], side="right") + (0, 1)
             got = np.diff(np.concatenate(([lo], ends[b0:b1 - 1], [hi])))
             t = np.arange(lo, hi) + np.repeat(len(tails) - ends[b0:b1], got)
-            base = np.repeat(np.arange(b0, b1) * (width * w), got)
+            base = np.repeat(np.arange(b0, b1, dtype=np.int32) * (width * w), got)
             good = bulk.batch_minors_nonsingular(F, flat.take(
                 offs[t] + base[:, None]).reshape(len(t), width, width))
             if not good.all():
