@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 import click
@@ -278,6 +277,8 @@ def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
                              minor_budget, word_budget))
     jobs.sort()
     if threads > 1:
+        # imported here: it pulls in multiprocessing, about 2 MB of RSS
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_enumerate_worker, jobs, chunksize=4))
     else:

@@ -129,13 +129,27 @@ def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]
     evaluated with one ``F.vcombine`` and the first totally nonzero
     combination in stream order is returned.  Returns None when the stream
     runs out.
+
+    A column whose only nonzero basis entry lies in row d is zero in every
+    combination with coefficient 0 at d, so each block drops those rows
+    before it is evaluated (a ``nullspace`` basis is the identity on its
+    free columns, so every row is such a d there).  Dropping rows keeps the
+    order of the rest, so the first hit is the same.  A basis with an
+    all-zero column has no hit at all: None at once.
     """
     if len(basis) == 0:
         return None
     B = np.asarray(basis, dtype=np.int64)
+    support = (B != 0).sum(axis=0)
+    if not support.all():
+        return None
+    sole = np.flatnonzero((B[:, support == 1] != 0).any(axis=1))
     scalars = sorted(set(int(s) for s in scalar_codes))
     for T in _coefficient_blocks(F.order, scalars, *B.shape, exhaust_limit,
                                  sample_budget, seed):
+        T = T[(T[:, sole] != 0).all(axis=1)]
+        if not len(T):
+            continue
         X = F.vcombine(T, B)
         hits = np.flatnonzero((X != 0).all(axis=1))
         if hits.size:
@@ -156,6 +170,10 @@ def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
        so it is not skipped);
     3. otherwise the seeded draws: numpy batches of _SAMPLE_BATCH rows up to
        _NUMPY_DRAW_ORDER_LIMIT, random.Random one row at a time above it.
+
+    The stream does not depend on the basis entries: the caller's mask on
+    sole-support rows only drops rows from a block, so the draws, their
+    order and the block boundaries are the same with or without it.
     """
     yield np.ones((1, dim), dtype=np.int64)
     yield np.eye(dim, dtype=np.int64)

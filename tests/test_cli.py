@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -335,6 +338,18 @@ def test_enumerate_threads_deterministic(runner):
                                "--threads", "2"])
     assert one.exit_code == two.exit_code == 0
     assert one.output == two.output
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when enumerate runs with --threads > 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, qgrs.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_enumerate_tiny_q_header_only(runner):

@@ -19,7 +19,7 @@ from qgrs.errors import (
     NotASolution,
     WrongShape,
 )
-from qgrs.field import make_field
+from qgrs.field import FieldSpec, make_field
 from qgrs.matrix import FMatrix
 from qgrs.solver import (
     EXHAUST_LIMIT,
@@ -254,19 +254,21 @@ def test_exhaustive_span_matches_product_order(p, e):
             assert got == (None if ref is None else ref[1])
 
 
-def _first_drawn_hit(F, basis, scalars):
+def _first_drawn_hit(F, basis, scalars, budget=None):
     """Reference for the sampled branch: redraw the seeded batches and scan
-    their rows in draw order with the scalar combination."""
+    their rows in draw order with the scalar combination.  With a
+    ``budget`` (a multiple of _SAMPLE_BATCH), None once it is drawn."""
     sc = np.array(sorted(set(scalars)))
     rng = np.random.default_rng(_SAMPLE_SEED)
     row = 0
-    while True:
+    while budget is None or row < budget:
         T = sc[rng.integers(0, len(sc), size=(_SAMPLE_BATCH, len(basis)))]
         for coeffs in T.tolist():
             x = _combine(F, coeffs, basis)
             if all(x):
                 return row, x
             row += 1
+    return None
 
 
 @pytest.mark.parametrize("args,hit_row", [
@@ -293,6 +295,109 @@ def test_sampled_span_returns_first_hit_in_draw_order(monkeypatch, args, hit_row
     row, expect = _first_drawn_hit(F, basis, scalars)
     assert row == hit_row
     assert all_nonzero_in_span(F, basis, scalars) == expect
+
+
+def _sole_support_rows(basis):
+    """Rows that hold the only nonzero entry of some column."""
+    B = np.asarray(basis) != 0
+    return sorted({int(np.flatnonzero(col)[0]) for col in B.T if col.sum() == 1})
+
+
+@pytest.fixture()
+def vcombine_calls(monkeypatch):
+    """Every coefficient block that FieldSpec.vcombine evaluates."""
+    calls = []
+    real = FieldSpec.vcombine
+
+    def spy(self, coeffs, rows):
+        calls.append(np.array(coeffs))
+        return real(self, coeffs, rows)
+
+    monkeypatch.setattr(FieldSpec, "vcombine", spy)
+    return calls
+
+
+def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vcombine_calls):
+    kernels = []
+
+    def capture(F, basis, scalars, **kw):
+        kernels.append((F, basis, scalars))
+        return all_nonzero_in_span(F, basis, scalars, **kw)
+
+    monkeypatch.setattr(constructions, "all_nonzero_in_span", capture)
+    constructions.construct(5, 8, 7, 7, 7)
+    (F, basis, scalars), = kernels
+    # a nullspace basis is the identity on its free columns
+    sole = _sole_support_rows(basis)
+    assert sole == list(range(len(basis)))
+    vcombine_calls.clear()
+    assert all_nonzero_in_span(F, basis, scalars) is not None
+    evaluated = np.concatenate(vcombine_calls)
+    assert (evaluated[:, sole] != 0).all()
+    # exactly the basis sum and the zero-free draws up to the end of the hit
+    # row's block (6 * 4096 + 1199, see the draw-order test) are evaluated;
+    # the unit vectors all have zeros on sole-support rows
+    sc = np.array(sorted(set(scalars)))
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    draws = np.concatenate([sc[rng.integers(0, len(sc), size=(_SAMPLE_BATCH, len(basis)))]
+                            for _ in range(7)])[:6 * _SAMPLE_BATCH + 10 * _SPAN_BLOCK]
+    expect = np.concatenate([np.ones((1, len(basis)), dtype=np.int64),
+                             draws[(draws != 0).all(axis=1)]])
+    assert np.array_equal(evaluated, expect)
+    assert len(evaluated) < len(draws) / 4
+
+
+@pytest.mark.parametrize("exhaust_limit", [EXHAUST_LIMIT, 0])
+def test_span_search_zero_column_returns_none_unevaluated(vcombine_calls, exhaust_limit):
+    F = make_field(5, 1)
+    basis = [(1, 0, 2, 3), (2, 0, 1, 1)]
+    assert _first_enumerated_hit(F, basis, range(F.order)) is None
+    assert all_nonzero_in_span(F, basis, range(F.order),
+                               exhaust_limit=exhaust_limit) is None
+    assert vcombine_calls == []
+
+
+def _planted_basis(F, rng, dim, n):
+    """Random rows with planted single-support columns, sometimes the
+    identity block of a nullspace basis, and sometimes a zero column."""
+    B = [[rng.randrange(F.order) if rng.random() < 0.7 else 0 for _ in range(n)]
+         for _ in range(dim)]
+    cols = rng.sample(range(n), rng.randint(0, min(n, dim + 1)))
+    for j in cols:
+        d = rng.randrange(dim)
+        for i in range(dim):
+            B[i][j] = rng.randrange(1, F.order) if i == d else 0
+    if rng.random() < 0.1:
+        j = rng.randrange(n)
+        for i in range(dim):
+            B[i][j] = 0
+    return [tuple(row) for row in B]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+def test_masked_span_search_matches_references(p, e, vcombine_calls):
+    F = make_field(p, e)
+    rng = random.Random(1000 * p + e)
+    units = range(1, F.order)
+    base_units = [c for c in F.base_codes() if c]
+    for scalars in (range(F.order), F.base_codes(), units, base_units):
+        for _ in range(25):
+            dim, n = rng.randint(1, 3), rng.randint(2, 8)
+            basis = _planted_basis(F, rng, dim, n)
+            sole = _sole_support_rows(basis)
+            ref = _first_enumerated_hit(F, basis, scalars)
+            vcombine_calls.clear()
+            got = all_nonzero_in_span(F, basis, scalars)
+            assert got == (None if ref is None else ref[1])
+            # the sampled branch: the structured blocks, then the draws
+            structured = _first_enumerated_hit(F, basis, [])
+            drawn = _first_drawn_hit(F, basis, scalars, budget=_SAMPLE_BATCH)
+            ref = structured or drawn
+            got = all_nonzero_in_span(F, basis, scalars, exhaust_limit=0,
+                                      sample_budget=_SAMPLE_BATCH)
+            assert got == (None if ref is None else ref[1])
+            for T in vcombine_calls:
+                assert (T[:, sole] != 0).all()
 
 
 # ---------------------------------------------------------------- descent route
@@ -382,10 +487,12 @@ def test_descend_frobenius_hypothesis():
 @pytest.mark.parametrize("args,sha", [
     ((5, 16, 15, 7, 2), "4dcc8558e6a32d9b72dd63a1b5190f3c28f403a552c1cd77c3cd20d44046d500"),
     ((5, 16, 15, 8, 2), "05cc0784f3459a7ee1a141b98551f6c014b2342af3cb0a88f02a0e5a20158958"),
+    ((5, 16, 15, 13, 2), "a5978f6560223dff73f51874802b50a101e1f1d041e43f859c407f95b889ec12"),
     ((1, 67, 68, 3, 2), "4f4aaadf1c696e9d9fd613d08c028bea2afa70afe1c5861c46ba5f3329bf2bf7"),
     ((5, 81, 80, 2, 2), "ffbf66c33011a6c28786a983419da285421bb5b02054042dac540ee9305a4cfc"),
     ((1, 128, 129, 2, 2), "e5fe2189958ef29847b8f49d28accef7bfb023e9c270124d39c497d7001f4c4b"),
-], ids=["q16-r7-numpy", "q16-r8-numpy", "q67-random", "q81-random", "q128-random"])
+], ids=["q16-r7-numpy", "q16-r8-numpy", "q16-r13-numpy", "q67-random", "q81-random",
+        "q128-random"])
 def test_span_search_documents_pinned(args, sha):
     doc = json.dumps(cli.encode_document(constructions.construct(*args)), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == sha
