@@ -358,8 +358,8 @@ def test_span_search_zero_column_returns_none_unevaluated(vcombine_calls, exhaus
 
 
 def _planted_basis(F, rng, dim, n):
-    """Random rows with planted single-support columns, sometimes the
-    identity block of a nullspace basis, and sometimes a zero column."""
+    """Random rows with up to dim + 1 planted single-support columns, and
+    in about one basis of ten a zero column."""
     B = [[rng.randrange(F.order) if rng.random() < 0.7 else 0 for _ in range(n)]
          for _ in range(dim)]
     cols = rng.sample(range(n), rng.randint(0, min(n, dim + 1)))
