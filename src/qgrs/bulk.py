@@ -3,7 +3,8 @@
 numpy is used strictly as a bulk table-lookup engine: every value is an int
 code, the package's only element representation, and every operation goes
 through the field's vectorized ops (``FieldSpec.v*``), which work at every
-order.  The tests hold the results to the scalar ``*_code`` reference ops.
+order.  The tests hold the results to the table-free scalar reference in
+``tests/oracle.py``.
 
 Column k-subsets are ranked and unranked in lexicographic order against one
 cached binomial table per (n, k) (:func:`comb_table`): :func:`unrank_lex`

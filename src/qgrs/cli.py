@@ -3,9 +3,10 @@
 Code documents are JSON (schema-versioned; units serialized as discrete
 logs, the zero locator as the string "zero"); enumeration emits CSV or
 JSON.  Exit codes are script-friendly: 0 success, 1 verification returned
-false, 2 bad input (hypothesis violation, malformed document, wrong
-modulus), 3 internal invariant breach — a constructed code failing its
-own certificate is a bug, not a user error.
+false, 2 bad input (hypothesis violation, malformed or unreadable document,
+wrong modulus), 3 internal invariant breach — a constructed code failing
+its own certificate, or the two hermitian routes disagreeing, is a bug, not
+a user error.
 """
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ import click
 
 from .constructions import construct as build_code
 from .constructions import iter_family_params, to_quantum
-from .errors import NonCanonicalModulus, ParamsRejected, QgrsError, SchemaError
+from .errors import (
+    NonCanonicalModulus,
+    ParamsRejected,
+    QgrsError,
+    SchemaError,
+    VerificationMismatch,
+)
 from .exponents import InvalidScenario
 from .field import check_modulus, make_field, prime_power_decompose
 from .grs import GrsSpec, hermitian_gram
@@ -95,9 +102,11 @@ def decode_document(doc: Any) -> GrsSpec:
     # "zero" is a locator only: a zero multiplier is never a unit
     locators = tuple(0 if x == "zero" else _unit(x, "locator") for x in raw_locs)
     multipliers = tuple(_unit(x, "multiplier") for x in raw_mults)
+    provenance = doc.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise SchemaError(f"provenance must be an object, got {type(provenance).__name__}")
     try:
-        return GrsSpec(F, locators, multipliers, k,
-                       provenance=doc.get("provenance"))
+        return GrsSpec(F, locators, multipliers, k, provenance=provenance)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -173,13 +182,13 @@ def cmd_construct(family, q, h, r, k, i_list, j_list, out,
     """Validate, build, certify, and emit one code."""
     try:
         spec = build_code(family, q, h, r, k, i_list, j_list)
+        cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
     except (ParamsRejected, InvalidScenario) as exc:
         click.echo(f"rejected: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
-    except QgrsError as exc:  # solver failure inside an accepted tuple
+    except QgrsError as exc:  # solver failure or route split in an accepted tuple
         click.echo(f"construction failed: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
-    cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
     if not (cert.herm_ok and cert.mds_ok):
         click.echo("certification FAILED", err=True)
         click.echo(_cert_summary(cert), err=True)
@@ -204,7 +213,7 @@ def cmd_verify(path, minor_budget, word_budget):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         click.echo(f"invalid JSON: {exc}", err=True)
         sys.exit(2)
     try:
@@ -212,7 +221,11 @@ def cmd_verify(path, minor_budget, word_budget):
     except QgrsError as exc:
         click.echo(f"rejected: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
-    cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
+    try:
+        cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
+    except VerificationMismatch as exc:
+        click.echo(f"certification FAILED: VerificationMismatch: {exc}", err=True)
+        sys.exit(3)
     n, k = spec.n, spec.k
     click.echo(f"[{n}, {k}] code over GF({spec.field.order})")
     click.echo(_cert_summary(cert))
@@ -230,7 +243,8 @@ def cmd_verify(path, minor_budget, word_budget):
 
 def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None]:
     """One grid row, and the message of the error that kept the cell from
-    being built, if any; such a row reports both certificates as failed."""
+    being built or certified, if any; such a row reports both certificates
+    as failed."""
     family, q, h, r, k, n, minor_budget, word_budget = args
     row = {
         "family": family, "q": q, "h": h, "r": r, "k": k,
@@ -239,10 +253,10 @@ def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None
     }
     try:
         spec = build_code(family, q, h, r, k)
+        cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
     except QgrsError as exc:
         return row, (f"cell family={family} q={q} h={h} r={r} k={k}: "
                      f"{type(exc).__name__}: {exc}")
-    cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
     row.update(herm_ok=cert.herm_ok, mds_ok=cert.mds_ok)
     return row, None
 
@@ -262,8 +276,8 @@ def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
     """Construct and certify every admissible tuple within the bounds.
 
     Exits 0 when every row certifies, 1 when some certificate fails, and 3
-    when some cell could not be built (reported on stderr, its row marked
-    failed)."""
+    when some cell could not be built or certified (reported on stderr, its
+    row marked failed)."""
     jobs: list[tuple[int, ...]] = []
     for q in range(2, max_q + 1):
         try:

@@ -326,7 +326,7 @@ def _build_zero_union_cosets(p: Params) -> GrsSpec:
     rows[1:, 1:] = F.vexp(m * np.outer(us, np.arange(1, r + 1)))
     A = FMatrix(F, rows)
     x = np.array(descend_to_base(A, solve_all_nonzero(A)))
-    x[0] = F.mul_codes(int(x[0]), F.embed_int(m))
+    x[0] = F.vmul(x[0], F.embed_int(m))
     v = F.vsolve_norm(x)
     locators = np.concatenate([[0], _coset_locators(F, range(1, r + 1), p.h, m)])
     multipliers = np.concatenate([v[:1], _twisted_multipliers(F, v[1:], m, twist=0)])

@@ -17,9 +17,10 @@ and the norm onto the base subfield are all table lookups; addition is
 digitwise mod p (a plain XOR when p = 2).
 
 An element is its int code everywhere in the package; there is no element
-object.  The ``v*`` methods work elementwise on numpy arrays of codes, at
-every order, from 1-D tables of size O(order) — the log/exp lookup-table
-design of the galois library (https://galois.readthedocs.io):
+object.  The ``v*`` methods, the field's one arithmetic API, work
+elementwise on numpy arrays of codes, at every order, from 1-D tables of
+size O(order) — the log/exp lookup-table design of the galois library
+(https://galois.readthedocs.io):
 
 * multiply is ``exp[log a + log b]``; log(0) is a sentinel, 3(order - 1),
   whose sums all land in a zero tail of the padded exp table, so zero
@@ -31,8 +32,8 @@ design of the galois library (https://galois.readthedocs.io):
   above _SPREAD_TABLE_CAP the two halves of a sum are reduced separately
   against the half table instead.
 
-The scalar ``*_code`` methods compute the same results one int at a time;
-they are the reference the tests hold the ``v*`` methods to.
+The tests hold the ``v*`` methods to a scalar reference, in
+``tests/oracle.py``, that reads none of these tables.
 
 Orders are capped (default 2^20) because the tables are built eagerly.
 """
@@ -317,80 +318,12 @@ class FieldSpec:
         self._neg = self._exp[self._log + n_units // 2]
         self._spexp = self._sp[self._exp]
 
-    # -- scalar ops on int codes --------------------------------------------
-
-    def add_codes(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out = 0
-        pw = 1
-        while a or b:
-            out += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
-
-    def neg_code(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out = 0
-        pw = 1
-        while a:
-            out += (-a % p) * pw
-            a //= p
-            pw *= p
-        return out
-
-    def sub_codes(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add_codes(a, self.neg_code(b))
-
-    def mul_codes(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroArgument("inverse of zero")
-        return int(self._exp[self.order - 1 - self._log[a]])
-
-    def div_codes(self, a: int, b: int) -> int:
-        return self.mul_codes(a, self.inv_code(b))
-
-    def pow_code(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1  # 0^0 = 1, the evaluation-map convention
-            if n < 0:
-                raise ZeroArgument("negative power of zero")
-            return 0
-        n_units = self.order - 1
-        return int(self._exp[(int(self._log[a]) * n) % n_units])
+    # -- scalar helpers -------------------------------------------------------
 
     def dlog_code(self, a: int) -> int:
         if a == 0:
             raise ZeroArgument("discrete log of zero")
         return int(self._log[a])
-
-    def frobenius_code(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * self.q) % (self.order - 1)])
-
-    def norm_code(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * (self.q + 1)) % (self.order - 1)])
-
-    def in_base_code(self, a: int) -> bool:
-        if a == 0:
-            return True
-        return int(self._log[a]) % (self.q + 1) == 0
 
     def embed_int(self, n: int) -> int:
         """The image of the rational integer n in the field (n mod p)."""

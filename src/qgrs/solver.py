@@ -19,8 +19,8 @@ so every function re-checks its own output instead of trusting algebra.
   GF(q^2) of a conjugation-stable system into one with all coordinates in
   the base subfield, by evaluating all q+1 unit shifts at once.
 
-Vectors are evaluated on the field's numpy ops (``FieldSpec.v*``); no
-routine here loops over vector entries with the scalar ops.
+Vectors are evaluated on the field's numpy ops (``FieldSpec.v*``), its
+only arithmetic; no routine here loops over vector entries.
 """
 from __future__ import annotations
 
@@ -100,7 +100,7 @@ def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
     llam = F.dlog_code(lam)
     if llam % (F.q - 1) != 0:  # lam^(q+1) = 1 makes this impossible
         raise NoValidShift("conjugation ratio is not a (q-1)-th power")
-    assert F.pow_code(lam, F.q + 1) == 1
+    assert F.vpow(lam, F.q + 1) == 1
     # want mu = g^j with mu^(q-1) * lam = 1:  (q-1) j = -dlog(lam)  (mod q^2-1)
     j = (-(llam // (F.q - 1))) % (F.q + 1)
     out = F.vmul(F.vexp(j), c)
@@ -117,8 +117,7 @@ def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
 def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]],
                         scalar_codes: Sequence[int], *,
                         exhaust_limit: int = EXHAUST_LIMIT,
-                        sample_budget: int = SAMPLE_BUDGET,
-                        seed: int = _SAMPLE_SEED) -> tuple[int, ...] | None:
+                        sample_budget: int = SAMPLE_BUDGET) -> tuple[int, ...] | None:
     """Deterministic search for a totally nonzero vector in a span.
 
     ``basis`` rows are code vectors; coefficients are drawn from
@@ -146,7 +145,7 @@ def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]
     sole = np.flatnonzero((B[:, support == 1] != 0).any(axis=1))
     scalars = sorted(set(int(s) for s in scalar_codes))
     for T in _coefficient_blocks(F.order, scalars, *B.shape, exhaust_limit,
-                                 sample_budget, seed):
+                                 sample_budget):
         T = T[(T[:, sole] != 0).all(axis=1)]
         if not len(T):
             continue
@@ -158,8 +157,7 @@ def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]
 
 
 def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
-                        exhaust_limit: int, budget: int,
-                        seed: int) -> Iterator[np.ndarray]:
+                        exhaust_limit: int, budget: int) -> Iterator[np.ndarray]:
     """The span search's candidate coefficients, in search order.
 
     1. the basis sum, then each unit vector; the sum gets a block of its
@@ -186,7 +184,7 @@ def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
             yield sc[rows[:, None] // place % len(scalars)]
         return
     if order <= _NUMPY_DRAW_ORDER_LIMIT:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_SAMPLE_SEED)
         drawn = 0
         while drawn < budget:
             batch = min(_SAMPLE_BATCH, budget - drawn)
@@ -195,7 +193,7 @@ def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
                 yield sc[picks[lo:lo + _SPAN_BLOCK]]
             drawn += batch
         return
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
     draws = budget // max(1, n)
     for lo in range(0, draws, _SPAN_BLOCK):
         yield np.array([[scalars[rng.randrange(len(scalars))] for _ in range(dim)]
@@ -203,8 +201,8 @@ def _coefficient_blocks(order: int, scalars: list[int], dim: int, n: int,
                        dtype=np.int64)
 
 
-def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
-                      sample_budget: int = SAMPLE_BUDGET) -> tuple[int, ...]:
+def solve_all_nonzero(A: FMatrix, *,
+                      exhaust_limit: int = EXHAUST_LIMIT) -> tuple[int, ...]:
     """Counting route: a totally nonzero kernel vector over the full field.
 
     Hypotheses: deleting any single column leaves the rank unchanged, and
@@ -223,7 +221,7 @@ def solve_all_nonzero(A: FMatrix, *, exhaust_limit: int = EXHAUST_LIMIT,
     if not len(ns):
         raise HypothesisFailed("trivial kernel")  # pragma: no cover - rank check implies
     x = all_nonzero_in_span(F, ns, list(range(F.order)),
-                            exhaust_limit=exhaust_limit, sample_budget=sample_budget)
+                            exhaust_limit=exhaust_limit)
     if x is None:
         raise NotFound("no totally nonzero kernel vector found within budget")
     return _check_solution(A, x)

@@ -88,14 +88,14 @@ def projective_word_count(order: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_mds_minors(spec: GrsSpec, *, budget: int = DEFAULT_MINOR_BUDGET,
-                     chunk: int = _MINOR_CHUNK) -> MdsReport:
+def check_mds_minors(spec: GrsSpec, *,
+                     budget: int = DEFAULT_MINOR_BUDGET) -> MdsReport:
     n, k = spec.n, spec.k
     total = math.comb(n, k)
     if total > budget:
         return MdsReport(MdsStatus.BUDGET_EXCEEDED, "minors", 0,
                          f"C({n},{k}) = {total} > budget {budget}")
-    return check_matrix_minors(spec.field, generator_matrix(spec), chunk=chunk)
+    return check_matrix_minors(spec.field, generator_matrix(spec))
 
 
 def check_matrix_minors(F: FieldSpec, G: np.ndarray, *,
@@ -299,8 +299,7 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
 # ---------------------------------------------------------------------------
 
 
-def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINORS,
-                                 seed: int = _SAMPLE_SEED) -> MdsReport:
+def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     """Vandermonde-factorization argument, plus sampled minors as a tripwire.
 
     Any k columns of the matrix (v_i * a_i^j) form a Vandermonde matrix in
@@ -319,8 +318,8 @@ def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINOR
         return MdsReport(MdsStatus.FAILED, "structural", 0, "zero multiplier")
     total = math.comb(n, k)
     # stdlib RNG: C(n, k) routinely exceeds int64, numpy draws cannot
-    rng = random.Random(seed)
-    picks = min(samples, total)
+    rng = random.Random(_SAMPLE_SEED)
+    picks = min(_SAMPLED_MINORS, total)
     ranks = sorted({rng.randrange(total) for _ in range(picks)})
     cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
@@ -343,14 +342,13 @@ def structural_minor_certificate(spec: GrsSpec, *, samples: int = _SAMPLED_MINOR
 
 
 def check_mds(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
-              word_budget: int = DEFAULT_WORD_BUDGET,
-              samples: int = _SAMPLED_MINORS) -> MdsReport:
+              word_budget: int = DEFAULT_WORD_BUDGET) -> MdsReport:
     """Cheapest affordable complete route, structural certificate last."""
     if math.comb(spec.n, spec.k) <= minor_budget:
         return check_mds_minors(spec, budget=minor_budget)
     if projective_word_count(spec.field.order, spec.k) <= word_budget:
         return check_min_distance_exhaustive(spec, budget=word_budget)
-    return structural_minor_certificate(spec, samples=samples)
+    return structural_minor_certificate(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +375,7 @@ class CertBundle:
 
 
 def certify(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
-            word_budget: int = DEFAULT_WORD_BUDGET,
-            samples: int = _SAMPLED_MINORS) -> CertBundle:
+            word_budget: int = DEFAULT_WORD_BUDGET) -> CertBundle:
     """Run both self-orthogonality routes and the MDS ladder.
 
     The two self-orthogonality verdicts must agree; a split verdict is a
@@ -391,8 +388,7 @@ def certify(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
         raise VerificationMismatch(
             f"gram route says {gram_ok}, interpolation route says {interp_ok}"
             + (f" (first failing row j = {bad_j})" if bad_j is not None else ""))
-    mds = check_mds(spec, minor_budget=minor_budget, word_budget=word_budget,
-                    samples=samples)
+    mds = check_mds(spec, minor_budget=minor_budget, word_budget=word_budget)
     quantum = None
     if gram_ok and mds.ok and spec.n - 2 * spec.k >= 0:
         quantum = QuantumParams(spec.n, spec.n - 2 * spec.k, spec.k + 1,

@@ -9,7 +9,11 @@
 * the chunked codeword scan, one ``vcombine`` per batch of whole messages,
   that :func:`qgrs.verifier.check_min_distance_exhaustive` is held equal to;
 * the unit-by-unit walk over the powers of x that the field's exp/log
-  tables, built by companion-matrix doubling, are held equal to.
+  tables, built by companion-matrix doubling, are held equal to;
+* :class:`ScalarField`, one-at-a-time arithmetic on int codes computed
+  from the base-p digits and the modulus alone, that every ``FieldSpec.v*``
+  op is held equal to.  It reads none of the field's tables, so a defect in
+  them cannot hide behind the same defect in the reference.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from qgrs.errors import InvalidScenario
+from qgrs.errors import InvalidScenario, ZeroArgument
 from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import FieldSpec
 from qgrs.grs import GrsSpec, generator_matrix, singleton_distance
@@ -29,6 +33,123 @@ from qgrs.verifier import (
     MdsStatus,
     projective_word_count,
 )
+
+
+#: memoized ScalarField sums, negatives and products, per field: the span
+#: and distance references call add and mul millions of times on a few
+#: thousand distinct operands
+_MEMOS: dict[tuple, tuple[dict, dict, dict]] = {}
+_MEMO_CAP = 1 << 18
+
+
+class ScalarField:
+    """GF(q^2) arithmetic on single int codes, from ``F.p``, ``F.e``,
+    ``F.q``, ``F.order`` and ``F.modulus`` only.
+
+    A code's base-p digits are its residue polynomial, constant term first.
+    Addition is digitwise mod p; multiplication is the schoolbook product of
+    the two digit polynomials reduced by the modulus; everything else is
+    built from those two.
+    """
+
+    def __init__(self, F: FieldSpec) -> None:
+        self.p, self.q, self.order = F.p, F.q, F.order
+        self.d = 2 * F.e
+        self.modulus = tuple(F.modulus)
+        self._sums, self._negs, self._products = _MEMOS.setdefault(
+            (self.p, self.modulus), ({}, {}, {}))
+
+    @staticmethod
+    def _remember(memo: dict, key, value: int) -> int:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+        return value
+
+    def _digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.d):
+            a, c = divmod(a, self.p)
+            out.append(c)
+        return out
+
+    def _code(self, digits: list[int]) -> int:
+        out = 0
+        for c in reversed(digits):
+            out = out * self.p + c % self.p
+        return out
+
+    def add(self, a: int, b: int) -> int:
+        out = self._sums.get((a, b))
+        if out is None:
+            out = self._remember(self._sums, (a, b), self._code(
+                [x + y for x, y in zip(self._digits(a), self._digits(b))]))
+        return out
+
+    def neg(self, a: int) -> int:
+        out = self._negs.get(a)
+        if out is None:
+            out = self._remember(self._negs, a,
+                                 self._code([-x for x in self._digits(a)]))
+        return out
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        out = self._products.get((a, b))
+        if out is None:
+            out = self._remember(self._products, (a, b), self._product(a, b))
+        return out
+
+    def _product(self, a: int, b: int) -> int:
+        p, d, m = self.p, self.d, self.modulus
+        x, y = self._digits(a), self._digits(b)
+        prod = [0] * (2 * d - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    prod[i + j] += xi * yj
+        # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1)), top degree first
+        for top in range(2 * d - 2, d - 1, -1):
+            c = prod[top] % p
+            if c:
+                for j in range(d):
+                    prod[top - d + j] -= c * m[j]
+        return self._code(prod[:d])
+
+    def pow(self, a: int, n: int) -> int:
+        """a^n by square-and-multiply; 0^0 = 1, and a negative power of a
+        unit is a power of its inverse."""
+        if a == 0:
+            if n < 0:
+                raise ZeroArgument("negative power of zero")
+            return int(n == 0)
+        n %= self.order - 1
+        out = 1
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return out
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroArgument("inverse of zero")
+        return self.pow(a, self.order - 2)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def frobenius(self, a: int) -> int:
+        return self.pow(a, self.q)
+
+    def norm(self, a: int) -> int:
+        return self.pow(a, self.q + 1)
+
+    def in_base(self, a: int) -> bool:
+        return self.frobenius(a) == a
 
 
 @dataclass(frozen=True)
@@ -45,9 +166,10 @@ def brute_force_multiplier_search(F: FieldSpec, locators: tuple[int, ...],
     The gram conditions are linear in y, so y_0 may be fixed to 1.  The
     multipliers found are codes, the smallest-dlog norm preimages of y.
     """
+    S = ScalarField(F)
     n = len(locators)
     exps = [F.q * i + j for i in range(k) for j in range(k)]
-    powers = [[F.pow_code(a, e) for a in locators] for e in exps]
+    powers = [[S.pow(a, e) for a in locators] for e in exps]
     base_units = [c for c in F.base_codes() if c != 0]
     tried = 0
     for tail in iter_product(base_units, repeat=n - 1):
@@ -59,7 +181,7 @@ def brute_force_multiplier_search(F: FieldSpec, locators: tuple[int, ...],
         for row in powers:
             acc = 0
             for yi, pi in zip(y, row):
-                acc = F.add_codes(acc, F.mul_codes(yi, pi))
+                acc = S.add(acc, S.mul(yi, pi))
             if acc != 0:
                 good = False
                 break

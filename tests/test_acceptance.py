@@ -28,7 +28,7 @@ from qgrs.matrix import FMatrix
 from qgrs.solver import descend_to_base, solve_all_nonzero
 from qgrs.verifier import certify
 
-from oracle import all_valid_scenarios, enumerate_quotients
+from oracle import ScalarField, all_valid_scenarios, enumerate_quotients
 
 SWEEP_QS = (3, 4, 5, 7, 8, 9, 11, 13)
 SWEEP_N_MAX = 64
@@ -175,6 +175,7 @@ def test_criterion_6_solver_descent_properties():
     done = 0
     for q, target in ((5, 100), (7, 200)):
         F = field_for_q(q)
+        S = ScalarField(F)
         base_units = [c for c in F.base_codes() if c]
         while done < target:
             nrows = rng.randint(1, 4)
@@ -187,7 +188,7 @@ def test_criterion_6_solver_descent_properties():
                 x = descend_to_base(A, solve_all_nonzero(A))
             except QgrsError:
                 continue  # no totally nonzero solution for this draw
-            assert all(xi != 0 and F.in_base_code(xi) for xi in x)
+            assert all(xi != 0 and S.in_base(xi) for xi in x)
             assert all(v == 0 for v in A.mul_vec(x))
             done += 1
     # the unique-kernel route is exercised by every family-2/3 build; its
@@ -233,11 +234,12 @@ def _mutate(rng, spec, same_norm):
     `same_norm` picks which side of that dichotomy to draw from.
     """
     F = spec.field
+    S = ScalarField(F)
     i = rng.randrange(spec.n)
     old = spec.multipliers[i]
-    old_norm = F.norm_code(old)
+    old_norm = S.norm(old)
     candidates = [c for c in range(1, F.order)
-                  if c != old and (F.norm_code(c) == old_norm) == same_norm]
+                  if c != old and (S.norm(c) == old_norm) == same_norm]
     mutated = list(spec.multipliers)
     mutated[i] = candidates[rng.randrange(len(candidates))]
     return GrsSpec(F, spec.locators, tuple(mutated), spec.k)

@@ -15,29 +15,32 @@ from qgrs.field import make_field
 from qgrs.matrix import FMatrix
 
 import oracle
+from oracle import ScalarField
 
 
 def test_digit_sum_matches_scalar():
     for (p, e) in [(3, 1), (2, 2), (5, 1)]:
         F = make_field(p, e)
+        S = ScalarField(F)
         rng = random.Random(p)
         arr = np.array([[rng.randrange(F.order) for _ in range(7)] for _ in range(5)])
         got = bulk.digit_sum(F, arr, axis=1)
         for i in range(5):
             acc = 0
             for c in arr[i]:
-                acc = F.add_codes(acc, int(c))
+                acc = S.add(acc, int(c))
             assert got[i] == acc
 
 
 def test_power_codes_matches_scalar():
     F = make_field(3, 1)
+    S = ScalarField(F)
     bases = np.array([0, 1, 3, 7], dtype=np.int64)
     exps = np.array([0, 1, 2, 5], dtype=np.int64)
     got = bulk.power_codes(F, bases, exps)
     for ei, e in enumerate(exps):
         for bi, b in enumerate(bases):
-            assert got[ei, bi] == F.pow_code(int(b), int(e))
+            assert got[ei, bi] == S.pow(int(b), int(e))
 
 
 def test_newton_degree_detection():
@@ -54,9 +57,10 @@ def test_newton_degree_detection():
 
 
 def _horner(F, coeffs, x):
+    S = ScalarField(F)
     acc = 0
     for c in reversed(coeffs):
-        acc = F.add_codes(F.mul_codes(acc, x), c)
+        acc = S.add(S.mul(acc, x), c)
     return acc
 
 
@@ -64,6 +68,7 @@ def _horner(F, coeffs, x):
                          ids=["GF9", "GF4096", "GF6561"])
 def test_newton_matches_scalar_divided_differences(p, e):
     F = make_field(p, e)
+    S = ScalarField(F)
     rng = random.Random(5 + F.order)
     n = 9
     nodes = rng.sample(range(F.order), n)
@@ -74,8 +79,8 @@ def test_newton_matches_scalar_divided_differences(p, e):
         dd = list(row)
         for t in range(1, n):
             for i in range(n - 1, t - 1, -1):
-                num = F.sub_codes(dd[i], dd[i - 1])
-                dd[i] = F.div_codes(num, F.sub_codes(nodes[i], nodes[i - t]))
+                num = S.sub(dd[i], dd[i - 1])
+                dd[i] = S.div(num, S.sub(nodes[i], nodes[i - t]))
         assert got[r].tolist() == dd
 
 
@@ -83,6 +88,7 @@ def _planted_minor_stack(F, k, rng):
     """k x k code matrices: random ones, plus ones with a zero column, a
     repeated row, a row proportional to another, and nonsingular ones whose
     (0, 0) entry is zero, so the elimination must swap in a pivot row."""
+    S = ScalarField(F)
     def rand():
         return [[rng.randrange(F.order) for _ in range(k)] for _ in range(k)]
     mats = [rand() for _ in range(120)]
@@ -100,7 +106,7 @@ def _planted_minor_stack(F, k, rng):
             mats.append(m)
             m = rand()
             c = rng.randrange(1, F.order)
-            m[i] = [F.mul_codes(c, x) for x in m[j]]
+            m[i] = [S.mul(c, x) for x in m[j]]
             mats.append(m)
         swaps = 0
         while swaps < 30:

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qgrs.cli as cli
+from qgrs import verifier
 from qgrs.cli import decode_document, encode_document, main
 from qgrs.constructions import construct
 from qgrs.errors import NotFound, SchemaError
@@ -91,6 +92,17 @@ def test_decode_rejects_huge_field_quickly(p, e):
     with pytest.raises(SchemaError, match="exceeds limit"):
         decode_document(doc)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("provenance", [[1, {"a": 2}], "family 1", 3, True],
+                         ids=["list", "string", "int", "bool"])
+def test_decode_rejects_non_object_provenance(provenance):
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
+    doc["provenance"] = provenance
+    with pytest.raises(SchemaError, match="provenance must be an object"):
+        decode_document(doc)
+    doc["provenance"] = None   # null is the encoding of no provenance
+    assert decode_document(doc).provenance is None
 
 
 def test_decode_rejects_wrong_modulus():
@@ -263,6 +275,47 @@ def test_verify_rejects_malformed_json(tmp_path, runner):
     assert "invalid JSON" in res.output
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[" * 200000 + b"]" * 200000,
+                                 b'{"k": "\xe9"}'],
+                         ids=["bom-bytes", "deep-nesting", "latin-1"])
+def test_verify_rejects_unreadable_documents(tmp_path, runner, raw):
+    # bad UTF-8 and nesting past the parser's depth are both invalid JSON
+    p = tmp_path / "raw.json"
+    p.write_bytes(raw)
+    res = runner.invoke(main, ["verify", str(p)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "invalid JSON" in res.output
+
+
+def _split_routes(monkeypatch, split=lambda spec: True):
+    """Make the interpolation route fail on the specs ``split`` picks, while
+    the gram route still passes: certify then raises VerificationMismatch."""
+    real = verifier.dual_containment_check
+    monkeypatch.setattr(verifier, "dual_containment_check",
+                        lambda spec: (False, 0) if split(spec) else real(spec))
+
+
+def test_construct_exit_3_on_route_split(runner, monkeypatch):
+    _split_routes(monkeypatch)
+    res = runner.invoke(main, ["construct", "--theorem", "1", "--q", "7",
+                               "--h", "8", "--r", "5", "--k", "5"])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "construction failed: VerificationMismatch: gram route says True" in res.stderr
+
+
+def test_verify_exit_3_on_route_split(tmp_path, runner, monkeypatch):
+    out, _ = _doc(tmp_path, runner, ["construct", "--family", "2", "--q", "5",
+                                     "--h", "6", "--r", "5", "--k", "4"])
+    _split_routes(monkeypatch)
+    res = runner.invoke(main, ["verify", str(out)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert ("certification FAILED: VerificationMismatch: gram route says True, "
+            "interpolation route says False (first failing row j = 0)") in res.stderr
+
+
 def test_index_list_parsing(tmp_path, runner):
     out, res = _doc(tmp_path, runner,
                     ["construct", "--family", "5", "--q", "5", "--h", "4",
@@ -309,6 +362,22 @@ def test_enumerate_reports_failing_cell_and_exits_3(runner, monkeypatch):
     assert res.exit_code == 3
     assert "cell family=2 q=5 h=6 r=5 k=4: NotFound: planted failure" in res.stderr
     # every other row is unchanged; the failing one reports both checks failed
+    assert res.stdout == healthy.stdout.replace("2,5,6,5,4,20,12,5,True,True",
+                                                "2,5,6,5,4,20,12,5,False,False")
+    assert "failed=1" in res.stderr
+
+
+def test_enumerate_reports_route_split_and_exits_3(runner, monkeypatch):
+    args = ["enumerate", "--max-q", "5", "--max-n", "24", "--threads", "1"]
+    healthy = runner.invoke(main, args)
+    _split_routes(monkeypatch, lambda spec: (spec.field.q, spec.n, spec.k) == (5, 20, 4)
+                  and spec.provenance["family"] == 2)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert ("cell family=2 q=5 h=6 r=5 k=4: VerificationMismatch: gram route "
+            "says True, interpolation route says False") in res.stderr
+    # the enumeration goes on: only the split cell's row changes
     assert res.stdout == healthy.stdout.replace("2,5,6,5,4,20,12,5,True,True",
                                                 "2,5,6,5,4,20,12,5,False,False")
     assert "failed=1" in res.stderr

@@ -39,7 +39,7 @@ from qgrs.grs import GrsSpec, hermitian_gram
 from qgrs.matrix import FMatrix
 from qgrs.verifier import certify
 
-from oracle import brute_force_multiplier_search, enumerate_quotients
+from oracle import ScalarField, brute_force_multiplier_search, enumerate_quotients
 
 
 def _lift(spec):
@@ -163,28 +163,30 @@ def test_index_lists_checked_for_shape_and_collision():
 
 def _split_code(F, a):
     """Scalar reference for the fallback's split: a = a0 + a1 * g."""
-    aq = F.frobenius_code(a)
+    S = ScalarField(F)
+    aq = S.frobenius(a)
     g = int(F.vexp(1))
-    denom = F.sub_codes(g, F.frobenius_code(g))
-    a1 = F.div_codes(F.sub_codes(a, aq), denom)
-    a0 = F.sub_codes(a, F.mul_codes(a1, g))
+    denom = S.sub(g, S.frobenius(g))
+    a1 = S.div(S.sub(a, aq), denom)
+    a0 = S.sub(a, S.mul(a1, g))
     return a0, a1
 
 
 def test_profile_system_matches_scalar_split():
     for q in (4, 5, 9):
         F = field_for_q(q)
+        S = ScalarField(F)
         g = int(F.vexp(1))
         for a in range(F.order):
             a0, a1 = _split_code(F, a)
-            assert F.in_base_code(a0) and F.in_base_code(a1)
-            assert F.add_codes(a0, F.mul_codes(a1, g)) == a
+            assert S.in_base(a0) and S.in_base(a1)
+            assert S.add(a0, S.mul(a1, g)) == a
         locators = [0] + F.vexp(np.arange(0, F.order - 1, 3)).tolist()
         for k in (1, 2, 3):
             rows = []
             for i in range(k):
                 for j in range(k):
-                    halves = [_split_code(F, F.pow_code(a, q * i + j))
+                    halves = [_split_code(F, S.pow(a, q * i + j))
                               for a in locators]
                     rows += [tuple(h[0] for h in halves), tuple(h[1] for h in halves)]
             got = _profile_system(F, locators, k).array.tolist()
@@ -196,6 +198,7 @@ def test_full_unit_group_gf16_has_no_k3_profile():
     # solution space is 6-dimensional and none of its 4^6 vectors is totally
     # nonzero — checked here in full, not sampled
     F = field_for_q(4)
+    S = ScalarField(F)
     locators = tuple(F.vexp(np.arange(15)).tolist())
     kern = _profile_system(F, locators, 3).nullspace()
     assert len(kern) == 6
@@ -207,7 +210,7 @@ def test_full_unit_group_gf16_has_no_k3_profile():
             if c == 0:
                 continue
             for idx, r in enumerate(row):
-                vec[idx] = F.add_codes(vec[idx], F.mul_codes(c, r))
+                vec[idx] = S.add(vec[idx], S.mul(c, r))
         if all(vec):
             hits += 1
     assert hits == 0
@@ -251,17 +254,18 @@ def test_zero_union_strict_coset_bound_is_load_bearing():
                 if c == 0:
                     continue
                 for i, v in enumerate(row):
-                    vec[i] = F.add_codes(vec[i], F.mul_codes(c, v))
+                    vec[i] = S.add(vec[i], S.mul(c, v))
             if all(vec) and (not base_only
-                             or all(F.in_base_code(v) for v in vec)):
+                             or all(S.in_base(v) for v in vec)):
                 hits += 1
         return hits
 
     F = field_for_q(4)
+    S = ScalarField(F)
     alpha = int(F.vexp(3))
     rows = [[1] * 5]
     for u in (2, 3):
-        rows.append([0] + [F.pow_code(alpha, l * u) for l in range(1, 5)])
+        rows.append([0] + [S.pow(alpha, l * u) for l in range(1, 5)])
     kern = FMatrix(F, rows).nullspace()
     assert _exhaust(F, kern, 5) == 0
 
@@ -274,10 +278,11 @@ def test_zero_union_strict_coset_bound_is_load_bearing():
     assert _exhaust(F, full_kern, 13) == 0
 
     F8 = field_for_q(8)
+    S8 = ScalarField(F8)
     alpha8 = int(F8.vexp(7))
     rows = [[1] * 9]
     for u in range(2, 8):
-        rows.append([0] + [F8.pow_code(alpha8, l * u) for l in range(1, 9)])
+        rows.append([0] + [S8.pow(alpha8, l * u) for l in range(1, 9)])
     kern8 = FMatrix(F8, rows).nullspace()
     assert len(kern8) == 2
     hits = 0
@@ -287,8 +292,8 @@ def test_zero_union_strict_coset_bound_is_load_bearing():
             if c == 0:
                 continue
             for i, v in enumerate(row):
-                vec[i] = F8.add_codes(vec[i], F8.mul_codes(c, v))
-        if all(vec) and all(F8.in_base_code(v) for v in vec):
+                vec[i] = S8.add(vec[i], S8.mul(c, v))
+        if all(vec) and all(S8.in_base(v) for v in vec):
             hits += 1
     assert hits == 0
 
@@ -332,16 +337,17 @@ def test_geometric_series_vanishing(q, h):
     # sum over a coset of order m of the E-th powers collapses: m copies of
     # the unit when m | E, zero otherwise
     F = field_for_q(q)
+    S = ScalarField(F)
     m = (q * q - 1) // h
     theta = int(F.vexp(h))
     m_bar = F.embed_int(m)
     for E in range(2 * m + 3):
         total = 0
         acc = 1
-        step = F.pow_code(theta, E)
+        step = S.pow(theta, E)
         for _ in range(m):
-            total = F.add_codes(total, acc)
-            acc = F.mul_codes(acc, step)
+            total = S.add(total, acc)
+            acc = S.mul(acc, step)
         expected = m_bar if E % m == 0 else 0
         assert total == expected, (q, h, E)
 
@@ -357,6 +363,7 @@ def test_nonvanishing_pairs_match_quotient_prediction(kind, q, s, t):
     # integer walk, and the closed form
     sc = Scenario(kind, q, s, t)
     F = field_for_q(q)
+    S = ScalarField(F)
     m, off, k = sc.m, sc.offset, sc.k_max
     theta = int(F.vexp(sc.h))
     seen = set()
@@ -365,10 +372,10 @@ def test_nonvanishing_pairs_match_quotient_prediction(kind, q, s, t):
             E = q * i + j + off
             total = 0
             acc = 1
-            step = F.pow_code(theta, E)
+            step = S.pow(theta, E)
             for _ in range(m):
-                total = F.add_codes(total, acc)
-                acc = F.mul_codes(acc, step)
+                total = S.add(total, acc)
+                acc = S.mul(acc, step)
             if total:
                 seen.add(E // m)
     assert seen == set(enumerate_quotients(q, m, off, k))
@@ -389,8 +396,9 @@ def test_construction_is_deterministic():
 def test_multiplier_mutation_breaks_orthogonality():
     spec = construct(1, 7, 8, 5, 5)
     F = spec.field
+    S = ScalarField(F)
     mutated = list(spec.multipliers)
-    mutated[3] = F.mul_codes(mutated[3], int(F.vexp(1)))
+    mutated[3] = S.mul(mutated[3], int(F.vexp(1)))
     bad = GrsSpec(F, spec.locators, tuple(mutated), spec.k)
     assert hermitian_gram(bad).any()
 

@@ -2,8 +2,9 @@
 
 Small valid documents are mangled (wrong types, huge or negative field
 parameters, out-of-range or repeated logs, dropped keys, extra entries) and
-handed to ``qgrs verify``: whatever the mangling, it must answer with an
-exit code in {0, 1, 2} and never with a traceback.  A second property
+handed to ``qgrs verify``, as are raw byte strings (bad UTF-8, cut or stray
+brackets): whatever the input, it must answer with an exit code in
+{0, 1, 2} and never with a traceback.  A second property
 checks that encoding then decoding a code is the identity.
 """
 from __future__ import annotations
@@ -66,11 +67,23 @@ def mangled_documents(draw):
     return doc if wrap < 8 else [doc] if wrap == 8 else draw(_SCALARS)
 
 
-@settings(max_examples=150, deadline=None)
-@given(mangled_documents())
-def test_verify_survives_mangled_documents(tmp_path_factory, doc):
+@st.composite
+def raw_documents(draw):
+    """Any byte string, or an encoded document with a slice of it replaced
+    by arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    raw = json.dumps(draw(st.sampled_from(_BASES))).encode()
+    i = draw(st.integers(0, len(raw)))
+    j = draw(st.integers(i, min(len(raw), i + 8)))
+    return raw[:i] + draw(st.binary(max_size=8)) + raw[j:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mangled_documents().map(lambda doc: json.dumps(doc).encode()) | raw_documents())
+def test_verify_survives_mangled_documents(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(raw)
     res = CliRunner().invoke(main, ["verify", str(path), "--minor-budget", "1000",
                                     "--word-budget", "1000"])
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output

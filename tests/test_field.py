@@ -30,7 +30,7 @@ from qgrs.field import (
     prime_power_decompose,
 )
 
-from oracle import stepped_exp_log
+from oracle import ScalarField, stepped_exp_log
 
 # (p, e) -> canonical modulus of degree 2e, ascending coefficients
 FROZEN_MODULI = {
@@ -143,109 +143,102 @@ def test_dlog_zero_raises():
     with pytest.raises(ZeroArgument):
         F.dlog_code(0)
     with pytest.raises(ZeroArgument):
-        F.inv_code(0)
+        ScalarField(F).inv(0)
+    assert F.vinv(0) == 0
 
 
-def _exhaustive_pairs(F):
-    return [(a, b) for a in range(F.order) for b in range(F.order)]
+def _field_axioms(F, a, b, c):
+    """The field axioms on the v* ops, over broadcast arrays of codes."""
+    add, mul = F.vadd, F.vmul
+    assert (add(a, 0) == a).all() and (mul(a, 1) == a).all()
+    assert (add(a, F.vneg(a)) == 0).all() and (F.vsub(a, a) == 0).all()
+    units = a[a != 0]
+    assert (mul(units, F.vinv(units)) == 1).all()
+    assert (add(a, b) == add(b, a)).all() and (mul(a, b) == mul(b, a)).all()
+    assert (add(add(a, b), c) == add(a, add(b, c))).all()
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
+    assert (F.vsub(add(a, b), b) == a).all()
+    assert (np.where(b == 0, a, mul(mul(a, F.vinv(b)), b)) == a).all()
 
 
-def test_ring_axioms_gf9_exhaustive():
-    F = make_field(3, 1)
-    add, mul = F.add_codes, F.mul_codes
-    for a in range(F.order):
-        assert add(a, 0) == a
-        assert mul(a, 1) == a
-        assert add(a, F.neg_code(a)) == 0
-        if a:
-            assert mul(a, F.inv_code(a)) == 1
-    for a, b in _exhaustive_pairs(F):
-        assert add(a, b) == add(b, a)
-        assert mul(a, b) == mul(b, a)
-    for a in range(9):
-        for b in range(F.order):
-            for c in range(F.order):
-                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)],
+                         ids=["GF9", "GF16", "GF25"])
+def test_ring_axioms_exhaustive(p, e):
+    F = make_field(p, e)
+    _field_axioms(F, *np.meshgrid(*[np.arange(F.order)] * 3, indexing="ij",
+                                  sparse=True))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 168), st.integers(0, 168), st.integers(0, 168))
-def test_ring_axioms_gf169_sampled(a, b, c):
-    F = make_field(13, 1)
-    add, mul = F.add_codes, F.mul_codes
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert F.sub_codes(a, a) == 0
-    if b:
-        assert mul(F.div_codes(a, b), b) == a
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 168)] * 3), min_size=1, max_size=64))
+def test_ring_axioms_gf169_sampled(triples):
+    _field_axioms(make_field(13, 1), *np.array(triples).T)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
 def test_frobenius_is_field_automorphism(p, e):
     F = make_field(p, e)
-    q = F.q
-    frob = F.frobenius_code
-    for a in range(F.order):
-        assert frob(a) == F.pow_code(a, q)
-        assert frob(frob(a)) == a  # order two on GF(q^2)
-    for a in range(F.order):
-        for b in range(0, F.order, max(1, F.order // 16)):
-            assert frob(F.add_codes(a, b)) == F.add_codes(frob(a), frob(b))
-            assert frob(F.mul_codes(a, b)) == F.mul_codes(frob(a), frob(b))
+    S = ScalarField(F)
+    a, b = np.arange(F.order)[:, None], np.arange(F.order)
+
+    def frob(x):
+        return F.vpow(x, F.q)
+
+    assert frob(b).tolist() == [S.frobenius(x) for x in range(F.order)]
+    assert (frob(frob(b)) == b).all()  # order two on GF(q^2)
+    assert (frob(F.vadd(a, b)) == F.vadd(frob(a), frob(b))).all()
+    assert (frob(F.vmul(a, b)) == F.vmul(frob(a), frob(b))).all()
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (7, 1)])
 def test_norm_maps_onto_base_field(p, e):
     F = make_field(p, e)
     q = F.q
-    counts = {}
-    for a in range(F.order):
-        na = F.norm_code(a)
-        assert na == F.pow_code(a, q + 1)
-        assert F.in_base_code(na)
-        if a:
-            counts[na] = counts.get(na, 0) + 1
+    norms = F.vpow(np.arange(F.order), q + 1)
+    assert norms.tolist() == [ScalarField(F).norm(a) for a in range(F.order)]
     # the norm is (q+1)-to-1 onto the base units
-    assert set(counts.values()) == {q + 1}
-    assert len(counts) == q - 1
+    values, counts = np.unique(norms[1:], return_counts=True)
+    assert set(counts.tolist()) == {q + 1}
+    assert values.tolist() == [c for c in F.base_codes() if c]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (2, 2)])
 def test_solve_norm_minimal_preimage(p, e):
     F = make_field(p, e)
-    q = F.q
+    S = ScalarField(F)
+    # norms[i] is the norm of g^i, so norms.index(u) is the minimal
+    # discrete log over every preimage of u
+    norms = [S.norm(g) for g in F.vexp(np.arange(F.order - 1)).tolist()]
     base_units = [c for c in F.base_codes() if c]
     for u, v in zip(base_units, F.vsolve_norm(base_units).tolist()):
-        assert F.pow_code(v, q + 1) == u
-        # brute-force the minimal discrete log over every preimage
-        best = min(i for i in range(F.order - 1)
-                   if F.pow_code(int(F.vexp(i)), q + 1) == u)
-        assert F.dlog_code(v) == best
+        assert S.norm(v) == u
+        assert F.dlog_code(v) == norms.index(u)
 
 
 def test_solve_norm_rejections():
     F = make_field(3, 1)
     with pytest.raises(ZeroArgument):
         F.vsolve_norm([1, 0])
-    outside = next(a for a in range(1, F.order) if not F.in_base_code(a))
+    outside = next(a for a in range(1, F.order) if not ScalarField(F).in_base(a))
     with pytest.raises(NotInBaseField):
         F.vsolve_norm([1, outside])
 
 
 def test_in_base_matches_fixed_points():
     F = make_field(5, 1)
-    for a in range(F.order):
-        assert F.in_base_code(a) == (F.frobenius_code(a) == a)
+    S = ScalarField(F)
+    assert F.base_codes() == [a for a in range(F.order) if S.in_base(a)]
     assert len(F.base_codes()) == F.q
 
 
 def test_zero_power_zero_is_one():
     F = make_field(3, 1)
-    assert F.pow_code(0, 0) == 1
-    assert F.pow_code(0, 3) == 0
+    assert F.vpow([0, 0, 2], [0, 3, 0]).tolist() == [1, 0, 1]
+    S = ScalarField(F)
+    assert (S.pow(0, 0), S.pow(0, 3), S.pow(2, 0)) == (1, 0, 1)
     with pytest.raises(ZeroArgument):
-        F.pow_code(0, -1)
+        S.pow(0, -1)
 
 
 def test_embed_int():
@@ -256,9 +249,11 @@ def test_embed_int():
 
 def test_characteristic_two_addition_is_xor():
     F = make_field(2, 2)
-    for a, b in _exhaustive_pairs(F):
-        assert F.add_codes(a, b) == a ^ b
-        assert F.neg_code(a) == a
+    S = ScalarField(F)
+    a, b = np.divmod(np.arange(F.order ** 2), F.order)
+    assert (F.vadd(a, b) == a ^ b).all()
+    assert [S.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == (a ^ b).tolist()
+    assert (F.vneg(b) == b).all()
 
 
 # GF(3^10) is past the spread cap: its odd-p addition reduces each base-q
@@ -278,41 +273,64 @@ def _operands(F, rng, size):
     return x
 
 
+def _vector_op_mismatches(F, a, b):
+    """The pairs (x, y) of ``a`` and ``b`` where vadd, vsub, vmul, vneg or
+    vinv differ from the oracle.  vinv(x) is held to the oracle's product:
+    x * y = 1 has one solution, and vinv(0) is 0."""
+    S = ScalarField(F)
+    got = zip(a.tolist(), b.tolist(), F.vadd(a, b).tolist(),
+              F.vsub(a, b).tolist(), F.vmul(a, b).tolist(),
+              F.vneg(a).tolist(), F.vinv(a).tolist())
+    return [(x, y) for x, y, s, d, m, n, i in got
+            if (s, d, m, n, S.mul(x, i)) != (S.add(x, y), S.sub(x, y),
+                                             S.mul(x, y), S.neg(x), int(x != 0))]
+
+
 @pytest.mark.parametrize("pe", VECTOR_FIELDS, ids=_vector_field_id)
 def test_vector_ops_match_scalar_ops(pe):
     F = make_field(*pe)
     rng = np.random.default_rng(F.order)
     a = _operands(F, rng, 3000)
     b = np.roll(_operands(F, rng, 3000), 4)   # zero against nonzero too
-    got = (F.vadd(a, b), F.vsub(a, b), F.vmul(a, b), F.vneg(a), F.vinv(a))
-    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-        want = (F.add_codes(x, y), F.sub_codes(x, y), F.mul_codes(x, y),
-                F.neg_code(x), F.inv_code(x) if x else 0)
-        assert tuple(int(g[i]) for g in got) == want, (x, y)
+    assert not _vector_op_mismatches(F, a, b)
     if F.order <= 256:   # every pair, including both operands zero
         x, y = np.divmod(np.arange(F.order ** 2), F.order)
-        want = [F.add_codes(u, v) for u, v in zip(x.tolist(), y.tolist())]
-        assert F.vadd(x, y).tolist() == want
-        want = [F.mul_codes(u, v) for u, v in zip(x.tolist(), y.tolist())]
-        assert F.vmul(x, y).tolist() == want
+        assert not _vector_op_mismatches(F, x, y)
+        units = np.arange(1, F.order)
+        assert F.vinv(units).tolist() == [ScalarField(F).inv(u) for u in units.tolist()]
+
+
+def test_oracle_catches_a_log_table_defect():
+    # a private GF(81), so the cached one keeps its tables; with the logs of
+    # two units swapped, vmul(a, 1) reads b.  A reference that looked up the
+    # same tables would make the same mistake and agree.
+    F = FieldSpec(3, 2, 1 << 20)
+    a, b = 5, 7
+    F._log[[a, b]] = F._log[[b, a]]
+    assert F.vmul(a, 1) == b
+    x, y = np.divmod(np.arange(F.order ** 2), F.order)
+    assert (a, 1) in _vector_op_mismatches(F, x, y)
+    assert not _vector_op_mismatches(make_field(3, 2), x, y)
 
 
 @pytest.mark.parametrize("pe", VECTOR_FIELDS, ids=_vector_field_id)
 def test_fused_primitives_match_scalar_ops(pe):
     F = make_field(*pe)
+    S = ScalarField(F)
     rng = np.random.default_rng(F.order + 1)
     a, x, r = (_operands(F, rng, 600) for _ in range(3))
     t = rng.integers(1, F.order, 600)
     got = F.veliminate(a, x, r, t)
     for i in range(600):
-        xr = F.mul_codes(int(x[i]), int(r[i]))
-        assert got[i] == F.sub_codes(int(a[i]), F.div_codes(xr, int(t[i])))
+        # got = a - x * r / t, that is (a - got) * t = x * r as t != 0
+        assert (S.mul(S.sub(int(a[i]), int(got[i])), int(t[i]))
+                == S.mul(int(x[i]), int(r[i])))
     # broadcast as one elimination step uses it, and the default t = 1
     got = F.veliminate(a[:40].reshape(8, 5), x[:8, None], r[None, :5])
     for i in range(8):
         for j in range(5):
-            xr = F.mul_codes(int(x[i]), int(r[j]))
-            assert got[i, j] == F.sub_codes(int(a[5 * i + j]), xr)
+            xr = S.mul(int(x[i]), int(r[j]))
+            assert got[i, j] == S.sub(int(a[5 * i + j]), xr)
     coeffs = _operands(F, rng, 30 * 7).reshape(30, 7)
     rows = _operands(F, rng, 7 * 11).reshape(7, 11)
     got = F.vcombine(coeffs, rows)
@@ -320,7 +338,7 @@ def test_fused_primitives_match_scalar_ops(pe):
         for j in range(11):
             acc = 0
             for d in range(7):
-                acc = F.add_codes(acc, F.mul_codes(int(coeffs[i, d]), int(rows[d, j])))
+                acc = S.add(acc, S.mul(int(coeffs[i, d]), int(rows[d, j])))
             assert got[i, j] == acc
     prods = F.vprod(coeffs, axis=1)
     exps = rng.integers(0, 3 * F.order, 30)
@@ -328,9 +346,9 @@ def test_fused_primitives_match_scalar_ops(pe):
     for i in range(30):
         acc = 1
         for c in coeffs[i].tolist():
-            acc = F.mul_codes(acc, c)
+            acc = S.mul(acc, c)
         assert prods[i] == acc
-        assert pows[i] == F.pow_code(int(coeffs[i, 0]), int(exps[i]))
+        assert pows[i] == S.pow(int(coeffs[i, 0]), int(exps[i]))
 
 
 def test_check_modulus():
@@ -366,6 +384,6 @@ def test_from_coeffs_roundtrip():
     x = sum(c * 3 ** i for i, c in enumerate((2, 1, 0, 2)))
     assert _digits(F, x) == (2, 1, 0, 2)
     assert x == 2 + 1 * 3 + 2 * 27
-    assert _digits(F, F.mul_codes(3, 2 + 3)) == (0, 2, 1, 0)   # x * (2 + x)
-    top = F.mul_codes(3, 27)                                    # x * x^3
+    assert _digits(F, F.vmul(3, 2 + 3)) == (0, 2, 1, 0)   # x * (2 + x)
+    top = F.vmul(3, 27)                                    # x * x^3
     assert _digits(F, top) == tuple(-c % 3 for c in F.modulus[:4])

@@ -23,6 +23,8 @@ from qgrs.grs import (
     singleton_distance,
 )
 
+from oracle import ScalarField
+
 
 def _full_field_spec(F, k):
     return GrsSpec(F, tuple(range(F.order)), (1,) * F.order, k)
@@ -30,6 +32,7 @@ def _full_field_spec(F, k):
 
 def test_full_length_unit_code_gf9():
     F = make_field(3, 1)
+    S = ScalarField(F)
     ok2 = _full_field_spec(F, 2)
     assert not hermitian_gram(ok2).any()
     assert dual_containment_check(ok2) == (True, None)
@@ -38,7 +41,7 @@ def test_full_length_unit_code_gf9():
     gram = hermitian_gram(bad3)
     assert gram.any()
     # the offending entry is (i, j) = (2, 2): power sum of x^8 = -1
-    assert gram[2, 2] == F.neg_code(1)
+    assert gram[2, 2] == S.neg(1)
     ok_dual, bad_j = dual_containment_check(bad3)
     assert not ok_dual
     assert bad_j == 2
@@ -46,13 +49,14 @@ def test_full_length_unit_code_gf9():
 
 def test_generator_matrix_frozen_gf4():
     F = make_field(2, 2)
+    S = ScalarField(F)
     w = int(F.vexp(1))
     spec = GrsSpec(F, (0, 1, w), (1, 1, w), k=2)
     G = generator_matrix(spec)
     assert G.shape == (2, 3) and G.dtype == np.int64
     # row 0: multipliers times a^0 (0^0 = 1), row 1: multipliers times a
     assert G[0].tolist() == [1, 1, w]
-    assert G[1].tolist() == [0, 1, F.mul_codes(w, w)]
+    assert G[1].tolist() == [0, 1, S.mul(w, w)]
 
 
 def test_zero_locator_power_convention():
@@ -91,6 +95,7 @@ def test_lagrange_weights_frozen():
                          ids=["GF9", "GF16", "GF169", "GF4096", "GF6561"])
 def test_lagrange_weights_match_scalar_products(p, e):
     F = make_field(p, e)
+    S = ScalarField(F)
     rng = random.Random(F.order)
     for n in (1, 2, 5, min(F.order, 40)):
         codes = rng.sample(range(F.order), n)
@@ -99,7 +104,7 @@ def test_lagrange_weights_match_scalar_products(p, e):
             acc = 1
             for j, aj in enumerate(codes):
                 if j != i:
-                    acc = F.mul_codes(acc, F.sub_codes(ai, aj))
+                    acc = S.mul(acc, S.sub(ai, aj))
             want.append(acc)
         assert lagrange_weights(F, codes).tolist() == want
 
@@ -132,6 +137,7 @@ def test_dual_check_k_equals_n():
 def test_exhaustive_distance_is_singleton_for_tiny_grs():
     # brute-force oracle: every nonzero message, minimum weight == n-k+1
     F = make_field(3, 1)
+    S = ScalarField(F)
     rng = random.Random(8)
     loc_codes = rng.sample(range(F.order), 4)
     spec = GrsSpec(F, tuple(loc_codes),
@@ -142,7 +148,7 @@ def test_exhaustive_distance_is_singleton_for_tiny_grs():
         for m1 in range(F.order):
             if m0 == m1 == 0:
                 continue
-            word = [F.add_codes(F.mul_codes(m0, int(G[0, i])),
-                                F.mul_codes(m1, int(G[1, i]))) for i in range(spec.n)]
+            word = [S.add(S.mul(m0, int(G[0, i])), S.mul(m1, int(G[1, i])))
+                    for i in range(spec.n)]
             best = min(best, sum(1 for c in word if c))
     assert best == singleton_distance(spec.n, spec.k) == 3

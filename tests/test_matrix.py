@@ -11,6 +11,8 @@ from qgrs.errors import WrongShape
 from qgrs.field import make_field
 from qgrs.matrix import FMatrix
 
+from oracle import ScalarField
+
 
 def _random_matrix(F, rng, nrows, ncols):
     return FMatrix(F, [[rng.randrange(F.order) for _ in range(ncols)]
@@ -19,6 +21,7 @@ def _random_matrix(F, rng, nrows, ncols):
 
 def _reference_rref(F, rows, ncols):
     """Row reduction one scalar op at a time: the reference for rref()."""
+    S = ScalarField(F)
     rows = [list(r) for r in rows]
     pivots = []
     pr = 0  # pivot row cursor
@@ -31,13 +34,13 @@ def _reference_rref(F, rows, ncols):
         if sel is None:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = F.inv_code(rows[pr][col])
+        inv = S.inv(rows[pr][col])
         if inv != 1:
-            rows[pr] = [F.mul_codes(inv, c) for c in rows[pr]]
+            rows[pr] = [S.mul(inv, c) for c in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [F.sub_codes(a, F.mul_codes(f, b))
+                rows[i] = [S.sub(a, S.mul(f, b))
                            for a, b in zip(rows[i], rows[pr])]
         pivots.append(col)
         pr += 1
@@ -49,6 +52,7 @@ def _reference_rref(F, rows, ncols):
 def _rank_deficient(F, rng, nrows, ncols):
     """Random rows, then some replaced by zero rows or by combinations of
     two others, so rank < min(nrows, ncols) is common."""
+    S = ScalarField(F)
     rows = [[rng.randrange(F.order) for _ in range(ncols)] for _ in range(nrows)]
     for i in range(nrows):
         kind = rng.randrange(4)
@@ -57,7 +61,7 @@ def _rank_deficient(F, rng, nrows, ncols):
         elif kind == 1 and nrows > 2:
             a, b = rng.sample([j for j in range(nrows) if j != i], 2)
             ca, cb = rng.randrange(F.order), rng.randrange(F.order)
-            rows[i] = [F.add_codes(F.mul_codes(ca, x), F.mul_codes(cb, y))
+            rows[i] = [S.add(S.mul(ca, x), S.mul(cb, y))
                        for x, y in zip(rows[a], rows[b])]
     # a zero column now and then moves every later pivot
     if ncols and rng.randrange(2):
@@ -179,17 +183,18 @@ def test_rref_is_idempotent_and_row_equivalent():
 def test_row_equivalence_under_random_row_ops():
     rng = random.Random(13)
     F = make_field(5, 1)
+    S = ScalarField(F)
     A = _random_matrix(F, rng, 3, 5)
     rows = A.array.tolist()
     # scale a row and add a multiple of another
     c = rng.randrange(1, F.order)
-    rows[1] = [F.mul_codes(c, x) for x in rows[1]]
+    rows[1] = [S.mul(c, x) for x in rows[1]]
     f = rng.randrange(F.order)
-    rows[2] = [F.add_codes(a, F.mul_codes(f, b)) for a, b in zip(rows[2], rows[0])]
+    rows[2] = [S.add(a, S.mul(f, b)) for a, b in zip(rows[2], rows[0])]
     B = FMatrix(F, rows)
     assert A.row_equivalent(B)
     # a generically perturbed matrix is not
-    rows[0] = [F.add_codes(x, 1) for x in rows[0]]
+    rows[0] = [S.add(x, 1) for x in rows[0]]
     C = FMatrix(F, rows)
     assert not A.row_equivalent(C) or C.rref()[0] == A.rref()[0]
 
@@ -197,10 +202,11 @@ def test_row_equivalence_under_random_row_ops():
 def test_vandermonde_rank():
     # distinct evaluation points give full rank — classical, used as oracle
     F = make_field(7, 1)
+    S = ScalarField(F)
     pts = F.vexp(np.arange(6)).tolist()
-    V = FMatrix(F, [[F.pow_code(x, j) for j in range(4)] for x in pts])
+    V = FMatrix(F, [[S.pow(x, j) for j in range(4)] for x in pts])
     assert V.rank() == 4
-    W = FMatrix(F, [[F.pow_code(x, j) for j in range(8)] for x in pts])
+    W = FMatrix(F, [[S.pow(x, j) for j in range(8)] for x in pts])
     assert W.rank() == 6
 
 
@@ -218,12 +224,13 @@ def test_delete_column_and_submatrix():
 def test_entrywise_frobenius_is_involution_here():
     rng = random.Random(3)
     F = make_field(3, 1)
+    S = ScalarField(F)
     A = _random_matrix(F, rng, 3, 3)
     B = A.entrywise_frobenius()
     assert B.entrywise_frobenius() == A
     for i in range(3):
         for j in range(3):
-            assert B.array[i, j] == F.pow_code(int(A.array[i, j]), F.q)
+            assert B.array[i, j] == S.pow(int(A.array[i, j]), F.q)
 
 
 def test_matmul_and_mul_vec_agree():
@@ -234,11 +241,12 @@ def test_matmul_and_mul_vec_agree():
         rows = [[rng.randrange(F.order) for _ in range(ncols)] for _ in range(nrows)]
         A = FMatrix(F, np.array(rows, dtype=np.int64).reshape(nrows, ncols))
         v = [rng.randrange(F.order) for _ in range(ncols)]
+        S = ScalarField(F)
         prod = []
         for r in A.array.tolist():
             acc = 0
             for a, b in zip(r, v):
-                acc = F.add_codes(acc, F.mul_codes(a, b))
+                acc = S.add(acc, S.mul(a, b))
             prod.append(acc)
         assert tuple(prod) == A.mul_vec(v)
 

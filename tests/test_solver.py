@@ -32,13 +32,16 @@ from qgrs.solver import (
     solve_projective_unique,
 )
 
+from oracle import ScalarField
+
 
 def _combine(F, coeffs, basis):
     """Scalar reference for one span combination: sum_d coeffs[d] * basis[d]."""
+    S = ScalarField(F)
     acc = [0] * len(basis[0])
     for t, row in zip(coeffs, basis):
         for i, v in enumerate(row):
-            acc[i] = F.add_codes(acc[i], F.mul_codes(t, v))
+            acc[i] = S.add(acc[i], S.mul(t, v))
     return tuple(acc)
 
 
@@ -52,21 +55,23 @@ def _scaled_vandermonde(F, rng, nrows, ncols):
     Columns are d_l * x_l^(1..nrows) with distinct base nodes x_l and nonzero
     base scalars d_l: every maximal minor is then nonzero.
     """
+    S = ScalarField(F)
     nodes = rng.sample(_base_units(F), ncols)
     scalars = [rng.choice(_base_units(F)) for _ in range(ncols)]
     rows = []
     for e in range(1, nrows + 1):
-        rows.append([F.mul_codes(d, F.pow_code(x, e)) for x, d in zip(nodes, scalars)])
+        rows.append([S.mul(d, S.pow(x, e)) for x, d in zip(nodes, scalars)])
     return FMatrix(F, rows)
 
 
 def _random_row_scaling(F, rng, A):
     """Scale each row by a random full-field unit: kernel unchanged, and the
     matrix stays row-equivalent to its entrywise q-th power."""
+    S = ScalarField(F)
     rows = []
     for r in A.array.tolist():
         s = rng.randrange(1, F.order)
-        rows.append([F.mul_codes(s, c) for c in r])
+        rows.append([S.mul(s, c) for c in r])
     return FMatrix(F, rows)
 
 
@@ -88,6 +93,7 @@ def test_projective_unique_r_equals_one():
 @pytest.mark.parametrize("q,p,e", [(5, 5, 1), (7, 7, 1), (9, 3, 2)])
 def test_projective_unique_randomized(q, p, e):
     F = make_field(p, e)
+    S = ScalarField(F)
     rng = random.Random(q)
     for r in range(2, 6):
         if r > q - 1:
@@ -96,7 +102,7 @@ def test_projective_unique_randomized(q, p, e):
         A = _random_row_scaling(F, rng, B)
         codes = solve_projective_unique(A)
         assert all(codes)
-        assert all(F.in_base_code(c) for c in codes)
+        assert all(S.in_base(c) for c in codes)
         assert not any(A.mul_vec(codes))
         # kernel dimension is 1, so the answer is unique up to scaling
         assert len(A.nullspace()) == 1
@@ -126,14 +132,15 @@ def test_projective_unique_frobenius_hypothesis_error():
 
 def _planted_kernel_matrix(F, rng, nrows, ncols):
     """Random rows orthogonal to a planted totally nonzero vector."""
+    S = ScalarField(F)
     x = [rng.randrange(1, F.order) for _ in range(ncols)]
     rows = []
     for _ in range(nrows):
         r = [rng.randrange(F.order) for _ in range(ncols - 1)]
         acc = 0
         for c, v in zip(r, x):
-            acc = F.add_codes(acc, F.mul_codes(c, v))
-        last = F.div_codes(F.neg_code(acc), x[-1])
+            acc = S.add(acc, S.mul(c, v))
+        last = S.div(S.neg(acc), x[-1])
         rows.append(r + [last])
     return FMatrix(F, rows), x
 
@@ -184,12 +191,13 @@ def test_all_nonzero_in_span_none_for_empty_basis():
 
 def test_all_nonzero_in_span_restricted_scalars():
     F = make_field(3, 1)
+    S = ScalarField(F)
     basis = [(1, 1, 0), (0, 1, 1)]
     out = all_nonzero_in_span(F, basis, F.base_codes())
     assert out is not None
     assert all(out)
     # combination really lies in the base-scalar span of the basis rows
-    assert all(F.in_base_code(c) for c in out)
+    assert all(S.in_base(c) for c in out)
 
 
 def _first_enumerated_hit(F, basis, scalars):
@@ -223,8 +231,9 @@ def test_exhaustive_span_hit_past_first_block():
     # enumerated rows miss; (0, 1), (1, 1), (1, g), (1, g^2) kill the
     # structured candidates and the next few rows
     F = make_field(2, 4)
+    S = ScalarField(F)
     g = int(F.vexp(1))
-    basis = [(1, 0, 1, 1, 1), (0, 1, 1, g, F.mul_codes(g, g))]
+    basis = [(1, 0, 1, 1, 1), (0, 1, 1, g, S.mul(g, g))]
     row, expect = _first_enumerated_hit(F, basis, range(F.order))
     assert row > F.order > _SPAN_BLOCK
     assert all_nonzero_in_span(F, basis, range(F.order)) == expect
@@ -406,6 +415,7 @@ def test_masked_span_search_matches_references(p, e, vcombine_calls):
 def test_descend_to_base_randomized():
     for (p, e) in [(5, 1), (7, 1)]:
         F = make_field(p, e)
+        S = ScalarField(F)
         rng = random.Random(p)
         for r in range(2, min(6, F.q)):
             B = (_scaled_vandermonde(F, rng, r - 2, r) if r > 2
@@ -416,21 +426,22 @@ def test_descend_to_base_randomized():
             if combo is None:
                 continue
             gamma = rng.randrange(1, F.order)
-            c = [F.mul_codes(gamma, v) for v in combo]
+            c = [S.mul(gamma, v) for v in combo]
             out = descend_to_base(B, c)
             assert all(out)
-            assert all(F.in_base_code(x) for x in out)
+            assert all(S.in_base(x) for x in out)
             assert not any(B.mul_vec(out))
 
 
 def _first_shift(F, codes):
     """Reference for the descent: the scalar shift loop over j = 1..q+1,
     returning (j, g^j c + (g^j c)^(q)) for the first totally nonzero one."""
+    S = ScalarField(F)
     g = int(F.vexp(1))
     for j in range(1, F.q + 2):
-        wj = F.pow_code(g, j)
-        wjq = F.frobenius_code(wj)
-        b = tuple(F.add_codes(F.mul_codes(wj, x), F.mul_codes(wjq, F.frobenius_code(x)))
+        wj = S.pow(g, j)
+        wjq = S.frobenius(wj)
+        b = tuple(S.add(S.mul(wj, x), S.mul(wjq, S.frobenius(x)))
                   for x in codes)
         if all(b):
             return j, b
@@ -471,10 +482,11 @@ def test_descend_rejects_bad_inputs():
 
 def test_descend_frobenius_hypothesis():
     F = make_field(3, 1)
+    S = ScalarField(F)
     g = int(F.vexp(1))
     A = FMatrix(F, [[1, g]])
     # kernel vector of [1, g]: (g, -1)
-    c = [g, F.neg_code(1)]
+    c = [g, S.neg(1)]
     with pytest.raises(FrobeniusHypothesisFailed):
         descend_to_base(A, c)
 

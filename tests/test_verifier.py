@@ -37,6 +37,7 @@ from qgrs.verifier import (
 )
 
 from oracle import (
+    ScalarField,
     SearchReport,
     brute_force_multiplier_search,
     scan_min_distance_exhaustive,
@@ -131,6 +132,7 @@ def _reference_minors(F, G, chunk, by_rank=False):
 
 
 def _planted_matrix(F, rng, k, n):
+    S = ScalarField(F)
     G = np.array([[rng.randrange(F.order) for _ in range(n)] for _ in range(k)])
     for _ in range(rng.randint(0, 2)):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -141,7 +143,7 @@ def _planted_matrix(F, rng, k, n):
             G[:, a] = G[:, b]
         else:
             s = rng.randrange(1, F.order)
-            G[:, a] = [F.mul_codes(int(x), s) for x in G[:, b]]
+            G[:, a] = [S.mul(int(x), s) for x in G[:, b]]
     return G
 
 
@@ -150,9 +152,10 @@ def _deep_planted_matrix(F, rng, k, n, plant):
     ``plant``, its column a is a combination of 3..k-1 others, so the
     subsets through all of them are singular and the walk sees it no less
     than three columns deep."""
+    S = ScalarField(F)
     locators = rng.sample(range(F.order), n)
     mults = [rng.randrange(1, F.order) for _ in range(n)]
-    G = np.array([[F.mul_codes(v, F.pow_code(a, i))
+    G = np.array([[S.mul(v, S.pow(a, i))
                    for a, v in zip(locators, mults)] for i in range(k)])
     if plant:
         a, *others = rng.sample(range(n), rng.randint(4, k))
@@ -379,6 +382,7 @@ def test_minor_sweep_matches_rank_oracle_at_gf6561():
 def _reference_distance(spec):
     """Projective messages in the route's order, weights by scalar ops."""
     F, n, k = spec.field, spec.n, spec.k
+    S = ScalarField(F)
     G = generator_matrix(spec).tolist()
     checked = 0
     for lead in range(k):
@@ -389,7 +393,7 @@ def _reference_distance(spec):
             for col in range(n):
                 acc = 0
                 for row in range(k):
-                    acc = F.add_codes(acc, F.mul_codes(msg[row], G[row][col]))
+                    acc = S.add(acc, S.mul(msg[row], G[row][col]))
                 weight += acc != 0
             checked += 1
             if weight < n - k + 1:
