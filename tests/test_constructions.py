@@ -247,6 +247,7 @@ def test_zero_union_strict_coset_bound_is_load_bearing():
             validate(1, q, q + 1, q, 1)
 
     def _exhaust(F, kern, width, base_only=True):
+        S = ScalarField(F)
         hits = 0
         for coeffs in itertools.product(range(F.order), repeat=len(kern)):
             vec = [0] * width
