@@ -24,17 +24,13 @@ from .field import FieldSpec
 
 def digit_sum(F: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
     """Field-sum of an array of codes along one axis (addition is digitwise)."""
-    p, d = F.p, 2 * F.e
-    if p == 2:
-        out = np.bitwise_xor.reduce(arr, axis=axis)
-        return out.astype(np.int64)
-    acc = None
-    pw = 1
-    for _ in range(d):
-        digits = ((arr // pw) % p).sum(axis=axis) % p
-        acc = digits * pw if acc is None else acc + digits * pw
-        pw *= p
-    return acc.astype(np.int64)
+    if F.p == 2:
+        return np.bitwise_xor.reduce(arr, axis=axis).astype(np.int64)
+    acc, rest = 0, np.asarray(arr, dtype=np.int64)
+    for pw in F.p ** np.arange(2 * F.e):
+        rest, digits = np.divmod(rest, F.p)
+        acc = acc + digits.sum(axis=axis) % F.p * pw
+    return acc
 
 
 def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -44,25 +40,33 @@ def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.nd
     return F.vpow(base_codes[None, :], exps[:, None])
 
 
-def newton_coefficients(F: FieldSpec, node_codes: list[int],
-                        value_rows: np.ndarray) -> np.ndarray:
-    """Divided-difference coefficients for several value rows at once.
+_NEWTON_CHUNK = 1 << 16
 
-    Row r of the result holds the Newton coefficients (triangular basis,
-    ascending order) of the interpolant through (node[i], value_rows[r, i]).
-    Because the basis polynomial of order t has degree exactly t, the
-    interpolant has degree <= D  iff  all coefficients beyond D vanish.
+
+def newton_coefficients(F: FieldSpec, node_codes: list[int],
+                        value_rows: np.ndarray, top: int) -> np.ndarray:
+    """Newton coefficients (triangular basis) of orders n - top .. n - 1 of
+    the interpolants through (node[i], value_rows[r, i]), one row per r.
+
+    Order t has basis degree exactly t, so an interpolant has degree
+    < n - top iff its row vanishes.  Each is a divided difference in closed
+    form, f[a_0..a_t] = sum_{i <= t} f_i / prod_{j <= t, j != i} (a_i - a_j).
+    One cumulative sum of the logs of the nodes' (distinct) differences gives
+    every denominator; one broadcast ``vmul`` and one field sum per chunk of
+    at most _NEWTON_CHUNK products give every coefficient.
     """
-    n = len(node_codes)
-    dd = np.array(value_rows, dtype=np.int64)
-    if dd.ndim == 1:
-        dd = dd[None, :]
-    nodes = np.array(node_codes, dtype=np.int64)
-    for t in range(1, n):
-        num = F.vsub(dd[:, t:], dd[:, t - 1:-1])
-        den = F.vsub(nodes[t:], nodes[:-t])
-        dd[:, t:] = F.vmul(num, F.vinv(den))
-    return dd
+    f = np.array(value_rows, dtype=np.int64, ndmin=2)
+    n = f.shape[1]
+    a = np.asarray(node_codes, dtype=np.int64)
+    diffs = F.vsub(a[:, None], a[None, :])
+    np.fill_diagonal(diffs, 1)
+    dens = np.cumsum(F.vlog(diffs), axis=1)[:, n - top:].T      # (top, n)
+    W = np.where(np.arange(n) > np.arange(n - top, n)[:, None], 0, F.vexp(-dens))
+    step = max(1, _NEWTON_CHUNK // max(1, top * n))
+    out = np.empty((len(f), top), dtype=np.int64)
+    for lo in range(0, len(f), step):
+        out[lo:lo + step] = digit_sum(F, F.vmul(f[lo:lo + step, None], W), axis=2)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import reprlib
 import sys
 from typing import Any
 
@@ -33,6 +34,8 @@ from .grs import GrsSpec, hermitian_gram
 from .verifier import DEFAULT_MINOR_BUDGET, DEFAULT_WORD_BUDGET, certify
 
 SCHEMA_VERSION = 1
+_brief = reprlib.Repr()
+_brief.maxlevel = 2   # reprs of rejected values: 6 items a level, 2 levels deep
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +49,8 @@ def encode_document(spec: GrsSpec) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "field": {"p": F.p, "e": F.e, "modulus": list(F.modulus)},
         "k": spec.k,
-        "locators": ["zero" if x == 0 else F.dlog_code(x) for x in spec.locators],
-        "multipliers": [F.dlog_code(v) for v in spec.multipliers],
+        "locators": ["zero" if x == 0 else int(F.vlog(x)) for x in spec.locators],
+        "multipliers": F.vlog(spec.multipliers).tolist(),
     }
     if spec.provenance is not None:
         doc["provenance"] = spec.provenance
@@ -57,13 +60,13 @@ def encode_document(spec: GrsSpec) -> dict[str, Any]:
 def _exact_int(value: Any, what: str) -> int:
     """A JSON integer; bools, floats and strings are malformations."""
     if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
+        raise SchemaError(f"{what} must be an integer, got {_brief.repr(value)}")
     return value
 
 
 def _json_list(value: Any, what: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a list, got {value!r}")
+        raise SchemaError(f"{what} must be a list, got {_brief.repr(value)}")
     return value
 
 
@@ -73,7 +76,7 @@ def decode_document(doc: Any) -> GrsSpec:
         raise SchemaError("document must be a JSON object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}")
+        raise SchemaError(f"unsupported schema_version {_brief.repr(version)}")
     try:
         fd = doc["field"]
         p, e = _exact_int(fd["p"], "field.p"), _exact_int(fd["e"], "field.e")
@@ -96,7 +99,7 @@ def decode_document(doc: Any) -> GrsSpec:
     def _unit(log: Any, what: str) -> int:
         log = _exact_int(log, f"{what} log")
         if not 0 <= log < n_units:
-            raise SchemaError(f"log {log} outside [0, {n_units})")
+            raise SchemaError(f"log {_brief.repr(log)} outside [0, {n_units})")
         return int(F.vexp(log))
 
     # "zero" is a locator only: a zero multiplier is never a unit

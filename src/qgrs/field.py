@@ -320,19 +320,13 @@ class FieldSpec:
 
     # -- scalar helpers -------------------------------------------------------
 
-    def dlog_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroArgument("discrete log of zero")
-        return int(self._log[a])
-
     def embed_int(self, n: int) -> int:
         """The image of the rational integer n in the field (n mod p)."""
         return n % self.p
 
     def base_codes(self) -> list[int]:
         """All codes of base-subfield elements, ascending (0 included)."""
-        out = [0] + [int(self._exp[(self.q + 1) * t]) for t in range(self.q - 1)]
-        return sorted(out)
+        return sorted([0] + self._exp[(self.q + 1) * np.arange(self.q - 1)].tolist())
 
     # -- vectorized ops on arrays of codes (broadcasting like numpy) -------
 
@@ -354,6 +348,13 @@ class FieldSpec:
         """g^logs elementwise, g the generator (the residue class of x); any
         integer logs, negative ones included."""
         return self._exp[np.asarray(logs) % (self.order - 1)]
+
+    def vlog(self, a) -> np.ndarray:
+        """Discrete logs to g elementwise, in [0, order - 1); zero raises."""
+        a = np.asarray(a)
+        if (a == 0).any():
+            raise ZeroArgument("discrete log of zero")
+        return self._log[a]
 
     def vsolve_norm(self, u) -> np.ndarray:
         """Smallest-dlog v with v^(q+1) = u, elementwise, for base units u."""
@@ -450,6 +451,7 @@ def check_modulus(p: int, e: int, coeffs) -> None:
     order = field_order(p, e)
     expected = canonical_modulus(p, 2 * e)
     if tuple(coeffs) != expected:
+        got = tuple(coeffs) if len(coeffs) == len(expected) else f"of length {len(coeffs)}"
         raise NonCanonicalModulus(
-            f"modulus {tuple(coeffs)} is not canonical for GF({order}); "
+            f"modulus {got} is not canonical for GF({order}); "
             f"expected {expected}")

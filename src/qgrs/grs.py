@@ -96,21 +96,20 @@ def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
     """Route 2: interpolation criterion for containment in the Hermitian dual.
 
     For each monomial power j < k the values u_i * norm(v_i) * a_i^(q*j)
-    must interpolate (through the locators) to degree <= n-k-1.  Newton
-    divided differences give the degree bound directly: the triangular-basis
-    coefficients of order >= n-k must all vanish.
+    must interpolate (through the locators) to degree <= n-k-1: their k
+    Newton coefficients of order >= n-k, divided differences in closed form
+    (:func:`bulk.newton_coefficients`), must all vanish.
 
     Returns (ok, first failing j).
     """
     F = spec.field
-    n, k, q = spec.n, spec.k, F.q
+    k, q = spec.k, F.q
     norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
     weights = F.vmul(lagrange_weights(F, spec.locators), norms)
     conj_pows = bulk.power_codes(F, spec.locators, q * np.arange(k))   # (k, n)
     values = F.vmul(conj_pows, weights)
-    dd = bulk.newton_coefficients(F, spec.locators, values)           # (k, n)
-    top = dd[:, n - k:] if k > 0 else dd[:, :0]
-    bad = np.flatnonzero((top != 0).any(axis=1))
+    top = bulk.newton_coefficients(F, spec.locators, values, k)       # (k, k)
+    bad = np.flatnonzero(top.any(axis=1))
     if bad.size:
         return False, int(bad[0])
     return True, None

@@ -78,11 +78,6 @@ class FMatrix:
     def shape(self) -> tuple[int, int]:
         return self.array.shape
 
-    def delete_column(self, j: int) -> "FMatrix":
-        if not 0 <= j < self.ncols:
-            raise WrongShape(f"no column {j}")
-        return FMatrix(self.field, np.delete(self.array, j, axis=1))
-
     # -- arithmetic -------------------------------------------------------------
 
     def entrywise_frobenius(self) -> "FMatrix":
@@ -141,8 +136,7 @@ class FMatrix:
         free position, so the basis is in "identity on free columns" form.
         """
         R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        free = sorted(set(range(self.ncols)).difference(pivots))
         # row f: 1 in free column f, minus R's pivot rows in the pivot columns
         basis = np.zeros((len(free), self.ncols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1

@@ -50,10 +50,13 @@ def test_newton_degree_detection():
     for deg in [0, 2, 5, 8]:
         coeffs = [rng.randrange(F.order) for _ in range(deg)] + [rng.randrange(1, F.order)]
         values = [[_horner(F, coeffs, x) for x in nodes]]
-        dd = bulk.newton_coefficients(F, nodes, np.array(values))
+        dd = bulk.newton_coefficients(F, nodes, np.array(values), len(nodes))
         # triangular basis: coefficients above the true degree vanish
         assert all(int(c) == 0 for c in dd[0, deg + 1:])
         assert int(dd[0, deg]) != 0
+        # the top 9 - deg coefficients, alone, decide degree < deg + 1
+        top = bulk.newton_coefficients(F, nodes, np.array(values), len(nodes) - deg)
+        assert top[0].tolist() == dd[0, deg:].tolist()
 
 
 def _horner(F, coeffs, x):
@@ -64,24 +67,56 @@ def _horner(F, coeffs, x):
     return acc
 
 
+def _scalar_divided_differences(F, nodes, row):
+    """The Newton recursion, one scalar field op at a time: all n
+    coefficients of the interpolant through (nodes[i], row[i])."""
+    S = ScalarField(F)
+    n = len(nodes)
+    dd = list(row)
+    for t in range(1, n):
+        for i in range(n - 1, t - 1, -1):
+            num = S.sub(dd[i], dd[i - 1])
+            dd[i] = S.div(num, S.sub(nodes[i], nodes[i - t]))
+    return dd
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 6), (3, 4)],
                          ids=["GF9", "GF4096", "GF6561"])
 def test_newton_matches_scalar_divided_differences(p, e):
     F = make_field(p, e)
-    S = ScalarField(F)
     rng = random.Random(5 + F.order)
     n = 9
     nodes = rng.sample(range(F.order), n)
     vals = [[rng.randrange(F.order) for _ in range(n)] for _ in range(3)]
     vals[0][:4] = [0] * 4
-    got = bulk.newton_coefficients(F, nodes, np.array(vals))
+    got = bulk.newton_coefficients(F, nodes, np.array(vals), n)
+    assert got.shape == (3, n)
     for r, row in enumerate(vals):
-        dd = list(row)
-        for t in range(1, n):
-            for i in range(n - 1, t - 1, -1):
-                num = S.sub(dd[i], dd[i - 1])
-                dd[i] = S.div(num, S.sub(nodes[i], nodes[i - t]))
-        assert got[r].tolist() == dd
+        assert got[r].tolist() == _scalar_divided_differences(F, nodes, row)
+    # fewer than n: the top coefficients, ascending; a single row is one row
+    top = bulk.newton_coefficients(F, nodes, np.array(vals), 4)
+    assert top.tolist() == got[:, n - 4:].tolist()
+    assert bulk.newton_coefficients(F, nodes, np.array(vals[1]), 4).tolist() == [
+        got[1, n - 4:].tolist()]
+    assert bulk.newton_coefficients(F, nodes, np.array(vals), 0).shape == (3, 0)
+
+
+def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
+    # n = 300, top = 150: 50 value rows need 50 * 150 * 300 products, more
+    # than two chunks hold; rows 0, step and 49 lie in three different chunks
+    F = make_field(19, 1)
+    rng = random.Random(300)
+    n, top, rows = 300, 150, 50
+    step = bulk._NEWTON_CHUNK // (top * n)
+    assert 1 <= step and 2 * step < rows - 1
+    nodes = rng.sample(range(F.order), n)
+    vals = np.array([[rng.randrange(F.order) for _ in range(n)] for _ in range(rows)])
+    got = bulk.newton_coefficients(F, nodes, vals, top)
+    assert got.shape == (rows, top)
+    for r in (0, step, rows - 1):
+        assert got[r].tolist() == _scalar_divided_differences(F, nodes, vals[r].tolist())[n - top:]
+    monkeypatch.setattr(bulk, "_NEWTON_CHUNK", rows * top * n)
+    assert np.array_equal(bulk.newton_coefficients(F, nodes, vals, top), got)
 
 
 def _planted_minor_stack(F, k, rng):

@@ -267,6 +267,32 @@ def test_verify_rejects_inexact_values(tmp_path, runner, mangle, msg):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("mangle,msg", [
+    (lambda d: d.update(k=list(range(200_000))),
+     "SchemaError: k must be an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+    (lambda d: d.update(k="k" * 1_000_000), "SchemaError: k must be an integer, got 'kkk"),
+    (lambda d: d.update(schema_version=[[0] * 1000] * 1000),
+     "SchemaError: unsupported schema_version [[0, 0, 0, 0, 0, 0, ...], "),
+    (lambda d: d.update(locators={str(i): i for i in range(200_000)}),
+     "SchemaError: locators must be a list, got {'0': 0, '1': 1, "),
+    (lambda d: d["multipliers"].__setitem__(0, 10 ** 4000), "SchemaError: log 1000"),
+    (lambda d: d["field"].update(modulus=[1] * 200_000),
+     "NonCanonicalModulus: modulus of length 200000 is not canonical for GF(16)"),
+], ids=["long-list-k", "long-string-k", "nested-schema-version", "long-dict-locators",
+        "huge-int-log", "long-modulus"])
+def test_verify_rejects_long_values_in_bounded_messages(tmp_path, runner, mangle, msg):
+    # the rejected value is summarized, not echoed: a 200 000-element k
+    # used to write a 1.49 MB line to stderr
+    doc = json.loads(json.dumps(encode_document(construct(5, 4, 3, 2, 2))))
+    mangle(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 2, res.output[:1000]
+    assert res.stderr.startswith(f"rejected: {msg}")
+    assert len(res.stderr.encode()) < 1024
+
+
 def test_verify_rejects_malformed_json(tmp_path, runner):
     p = tmp_path / "junk.json"
     p.write_text("{not json")

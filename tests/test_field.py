@@ -85,9 +85,23 @@ def test_exp_log_bijectivity():
     logs = np.arange(F.order - 1)
     assert set(F.vexp(logs).tolist()) == set(range(1, F.order))
     for i in range(F.order - 1):
-        assert F.dlog_code(int(F.vexp(i))) == i
+        assert F.vlog(int(F.vexp(i))) == i
     # logs are read modulo the group order, negative ones included
     assert F.vexp(-1) == F.vexp(F.order - 2) == F.vexp(2 * F.order - 3)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (2, 6), (3, 4)],
+                         ids=["GF9", "GF16", "GF25", "GF4096", "GF6561"])
+def test_vlog_matches_oracle_powers(p, e):
+    # x, the residue class of the generator, has digits (0, 1): code p
+    F = make_field(p, e)
+    S = ScalarField(F)
+    units = np.arange(1, F.order)[:, None]
+    logs = F.vlog(units)
+    assert logs.shape == units.shape
+    assert sorted(logs.ravel().tolist()) == list(range(F.order - 1))
+    for a, log in zip(units.ravel().tolist(), logs.ravel().tolist()):
+        assert S.pow(p, log) == a
 
 
 def _prime_power(q):
@@ -141,7 +155,9 @@ def test_add_tables_match_digitwise_build(pe):
 def test_dlog_zero_raises():
     F = make_field(3, 1)
     with pytest.raises(ZeroArgument):
-        F.dlog_code(0)
+        F.vlog(0)
+    with pytest.raises(ZeroArgument):
+        F.vlog(np.array([[1, 2], [0, 4]]))
     with pytest.raises(ZeroArgument):
         ScalarField(F).inv(0)
     assert F.vinv(0) == 0
@@ -213,7 +229,7 @@ def test_solve_norm_minimal_preimage(p, e):
     base_units = [c for c in F.base_codes() if c]
     for u, v in zip(base_units, F.vsolve_norm(base_units).tolist()):
         assert S.norm(v) == u
-        assert F.dlog_code(v) == norms.index(u)
+        assert F.vlog(v) == norms.index(u)
 
 
 def test_solve_norm_rejections():

@@ -210,17 +210,6 @@ def test_vandermonde_rank():
     assert W.rank() == 6
 
 
-def test_delete_column_and_submatrix():
-    F = make_field(3, 1)
-    A = FMatrix(F, [[1, 2, 3], [4, 5, 6]])
-    B = A.delete_column(1)
-    assert B.array.tolist() == [[1, 3], [4, 6]]
-    S = FMatrix(F, A.array[np.ix_([1], [0, 2])])
-    assert S.array.tolist() == [[4, 6]]
-    with pytest.raises(WrongShape):
-        A.delete_column(3)
-
-
 def test_entrywise_frobenius_is_involution_here():
     rng = random.Random(3)
     F = make_field(3, 1)

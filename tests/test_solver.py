@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from qgrs.errors import (
     HypothesisFailed,
     NoValidShift,
     NotASolution,
+    NotFound,
+    QgrsError,
     WrongShape,
 )
 from qgrs.field import FieldSpec, make_field
@@ -266,16 +269,25 @@ def test_exhaustive_span_matches_product_order(p, e):
 def _first_drawn_hit(F, basis, scalars, budget=None):
     """Reference for the sampled branch: redraw the seeded batches and scan
     their rows in draw order with the scalar combination.  With a
-    ``budget`` (a multiple of _SAMPLE_BATCH), None once it is drawn."""
+    ``budget`` (a multiple of _SAMPLE_BATCH), None once it is drawn.
+
+    A row whose coefficient is 0 on the only basis row that supports some
+    column j combines to 0 at j, so it is no hit: for such a row only
+    column j is combined, and checked to be 0."""
     sc = np.array(sorted(set(scalars)))
+    sole = [(d, j) for j, d in _sole_supports(basis)]
     rng = np.random.default_rng(_SAMPLE_SEED)
     row = 0
     while budget is None or row < budget:
         T = sc[rng.integers(0, len(sc), size=(_SAMPLE_BATCH, len(basis)))]
         for coeffs in T.tolist():
-            x = _combine(F, coeffs, basis)
-            if all(x):
-                return row, x
+            j = next((j for d, j in sole if coeffs[d] == 0), None)
+            if j is not None:
+                assert _combine(F, coeffs, [[b[j]] for b in basis]) == (0,)
+            else:
+                x = _combine(F, coeffs, basis)
+                if all(x):
+                    return row, x
             row += 1
     return None
 
@@ -306,10 +318,15 @@ def test_sampled_span_returns_first_hit_in_draw_order(monkeypatch, args, hit_row
     assert all_nonzero_in_span(F, basis, scalars) == expect
 
 
+def _sole_supports(basis):
+    """(column, row) for each column whose only nonzero entry is in that row."""
+    B = np.asarray(basis) != 0
+    return [(j, int(np.flatnonzero(col)[0])) for j, col in enumerate(B.T) if col.sum() == 1]
+
+
 def _sole_support_rows(basis):
     """Rows that hold the only nonzero entry of some column."""
-    B = np.asarray(basis) != 0
-    return sorted({int(np.flatnonzero(col)[0]) for col in B.T if col.sum() == 1})
+    return sorted({d for _, d in _sole_supports(basis)})
 
 
 @pytest.fixture()
@@ -407,6 +424,143 @@ def test_masked_span_search_matches_references(p, e, vcombine_calls):
             assert got == (None if ref is None else ref[1])
             for T in vcombine_calls:
                 assert (T[:, sole] != 0).all()
+
+
+# ------------------------------------------- column hypotheses from the kernel
+
+
+def _deletion_ranks(A):
+    """Rank of A with each column deleted, column by column, on its array."""
+    return [FMatrix(A.field, np.delete(A.array, i, axis=1)).rank()
+            for i in range(A.ncols)]
+
+
+def _projective_hypotheses(A):
+    """The deletion loop that solve_projective_unique once ran: the error
+    (class, message) its hypotheses raise, or None when both hold."""
+    for i, rank in enumerate(_deletion_ranks(A)):
+        if rank != A.ncols - 1:
+            return ColumnDependence, f"columns other than {i} are dependent"
+    if not A.row_equivalent(A.entrywise_frobenius()):
+        return FrobeniusHypothesisFailed, "A is not row-equivalent to A^(q)"
+    return None
+
+
+def _all_nonzero_hypothesis(A):
+    """The deletion loop that solve_all_nonzero once ran."""
+    for i, rank in enumerate(_deletion_ranks(A)):
+        if rank != A.rank():
+            return HypothesisFailed, f"rank drops when deleting column {i}"
+    return None
+
+
+def _outcome(solve, A):
+    """(class, message) of the error solve raises, or None when it returns
+    a kernel vector or, after its hypotheses, finds none."""
+    try:
+        x = solve(A)
+    except NotFound:
+        return None
+    except QgrsError as exc:
+        return type(exc), str(exc)
+    assert all(x) and not any(A.mul_vec(x))
+    return None
+
+
+def _sparse_matrix(F, rng, nrows, ncols, codes):
+    """Random entries from ``codes``, each zero with probability one half."""
+    return [[rng.choice(codes) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _planted_projective(F, rng, r):
+    """(r-1) x r matrices, each built to hit one branch of the deletion loop:
+    a column proportional to another, a planted kernel vector with a zero
+    coordinate, a repeated row (kernel of dimension >= 2), a zero column, or
+    none of these (a row-scaled base-field Vandermonde, which passes)."""
+    S = ScalarField(F)
+    base = _scaled_vandermonde(F, rng, r - 1, r)
+    rows = base.array.tolist()
+    kind = rng.randrange(5)
+    if kind == 0:
+        j, m = rng.sample(range(r), 2)
+        lam = rng.choice(_base_units(F))
+        for row in rows:
+            row[j] = S.mul(lam, row[m])
+    elif kind == 1:
+        # rows orthogonal to c, c in the base field with one zero: the
+        # system stays Frobenius-stable, so only the column test fails
+        c = [rng.choice(_base_units(F)) for _ in range(r)]
+        c[rng.randrange(r)] = 0
+        for row in rows:
+            last = next(i for i in reversed(range(r)) if c[i])
+            acc = 0
+            for i in range(r):
+                if i != last:
+                    acc = S.add(acc, S.mul(row[i], c[i]))
+            row[last] = S.div(S.neg(acc), c[last])
+    elif kind == 2 and r > 2:
+        rows[-1] = list(rows[0])
+    elif kind == 3:
+        j = rng.randrange(r)
+        for row in rows:
+            row[j] = 0
+    return _random_row_scaling(F, rng, FMatrix(F, np.array(rows, dtype=np.int64).reshape(r - 1, r)))
+
+
+def _named_column(message):
+    return int(re.search(r"column[s a-z]* (\d+)", message).group(1))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (7, 1)])
+def test_projective_kernel_criterion_matches_deletion_loop(p, e):
+    F = make_field(p, e)
+    rng = random.Random(31 * p + e)
+    seen = set()
+    for trial in range(240):
+        r = rng.randint(2, min(6, F.q - 1))
+        if trial % 2:
+            A = _planted_projective(F, rng, r)
+        else:
+            codes = F.base_codes()[1:] if trial % 4 else list(range(1, F.order))
+            A = FMatrix(F, np.array(_sparse_matrix(F, rng, r - 1, r, codes),
+                                    dtype=np.int64).reshape(r - 1, r))
+        want = _projective_hypotheses(A)
+        assert _outcome(solve_projective_unique, A) == want
+        if want is None or want[0] is FrobeniusHypothesisFailed:
+            seen.add(want and want[0])
+        else:
+            seen.add((len(A.nullspace()), _named_column(want[1]) > 0))
+    # every branch occurred: both hypotheses holding, the Frobenius test
+    # failing, and the column test failing at column 0 with a kernel of
+    # dimension 2, and at column 0 and at a later column with a kernel line
+    assert seen >= {None, FrobeniusHypothesisFailed, (2, False), (1, False), (1, True)}
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+def test_all_nonzero_kernel_criterion_matches_deletion_loop(p, e):
+    F = make_field(p, e)
+    rng = random.Random(37 * p + e)
+    seen = set()
+    for trial in range(240):
+        n = rng.randint(1, min(7, F.order - 1))
+        m = rng.randint(0, n + 1)
+        rows = _sparse_matrix(F, rng, m, n, list(range(1, F.order)))
+        if trial % 3 == 0 and m and n > 1:
+            # column i is the only support of row 0: no kernel vector is
+            # nonzero at i, whatever the kernel's dimension
+            i = rng.randrange(n)
+            rows[0] = [rng.randrange(1, F.order) if j == i else 0 for j in range(n)]
+        A = FMatrix(F, np.array(rows, dtype=np.int64).reshape(m, n))
+        want = _all_nonzero_hypothesis(A)
+        assert _outcome(solve_all_nonzero, A) == want
+        if want is None:
+            seen.add(None)
+        else:
+            seen.add((min(len(A.nullspace()), 2), _named_column(want[1]) > 0))
+    # passes, trivial kernels (column 0), and drops with kernels of
+    # dimension 1 and >= 2, at column 0 and later
+    assert seen >= {None, (0, False), (1, False), (1, True), (2, False), (2, True)}
 
 
 # ---------------------------------------------------------------- descent route
