@@ -467,7 +467,7 @@ def _outcome(solve, A):
     return None
 
 
-def _sparse_matrix(F, rng, nrows, ncols, codes):
+def _sparse_matrix(rng, nrows, ncols, codes):
     """Random entries from ``codes``, each zero with probability one half."""
     return [[rng.choice(codes) if rng.random() < 0.5 else 0 for _ in range(ncols)]
             for _ in range(nrows)]
@@ -505,7 +505,7 @@ def _planted_projective(F, rng, r):
         j = rng.randrange(r)
         for row in rows:
             row[j] = 0
-    return _random_row_scaling(F, rng, FMatrix(F, np.array(rows, dtype=np.int64).reshape(r - 1, r)))
+    return _random_row_scaling(F, rng, FMatrix(F, rows))
 
 
 def _named_column(message):
@@ -523,7 +523,7 @@ def test_projective_kernel_criterion_matches_deletion_loop(p, e):
             A = _planted_projective(F, rng, r)
         else:
             codes = F.base_codes()[1:] if trial % 4 else list(range(1, F.order))
-            A = FMatrix(F, np.array(_sparse_matrix(F, rng, r - 1, r, codes),
+            A = FMatrix(F, np.array(_sparse_matrix(rng, r - 1, r, codes),
                                     dtype=np.int64).reshape(r - 1, r))
         want = _projective_hypotheses(A)
         assert _outcome(solve_projective_unique, A) == want
@@ -545,7 +545,7 @@ def test_all_nonzero_kernel_criterion_matches_deletion_loop(p, e):
     for trial in range(240):
         n = rng.randint(1, min(7, F.order - 1))
         m = rng.randint(0, n + 1)
-        rows = _sparse_matrix(F, rng, m, n, list(range(1, F.order)))
+        rows = _sparse_matrix(rng, m, n, list(range(1, F.order)))
         if trial % 3 == 0 and m and n > 1:
             # column i is the only support of row 0: no kernel vector is
             # nonzero at i, whatever the kernel's dimension
