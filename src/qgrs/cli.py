@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import reprlib
 import sys
 from typing import Any
 
@@ -27,6 +26,7 @@ from .errors import (
     QgrsError,
     SchemaError,
     VerificationMismatch,
+    brief,
 )
 from .exponents import InvalidScenario
 from .field import check_modulus, make_field, prime_power_decompose
@@ -34,8 +34,6 @@ from .grs import GrsSpec, hermitian_gram
 from .verifier import DEFAULT_MINOR_BUDGET, DEFAULT_WORD_BUDGET, certify
 
 SCHEMA_VERSION = 1
-_brief = reprlib.Repr()
-_brief.maxlevel = 2   # reprs of rejected values: 6 items a level, 2 levels deep
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +58,13 @@ def encode_document(spec: GrsSpec) -> dict[str, Any]:
 def _exact_int(value: Any, what: str) -> int:
     """A JSON integer; bools, floats and strings are malformations."""
     if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {_brief.repr(value)}")
+        raise SchemaError(f"{what} must be an integer, got {brief(value)}")
     return value
 
 
 def _json_list(value: Any, what: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a list, got {_brief.repr(value)}")
+        raise SchemaError(f"{what} must be a list, got {brief(value)}")
     return value
 
 
@@ -76,7 +74,7 @@ def decode_document(doc: Any) -> GrsSpec:
         raise SchemaError("document must be a JSON object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {_brief.repr(version)}")
+        raise SchemaError(f"unsupported schema_version {brief(version)}")
     try:
         fd = doc["field"]
         p, e = _exact_int(fd["p"], "field.p"), _exact_int(fd["e"], "field.e")
@@ -99,7 +97,7 @@ def decode_document(doc: Any) -> GrsSpec:
     def _unit(log: Any, what: str) -> int:
         log = _exact_int(log, f"{what} log")
         if not 0 <= log < n_units:
-            raise SchemaError(f"log {_brief.repr(log)} outside [0, {n_units})")
+            raise SchemaError(f"log {brief(log)} outside [0, {n_units})")
         return int(F.vexp(log))
 
     # "zero" is a locator only: a zero multiplier is never a unit

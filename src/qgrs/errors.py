@@ -2,9 +2,21 @@
 
 Every failure that a caller can act on gets its own class; generic asserts
 are reserved for genuine can't-happen states.  All classes derive from
-:class:`QgrsError` so CLI layers can catch one root type.
+:class:`QgrsError` so CLI layers can catch one root type.  Messages that
+echo a rejected value go through :func:`brief`, so their length is bounded.
 """
 from __future__ import annotations
+
+import reprlib
+
+_brief = reprlib.Repr()
+_brief.maxlevel = 2
+
+
+def brief(value: object) -> str:
+    """A bounded repr of a rejected value, for error messages: 6 items a
+    level, 2 levels deep, long strings and ints cut in the middle."""
+    return _brief.repr(value)
 
 
 class QgrsError(Exception):

@@ -24,6 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import bulk
+from .errors import brief
 from .field import FieldSpec
 
 
@@ -45,11 +46,11 @@ class GrsSpec:
         if n == 0:
             raise ValueError("empty code")
         if not 1 <= self.k <= n:
-            raise ValueError(f"k = {self.k} outside [1, n = {n}]")
+            raise ValueError(f"k = {brief(self.k)} outside [1, n = {n}]")
         order = self.field.order
         for x in self.locators + self.multipliers:
             if type(x) is not int or not 0 <= x < order:
-                raise ValueError(f"{x!r} is not a code of GF({order})")
+                raise ValueError(f"{brief(x)} is not a code of GF({order})")
         if len(set(self.locators)) != n:
             raise ValueError("locators must be distinct")
         if 0 in self.multipliers:

@@ -143,7 +143,10 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
     # offs[t]: where tail t's width x width block lies in a flat width x w leaf
-    # residual (columns n-w..n-1); int32 halves a batch's index memory
+    # residual (columns n-w..n-1).  The table stays int32; each batch adds its
+    # leaves' intp node offsets, so flat.take gets an intp index and makes no
+    # cast pass.  Rows are gathered with take(axis=0), which numpy serves far
+    # faster than a fancy index
     w = n - k + width
     offs = (tails[:, None] + w * np.arange(width)[:, None] - (n - w)).reshape(
         len(tails), -1).astype(np.int32)
@@ -160,9 +163,9 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
             b0, b1 = np.searchsorted(ends, [lo, hi - 1], side="right") + (0, 1)
             got = np.diff(np.concatenate(([lo], ends[b0:b1 - 1], [hi])))
             t = np.arange(lo, hi) + np.repeat(len(tails) - ends[b0:b1], got)
-            base = np.repeat(np.arange(b0, b1, dtype=np.int32) * (width * w), got)
+            base = np.repeat(np.arange(b0, b1) * (width * w), got)
             good = bulk.batch_minors_nonsingular(F, flat.take(
-                offs[t] + base[:, None]).reshape(len(t), width, width))
+                offs.take(t, axis=0) + base[:, None]).reshape(len(t), width, width))
             if not good.all():
                 i = int(np.flatnonzero(~good)[0])
                 return tuple(heads[base[i] // (width * w)].tolist()
@@ -196,7 +199,7 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
             nodes, through = parents[lo:lo + per], cols[lo:lo + per]
             kids = bulk.schur_children(F, R, nodes, through - d)[:, :, 1:]
             found = level(kids, through + 1,
-                          np.column_stack([heads[nodes], through]))
+                          np.column_stack([heads.take(nodes, axis=0), through]))
             if found is not None:
                 return found
         return bad
@@ -326,7 +329,10 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     if F.order > _RANK_SAMPLES_ABOVE_ORDER:
         good = np.array([FMatrix(F, G[:, c]).rank() == k for c in cols])
     else:
-        good = bulk.batch_minors_nonsingular(F, G[:, cols].transpose(1, 0, 2))
+        # sample i's rows are G's columns cols[i]: its transpose, which is
+        # nonsingular exactly when the sample is
+        good = bulk.batch_minors_nonsingular(
+            F, np.ascontiguousarray(G.T).take(cols, axis=0))
     if not good.all():  # pragma: no cover - would contradict the argument
         bad = cols[int(np.flatnonzero(~good)[0])]
         return MdsReport(MdsStatus.FAILED, "structural", len(ranks),

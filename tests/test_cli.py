@@ -278,8 +278,10 @@ def test_verify_rejects_inexact_values(tmp_path, runner, mangle, msg):
     (lambda d: d["multipliers"].__setitem__(0, 10 ** 4000), "SchemaError: log 1000"),
     (lambda d: d["field"].update(modulus=[1] * 200_000),
      "NonCanonicalModulus: modulus of length 200000 is not canonical for GF(16)"),
+    # an integer k passes the schema and is rejected by GrsSpec
+    (lambda d: d.update(k=10 ** 4000), "SchemaError: k = 1000"),
 ], ids=["long-list-k", "long-string-k", "nested-schema-version", "long-dict-locators",
-        "huge-int-log", "long-modulus"])
+        "huge-int-log", "long-modulus", "huge-int-k"])
 def test_verify_rejects_long_values_in_bounded_messages(tmp_path, runner, mangle, msg):
     # the rejected value is summarized, not echoed: a 200 000-element k
     # used to write a 1.49 MB line to stderr

@@ -86,6 +86,19 @@ def test_spec_validation():
             GrsSpec(F, locs, mults, k)
 
 
+@pytest.mark.parametrize("locs,mults,k,msg", [
+    ((0, 1), (1, 1), 10 ** 4000, "k = 1000"),
+    ((0, 10 ** 4000), (1, 1), 1, "1000"),
+    ((0, 1), (1, "x" * 10 ** 6), 1, "'xxx"),
+    ((0, 1), (1, [[0] * 1000] * 1000), 1, "[[0, 0, 0, 0, 0, 0, ...], "),
+], ids=["huge-k", "huge-locator", "long-string-multiplier", "nested-multiplier"])
+def test_spec_validation_messages_are_bounded(locs, mults, k, msg):
+    # the rejected value is summarized, not echoed whole
+    with pytest.raises(ValueError) as info:
+        GrsSpec(make_field(3, 1), locs, mults, k)
+    assert str(info.value).startswith(msg) and len(str(info.value)) < 200
+
+
 def test_lagrange_weights_frozen():
     F = make_field(7, 1)
     assert lagrange_weights(F, (1, 2, 3)).tolist() == [2, 6, 2]

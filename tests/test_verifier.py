@@ -240,6 +240,69 @@ def test_minor_sweep_decides_each_leaf_once(monkeypatch, k, n, chunk):
     assert sum(sizes) == math.comb(n, k) and max(sizes) <= chunk
 
 
+@pytest.mark.parametrize("chunk", [5, 64])
+def test_minor_sweep_reports_planted_minor_at_batch_boundaries(monkeypatch, chunk):
+    # the leaf step turns each leaf's place in its slice into a node row and
+    # a block offset: plant the first singular minor at the last leaf of a
+    # batch, at the first leaf of the next batch of the same slice, and at
+    # the first leaf of a node whose leaves straddle two batches
+    F, k, n = make_field(3, 3), 5, 14
+    rng = random.Random(chunk)
+    G0 = _deep_planted_matrix(F, rng, k, n, plant=False)
+    batch, schur = bulk.batch_minors_nonsingular, bulk.schur_children
+    events = []
+
+    def recording(F, mats):
+        events.append(len(mats))
+        return batch(F, mats)
+
+    def stepping(F, R, nodes, cols):
+        events.append(None)
+        return schur(F, R, nodes, cols)
+
+    monkeypatch.setattr(bulk, "batch_minors_nonsingular", recording)
+    monkeypatch.setattr(bulk, "schur_children", stepping)
+    monkeypatch.setattr(verifier, "_SLICE_ENTRIES", 256)
+    assert check_matrix_minors(F, G0, chunk=chunk).ok
+    # the first leaf rank of every batch, and those that go on a slice whose
+    # earlier leaves the batch before decided (no Schur step in between)
+    starts, inner, done = set(), [], 0
+    for before, size in zip([None] + events, events):
+        if size is not None:
+            starts.add(done)
+            if before is not None:
+                inner.append(done)
+            done += size
+    assert done == math.comb(n, k) and len(inner) > 3
+    cut = inner[len(inner) // 2]
+
+    def node_range(r):
+        # the leaf ranks of the node (k - 2 prefix columns) that holds leaf r
+        (s,) = bulk.unrank_lex(n, k, [r]).tolist()
+        p = s[-3]
+        return (bulk._rank_lex(n, k, s[:-2] + [p + 1, p + 2]),
+                bulk._rank_lex(n, k, s[:-2] + [n - 2, n - 1]))
+
+    straddling = next(first for first, last in map(node_range, range(done))
+                      if first not in starts
+                      and any(first < b <= last for b in inner))
+    for r in (cut - 1, cut, straddling):
+        S = tuple(bulk.unrank_lex(n, k, [r])[0].tolist())
+        # column S[-1] becomes a combination of the others of S; retry the
+        # coefficients until no subset before S turns singular by chance
+        for _ in range(20):
+            coeffs = np.array([[rng.randrange(1, F.order) for _ in S[1:]]])
+            G = G0.copy()
+            G[:, S[-1]] = F.vcombine(coeffs, G0[:, S[:-1]].T)[0]
+            want = _reference_minors(F, G, chunk)
+            if want.detail == f"singular minor at columns {S}":
+                break
+        else:
+            pytest.fail(f"no plant at {S} is the first singular minor")
+        assert want.checked == min(math.comb(n, k), (r // chunk + 1) * chunk)
+        assert check_matrix_minors(F, G, chunk=chunk) == want, (r, S)
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 0), (5, 4)])
 def test_matrix_minors_reject_more_rows_than_columns(shape):
     # a k x n matrix with k > n has no maximal k-minors and rank < k
@@ -331,6 +394,28 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     (cols,) = seen
     assert cols.shape == (512, spec.k) and cols.dtype == np.int32
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
+
+
+def test_structural_samples_reach_the_kernel_transposed(monkeypatch):
+    # each sampled minor is decided on its transpose, read as rows of G.T
+    spec = construct(2, 11, 6, 3, 5)
+    G = generator_matrix(spec)
+    seen, stacks = [], []
+    unrank, batch = bulk.unrank_lex, bulk.batch_minors_nonsingular
+
+    def recording(n, k, ranks):
+        seen.append(unrank(n, k, ranks))
+        return seen[-1]
+
+    def kernel(F, mats):
+        stacks.append(mats)
+        return batch(F, mats)
+
+    monkeypatch.setattr(bulk, "unrank_lex", recording)
+    monkeypatch.setattr(bulk, "batch_minors_nonsingular", kernel)
+    assert structural_minor_certificate(spec).checked == 512
+    (cols,), (mats,) = seen, stacks
+    assert np.array_equal(mats, G[:, cols].transpose(1, 2, 0))
 
 
 @pytest.mark.parametrize("args,i_list", [
