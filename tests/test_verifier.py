@@ -396,26 +396,27 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
 
-def test_structural_samples_reach_the_kernel_transposed(monkeypatch):
-    # each sampled minor is decided on its transpose, read as rows of G.T
+def test_structural_tripwire_names_first_singular_sample(monkeypatch):
+    # a generator matrix with a zero column, as a matrix-building bug could
+    # give: every sampled minor through that column is singular, and the
+    # route names the first of them
     spec = construct(2, 11, 6, 3, 5)
-    G = generator_matrix(spec)
-    seen, stacks = [], []
-    unrank, batch = bulk.unrank_lex, bulk.batch_minors_nonsingular
+    G = generator_matrix(spec).copy()
+    G[:, 7] = 0
+    seen = []
+    unrank = bulk.unrank_lex
 
     def recording(n, k, ranks):
         seen.append(unrank(n, k, ranks))
         return seen[-1]
 
-    def kernel(F, mats):
-        stacks.append(mats)
-        return batch(F, mats)
-
+    monkeypatch.setattr(verifier, "generator_matrix", lambda spec: G)
     monkeypatch.setattr(bulk, "unrank_lex", recording)
-    monkeypatch.setattr(bulk, "batch_minors_nonsingular", kernel)
-    assert structural_minor_certificate(spec).checked == 512
-    (cols,), (mats,) = seen, stacks
-    assert np.array_equal(mats, G[:, cols].transpose(1, 2, 0))
+    r = structural_minor_certificate(spec)
+    (cols,) = seen
+    first = next(tuple(c) for c in cols.tolist() if 7 in c)
+    assert r.status is MdsStatus.FAILED and r.checked == 512
+    assert r.detail.startswith(f"sampled minor at columns {first} is singular")
 
 
 @pytest.mark.parametrize("args,i_list", [
