@@ -28,7 +28,6 @@ from .errors import (
     VerificationMismatch,
     brief,
 )
-from .exponents import InvalidScenario
 from .field import check_modulus, make_field, prime_power_decompose
 from .grs import GrsSpec, hermitian_gram
 from .verifier import DEFAULT_MINOR_BUDGET, DEFAULT_WORD_BUDGET, certify
@@ -184,7 +183,7 @@ def cmd_construct(family, q, h, r, k, i_list, j_list, out,
     try:
         spec = build_code(family, q, h, r, k, i_list, j_list)
         cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
-    except (ParamsRejected, InvalidScenario) as exc:
+    except ParamsRejected as exc:
         click.echo(f"rejected: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
     except QgrsError as exc:  # solver failure or route split in an accepted tuple

@@ -16,18 +16,19 @@ solved exactly:
   unique-kernel route.
 * family 4 — even- and odd-power cosets mixed (q odd), twist g^s; block
   system, counting route plus descent.
-* family 5 — r cosets, untwisted, with *explicit* multipliers from Lagrange
-  node products; no linear system on the happy path.  The explicit recipe
-  needs every locator to have nonzero trace to the base subfield, which
-  fails for many admissible cells (for instance any cell whose locators
-  include a base-subfield element when q is even); a kernel-search fallback
-  then solves the profile system directly over the base subfield.
+* family 5 — r cosets, untwisted, with *explicit* multipliers from the
+  Lagrange node products (grs.lagrange_weights); no linear system on the
+  happy path.  The explicit recipe needs every locator to have nonzero
+  trace to the base subfield, which fails for many admissible cells (for
+  instance any cell whose locators include a base-subfield element when q
+  is even); a kernel-search fallback then solves the profile system
+  directly over the base subfield.
 
 All parameter checking lives in validate(), which returns a normalized
-Params record with every derived scalar filled in; the builders do pure
-assembly.  Every family ends in the same place: a GrsSpec that verifier.py
-certifies through two independent routes.  Nothing returned here is trusted
-untested.
+Params record with every derived scalar filled in; construct() builds the
+field and the builders do pure assembly.  Every family ends in the same
+place: a GrsSpec that verifier.py certifies through two independent routes.
+Nothing returned here is trusted untested.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from .errors import (
     NotFound,
     NotMDS,
     NotSelfOrthogonal,
+    ParamsRejected,
     ParityViolated,
     RangeViolated,
     SubfieldAssertionFailed,
@@ -183,7 +185,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
     _check_q(q)
     if family == 1:
         _no_indices(1, i_list, j_list)
-        if (q + 1) % h != 0:
+        if h < 1 or (q + 1) % h != 0:
             raise DivisibilityViolated(f"h = {h} does not divide q+1 = {q + 1}")
         if h < 3:
             raise RangeViolated(f"h = {h} < 3")
@@ -205,7 +207,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         _no_indices(2, i_list, j_list, allow_i=True)
         if h % 2 != 0:
             raise ParityViolated(f"h = {h} must be even")
-        if (q + 1) % h != 0:
+        if h < 1 or (q + 1) % h != 0:
             raise DivisibilityViolated(f"h = {h} does not divide q+1 = {q + 1}")
         if r % 2 == 0:
             raise ParityViolated(f"r = {r} must be odd")
@@ -220,7 +222,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         _no_indices(3, i_list, j_list, allow_i=True)
         if h % 2 != 0:
             raise ParityViolated(f"h = {h} must be even")
-        if (q - 1) % h != 0:
+        if h < 1 or (q - 1) % h != 0:
             raise DivisibilityViolated(f"h = {h} does not divide q-1 = {q - 1}")
         s = h // 2
         if not 1 <= r <= s:
@@ -233,7 +235,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
     if family == 4:
         if h % 2 != 0:
             raise ParityViolated(f"h = {h} must be even")
-        if (q - 1) % h != 0:
+        if h < 1 or (q - 1) % h != 0:
             raise DivisibilityViolated(f"h = {h} does not divide q-1 = {q - 1}")
         s = h // 2
         if not s < r < 2 * s:
@@ -313,10 +315,8 @@ def _coprimality_guard(F: FieldSpec, m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_zero_union_cosets(p: Params) -> GrsSpec:
+def _build_zero_union_cosets(F: FieldSpec, p: Params) -> GrsSpec:
     """Length r*m + 1 codes on {0} plus the cosets g^1 H, ..., g^r H."""
-    F = field_for_q(p.q)
-    _coprimality_guard(F, p.m)
     r, m = p.r, p.m
     a_start = p.s - p.t if p.h % 2 == 0 else p.s - p.t + 1
     # a row of ones, then (0, alpha^(l*u))_{l=1..r}, alpha = g^m
@@ -338,9 +338,7 @@ def _build_zero_union_cosets(p: Params) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_twisted_cosets(p: Params) -> GrsSpec:
-    F = field_for_q(p.q)
-    _coprimality_guard(F, p.m)
+def _build_twisted_cosets(F: FieldSpec, p: Params) -> GrsSpec:
     q, r, m = p.q, p.r, p.m
     # xi = g^((q+1)/h - (q+1)), alpha = g^m
     a_start = p.s - p.t
@@ -356,9 +354,7 @@ def _build_twisted_cosets(p: Params) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_square_cosets(p: Params) -> GrsSpec:
-    F = field_for_q(p.q)
-    _coprimality_guard(F, p.m)
+def _build_square_cosets(F: FieldSpec, p: Params) -> GrsSpec:
     q, r, m = p.q, p.r, p.m
     # xi = g^(-(q+1)), beta = g^(2m)
     B = _profile_rows(F, -(q + 1), 2 * m, range(1, r), p.i_list)
@@ -372,9 +368,7 @@ def _build_square_cosets(p: Params) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_mixed_cosets(p: Params) -> GrsSpec:
-    F = field_for_q(p.q)
-    _coprimality_guard(F, p.m)
+def _build_mixed_cosets(F: FieldSpec, p: Params) -> GrsSpec:
     q, m, t = p.q, p.m, p.t
     # one family-3 block per coset kind, xi = g^(-(q+1)), beta = g^(2m)
     A = FMatrix.block_diag(F, [_profile_rows(F, -(q + 1), 2 * m, range(1, t), idx)
@@ -390,29 +384,18 @@ def _build_mixed_cosets(p: Params) -> GrsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_explicit_weights(p: Params) -> GrsSpec:
-    F = field_for_q(p.q)
-    _coprimality_guard(F, p.m)
-    q, m = p.q, p.m
-    locators = _coset_locators(F, p.i_list, p.h, m)
-
-    # closed-form node products, cross-checked against the direct O(n^2)
-    # route: u = m * a^(m-1) * prod over the other cosets of (alpha^i - alpha^i2)
-    heads = F.vexp(m * np.asarray(p.i_list))
-    gaps = F.vsub(heads[:, None], heads[None, :])
-    np.fill_diagonal(gaps, 1)
-    weights = F.vmul(F.vmul(F.vpow(locators, m - 1), np.repeat(F.vprod(gaps, axis=1), m)),
-                     F.embed_int(m))
-    assert (weights == lagrange_weights(F, locators)).all()
-
-    au = F.vmul(locators, weights)
-    bad = np.flatnonzero((au == 0) | (F.vpow(au, q) != au))
+def _build_explicit_weights(F: FieldSpec, p: Params) -> GrsSpec:
+    locators = _coset_locators(F, p.i_list, p.h, p.m)
+    # a * u must be a base unit, u = prod_{b != a} (a - b); a test holds u to
+    # the paper's m * a^(m-1) * prod_{i' != i} (alpha^i - alpha^i'), alpha = g^m
+    au = F.vmul(locators, lagrange_weights(F, locators))
+    bad = np.flatnonzero((au == 0) | (F.vpow(au, p.q) != au))
     if bad.size:
         i = int(bad[0])
         raise SubfieldAssertionFailed(
             f"a*u = {au[i]} escapes the base units at locator {locators[i]}")
 
-    traces = F.vadd(F.vpow(locators, q), locators)
+    traces = F.vadd(F.vpow(locators, p.q), locators)
     if traces.all():
         path = "explicit"
         multipliers = F.vmul(F.vsolve_norm(F.vinv(au)), F.vsolve_norm(traces))
@@ -465,7 +448,7 @@ def _profile_system(F: FieldSpec, locators, k: int) -> FMatrix:
 # registry and public entry points
 # ---------------------------------------------------------------------------
 
-_BUILDERS: dict[int, Callable[[Params], GrsSpec]] = {
+_BUILDERS: dict[int, Callable[[FieldSpec, Params], GrsSpec]] = {
     1: _build_zero_union_cosets,
     2: _build_twisted_cosets,
     3: _build_square_cosets,
@@ -481,7 +464,9 @@ def construct(family: int, q: int, h: int, r: int, k: int,
               j_list: Sequence[int] | None = None) -> GrsSpec:
     """validate() then build; the uniform entry point over the families."""
     p = validate(family, q, h, r, k, i_list, j_list)
-    return _BUILDERS[p.family](p)
+    F = field_for_q(p.q)
+    _coprimality_guard(F, p.m)
+    return _BUILDERS[p.family](F, p)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +490,7 @@ def iter_family_params(q: int, n_max: int | None = None) -> Iterator[Params]:
     def _try(family: int, h: int, r: int) -> Params | None:
         try:
             probe = validate(family, q, h, r, 1)
-        except (DivisibilityViolated, ParityViolated, RangeViolated,
-                InvalidScenario):
+        except ParamsRejected:
             return None
         if n_max is not None and probe.n > n_max:
             return None

@@ -5,14 +5,15 @@ integer are the coefficients of the residue polynomial, the constant term
 being the *least significant* digit.  The modulus is not a free choice — it
 is always the first primitive monic polynomial of degree 2e over F_p when
 candidates are ordered by that same integer encoding.  Fixing it makes every
-discrete log in a serialized code document reproducible.
+discrete log in a serialized code document reproducible.  The search keeps
+the first candidate whose companion matrix C has order p^(2e) - 1.
 
 The multiplicative group is represented through exp/log tables built from
 the residue class of x, which is a generator by construction (that is what
 "primitive" buys us).  The exp table is filled by doubling, x^(s + i) =
-x^s * x^i, with multiplication by x^s applied as the companion matrix's
-power C^s through two tables of size q; the log table is its inverse
-permutation.  Multiplication, inversion, powers, the q-power map
+x^s * x^i, with multiplication by x^s applied as the same companion
+matrix's power C^s through two tables of size q; the log table is its
+inverse permutation.  Multiplication, inversion, powers, the q-power map
 and the norm onto the base subfield are all table lookups; addition is
 digitwise mod p (a plain XOR when p = 2).
 
@@ -59,21 +60,6 @@ DEFAULT_ORDER_LIMIT = 1 << 20
 _SPREAD_TABLE_CAP = 1 << 22
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     f = 2
@@ -90,9 +76,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 def prime_power_decompose(n: int) -> tuple[int, int]:
     """Return (p, e) with n = p^e, or raise ValueError."""
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    fs = _prime_factors(n)
+    fs = _prime_factors(n)  # () for n < 2
     if len(fs) != 1:
         raise ValueError(f"{n} is not a prime power")
     p = fs[0]
@@ -103,54 +87,29 @@ def prime_power_decompose(n: int) -> tuple[int, int]:
     return p, e
 
 
-# --------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, ascending, used only while
-# searching for the modulus — everything after that is table driven)
-# --------------------------------------------------------------------------
+def _companion(coeffs, p: int) -> np.ndarray:
+    """Companion matrices over F_p of monic polynomials, (..., d + 1) ascending
+    coefficients: column b holds the digits of x * x^b modulo the polynomial."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    d = coeffs.shape[-1] - 1
+    C = np.zeros(coeffs.shape[:-1] + (d, d), dtype=np.int64)
+    C[..., 1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    C[..., -1] = np.negative(coeffs[..., :d]) % p
+    return C
 
 
-def _polymulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    d = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                res[i + j] = (res[i + j] + ca * cb) % p
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            base = i - d
-            for j in range(d):
-                res[base + j] = (res[base + j] - c * f[j]) % p
-    res = res[:d]
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _x_power_mod(n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = [0, 1]
+def _mat_pow_mod(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    """M^n mod p for a square int64 matrix M, or a stack of them, and n >= 0."""
+    # an entry of a product of two such matrices sums d terms of at most
+    # (p - 1)^2, and d * (p - 1)^2 <= 2 * p^d for d >= 2: at orders p^d up to
+    # 2^20 no entry passes 2 * 2^20, far inside int64
+    out = np.eye(M.shape[-1], dtype=np.int64)
     while n:
         if n & 1:
-            result = _polymulmod(result, base, f, p)
-        base = _polymulmod(base, base, f, p)
+            out = out @ M % p
+        M = M @ M % p
         n >>= 1
-    return result
-
-
-def _x_has_full_order(f: list[int], p: int, group_order: int,
-                      prime_divisors: tuple[int, ...]) -> bool:
-    # ord(x) = group_order certifies primitivity on its own: in a quotient by
-    # a reducible polynomial the unit group is too small to contain an element
-    # of that order, so no separate irreducibility pass is needed.
-    if _x_power_mod(group_order, f, p) != [1]:
-        return False
-    for ell in prime_divisors:
-        if _x_power_mod(group_order // ell, f, p) == [1]:
-            return False
-    return True
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -162,13 +121,23 @@ def canonical_modulus(p: int, degree: int) -> tuple[int, ...]:
     degree + 1, last entry 1.
     """
     group_order = p ** degree - 1
-    divisors = _prime_factors(group_order)
-    for tail in range(1, p ** degree):
-        if tail % p == 0:
-            continue  # zero constant term: divisible by x
-        coeffs = [(tail // p ** i) % p for i in range(degree)] + [1]
-        if _x_has_full_order(coeffs, p, group_order, divisors):
-            return tuple(coeffs)
+    cofactors = [group_order // ell for ell in _prime_factors(group_order)]
+    eye = np.eye(degree, dtype=np.int64)
+    weights = p ** np.arange(degree)
+    for start in range(1, group_order + 1, 32):
+        tails = np.arange(start, min(start + 32, group_order + 1))
+        tails = tails[tails % p != 0]  # zero constant term: divisible by x
+        coeffs = np.ones((len(tails), degree + 1), dtype=np.int64)
+        coeffs[:, :-1] = tails[:, None] // weights % p
+        # x has order group_order iff C^group_order = I and no C^cofactor is,
+        # for 32 companion matrices C at once; that order certifies primitivity
+        # alone, as a reducible quotient's unit group is too small to hold it
+        C = _companion(coeffs, p)
+        keep = np.flatnonzero((_mat_pow_mod(C, group_order, p) == eye).all(axis=(1, 2)))
+        for c in cofactors:
+            keep = keep[(_mat_pow_mod(C[keep], c, p) != eye).any(axis=(1, 2))]
+        if keep.size:
+            return tuple(coeffs[keep[0]].tolist())
     raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
 
@@ -188,17 +157,6 @@ def _respread(values: np.ndarray, digits: int, src: int, dst: int,
     return out
 
 
-def _mat_pow_mod(M: np.ndarray, n: int, p: int) -> np.ndarray:
-    """M^n mod p for a square int64 matrix M and n >= 0."""
-    out = np.eye(len(M), dtype=np.int64)
-    while n:
-        if n & 1:
-            out = out @ M % p
-        M = M @ M % p
-        n >>= 1
-    return out
-
-
 def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
     """p^(2e), once e >= 1, the order bound and the primality of p hold.
 
@@ -214,7 +172,7 @@ def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
         order *= p
         if order > limit:
             raise FieldTooLarge(f"p^(2e) exceeds limit {limit}")
-    if not _is_prime(p):
+    if _prime_factors(p) != (p,):
         raise NotPrime(f"p = {p} is not prime")
     return order
 
@@ -275,9 +233,7 @@ class FieldSpec:
         """
         p, e, d, q = self.p, self.e, 2 * self.e, self.q
         n_units = self.order - 1
-        C = np.zeros((d, d), dtype=np.int64)  # column b is the digits of x * x^b
-        C[1:, :-1] = np.eye(d - 1, dtype=np.int64)
-        C[:, -1] = np.negative(self.modulus[:d]) % p
+        C = _companion(self.modulus, p)
         weights = p ** np.arange(d, dtype=np.int64)
         half_digits = (np.arange(q)[:, None] // weights[:e]) % p
         # g^(i mod n_units) below 3 * n_units, enough for a sum of three

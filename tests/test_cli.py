@@ -171,6 +171,14 @@ def test_construct_rejects_contract_overreach(runner):
     assert "RangeViolated" in res.output
 
 
+def test_construct_rejects_zero_h(runner):
+    # h = 0 must not reach (q + 1) % h: a rejection, not a traceback
+    res = runner.invoke(main, ["construct", "--family", "1", "--q", "7",
+                               "--h", "0", "--r", "3", "--k", "1"])
+    assert res.exit_code == 2
+    assert "DivisibilityViolated: h = 0 does not divide q+1 = 8" in res.output
+
+
 def test_construct_exit_3_on_internal_breach(runner, monkeypatch):
     fake = CertBundle(
         spec=None, herm_gram_ok=True, herm_interp_ok=True,

@@ -18,6 +18,7 @@ from qgrs.constructions import (
     FAMILIES,
     Params,
     QuantumParams,
+    _coset_locators,
     _profile_system,
     construct,
     iter_family_params,
@@ -30,12 +31,13 @@ from qgrs.errors import (
     DivisibilityViolated,
     NotMDS,
     NotSelfOrthogonal,
+    ParamsRejected,
     ParityViolated,
     RangeViolated,
 )
 from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import field_for_q
-from qgrs.grs import GrsSpec, hermitian_gram
+from qgrs.grs import GrsSpec, hermitian_gram, lagrange_weights
 from qgrs.matrix import FMatrix
 from qgrs.verifier import certify
 
@@ -122,10 +124,33 @@ def test_nondefault_index_lists():
     (5, (7, 6, 3, 4), RangeViolated),          # k above r(q-1)/h
     (6, (7, 8, 5, 5), RangeViolated),          # no such family
     (1, (6, 7, 3, 1), RangeViolated),          # q not a prime power
+    (1, (7, 0, 3, 1), DivisibilityViolated),   # h = 0 divides nothing
+    (2, (7, 0, 3, 1), DivisibilityViolated),
+    (3, (7, 0, 1, 1), DivisibilityViolated),
+    (4, (7, 0, 1, 1), DivisibilityViolated),
+    (5, (7, 0, 1, 1), DivisibilityViolated),
 ])
 def test_validate_rejections(family, args, exc):
     with pytest.raises(exc):
         validate(family, *args)
+
+
+def test_validate_raises_only_params_rejected():
+    # every small tuple, out-of-range ones included, is either accepted or
+    # rejected with a ParamsRejected subclass: nothing else escapes (the CLI
+    # maps exactly that class to exit 2)
+    accepted = 0
+    for family in range(1, 6):
+        for q in range(-1, 33):
+            for h in range(-1, q + 2):
+                for r in range(-1, h + 2):
+                    for k in (0, 1, 10 ** 4):
+                        try:
+                            validate(family, q, h, r, k)
+                        except ParamsRejected:
+                            continue
+                        accepted += 1
+    assert accepted > 1000
 
 
 def test_rejected_contract_tuple_has_working_sibling():
@@ -308,6 +333,31 @@ def test_explicit_path_odd_q():
     spec = construct(5, 7, 6, 2, 2, i_list=(1, 3))
     assert spec.provenance["path"] == "explicit"
     _lift(spec)
+
+
+def _paper_node_products(F, p):
+    """The paper's closed form for the node products of a family-5 cell:
+    m * a^(m-1) * prod over the other cosets i' of (alpha^i - alpha^i'),
+    alpha = g^m, for each locator a of coset i."""
+    m = p.m
+    heads = F.vexp(m * np.asarray(p.i_list))
+    gaps = F.vsub(heads[:, None], heads[None, :])
+    np.fill_diagonal(gaps, 1)
+    locators = _coset_locators(F, p.i_list, p.h, m)
+    return F.vmul(F.vmul(F.vpow(locators, m - 1), np.repeat(F.vprod(gaps, axis=1), m)),
+                  F.embed_int(m))
+
+
+def test_node_products_match_paper_closed_form():
+    prime_powers = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+    cells = [c for q in prime_powers for c in iter_family_params(q) if c.family == 5]
+    cells.append(validate(5, 7, 6, 2, 2, i_list=(1, 3)))
+    cells.append(validate(5, 9, 8, 3, 1, i_list=(5, 2, 7)))
+    assert len(cells) > 300
+    for p in cells:
+        F = field_for_q(p.q)
+        locators = _coset_locators(F, p.i_list, p.h, p.m)
+        assert (_paper_node_products(F, p) == lagrange_weights(F, locators)).all(), p
 
 
 def test_kernel_path_even_q():

@@ -3,8 +3,8 @@
 The canonical moduli below were computed by an independent oracle: naive
 irreducibility by trial division plus an explicit order-of-x walk, scanning
 candidates in the integer-encoding order (constant term = least significant
-base-p digit).  They are frozen here; the fast search in the package must
-reproduce them exactly.
+base-p digit).  They are frozen here, with the moduli of every other field
+the tests build; the search in the package must reproduce them exactly.
 """
 from __future__ import annotations
 
@@ -44,6 +44,35 @@ FROZEN_MODULI = {
     (11, 1): (7, 1, 1),
     (13, 1): (2, 1, 1),
     (17, 1): (3, 1, 1),
+    # every other field of TABLE_FIELDS, recorded from the package's earlier
+    # search, which took powers of x by polynomial arithmetic mod each
+    # candidate instead of powers of its companion matrix
+    (2, 4): (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    (19, 1): (2, 1, 1),
+    (23, 1): (7, 1, 1),
+    (5, 2): (2, 2, 1, 0, 1),
+    (3, 3): (2, 1, 0, 0, 0, 0, 1),
+    (29, 1): (3, 1, 1),
+    (31, 1): (12, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (37, 1): (5, 1, 1),
+    (41, 1): (12, 1, 1),
+    (43, 1): (3, 1, 1),
+    (47, 1): (13, 1, 1),
+    (7, 2): (5, 3, 1, 0, 1),
+    (53, 1): (5, 1, 1),
+    (59, 1): (2, 1, 1),
+    (61, 1): (2, 1, 1),
+    (2, 6): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+    (67, 1): (12, 1, 1),
+    (71, 1): (11, 1, 1),
+    (73, 1): (11, 1, 1),
+    (79, 1): (3, 1, 1),
+    (3, 4): (2, 0, 0, 1, 0, 0, 0, 0, 1),
+    (3, 5): (2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (5, 4): (3, 2, 1, 0, 0, 0, 0, 0, 1),
+    (3, 6): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
 
 
@@ -51,7 +80,13 @@ FROZEN_MODULI = {
 def test_canonical_modulus_matches_oracle(pe, expected):
     p, e = pe
     assert canonical_modulus(p, 2 * e) == expected
-    assert make_field(p, e).modulus == expected
+
+
+def test_canonical_modulus_at_the_order_limit():
+    # both ends of p^degree <= 2^20: the largest prime at degree 2, and
+    # p = 2 at degree 20; no tables are built
+    assert canonical_modulus(1021, 2) == (10, 1, 1)
+    assert canonical_modulus(2, 20) == (1, 0, 0, 1) + (0,) * 16 + (1,)
 
 
 def test_field_parameters():
@@ -122,6 +157,7 @@ TABLE_FIELDS = sorted({pe for pe in map(_prime_power, range(2, 82)) if pe}
 def test_doubled_tables_match_stepped_walk(pe):
     # built outside make_field's cache, so the large tables are not kept
     F = FieldSpec(*pe, DEFAULT_ORDER_LIMIT)
+    assert F.modulus == FROZEN_MODULI[pe]
     exp, log = stepped_exp_log(*pe, F.modulus)
     assert np.array_equal(F._exp, exp)
     assert np.array_equal(F._log, log)
