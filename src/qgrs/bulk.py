@@ -40,7 +40,26 @@ def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.nd
     return F.vpow(base_codes[None, :], exps[:, None])
 
 
-_NEWTON_CHUNK = 1 << 16
+#: most entries of one batch on the certify path: the gram expansion's
+#: power rows, the node-difference rows and the Newton products here, and
+#: the structural route's sampled minors.  glibc's malloc trims its heap
+#: above twice the largest block freed so far; with 2 MB batches a process
+#: that certifies many mid-size codes keeps its heap, where 512 KB ones
+#: (2^16 entries) made it fault its heap back in for each code
+_BATCH_ENTRIES = 1 << 18
+
+
+def node_differences(F: FieldSpec, a: np.ndarray):
+    """Yield (lo, D) for consecutive slices of rows of the (n, n) matrix
+    D[i, j] = a_i - a_j, with 1 on its diagonal; a slice holds at most
+    _BATCH_ENTRIES // n rows (at least one), starting at row lo."""
+    n = len(a)
+    step = max(1, _BATCH_ENTRIES // n)
+    for lo in range(0, n, step):
+        diffs = F.vsub(a[lo:lo + step, None], a[None, :])
+        # row i of the slice meets the diagonal at column lo + i
+        diffs.reshape(-1)[lo::n + 1] = 1
+        yield lo, diffs
 
 
 def newton_coefficients(F: FieldSpec, node_codes: list[int],
@@ -51,18 +70,19 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
     Order t has basis degree exactly t, so an interpolant has degree
     < n - top iff its row vanishes.  Each is a divided difference in closed
     form, f[a_0..a_t] = sum_{i <= t} f_i / prod_{j <= t, j != i} (a_i - a_j).
-    One cumulative sum of the logs of the nodes' (distinct) differences gives
-    every denominator; one broadcast ``vmul`` and one field sum per chunk of
-    at most _NEWTON_CHUNK products give every coefficient.
+    Cumulative sums of the logs of the nodes' (distinct) differences give
+    every denominator, one slice of difference rows (:func:`node_differences`)
+    at a time; one broadcast ``vmul`` and one field sum per chunk of at most
+    _BATCH_ENTRIES products (at least one value row) give every coefficient.
     """
     f = np.array(value_rows, dtype=np.int64, ndmin=2)
     n = f.shape[1]
     a = np.asarray(node_codes, dtype=np.int64)
-    diffs = F.vsub(a[:, None], a[None, :])
-    np.fill_diagonal(diffs, 1)
-    dens = np.cumsum(F.vlog(diffs), axis=1)[:, n - top:].T      # (top, n)
+    dens = np.empty((top, n), dtype=np.int64)
+    for lo, diffs in node_differences(F, a):
+        dens[:, lo:lo + len(diffs)] = np.cumsum(F.vlog(diffs), axis=1)[:, n - top:].T
     W = np.where(np.arange(n) > np.arange(n - top, n)[:, None], 0, F.vexp(-dens))
-    step = max(1, _NEWTON_CHUNK // max(1, top * n))
+    step = max(1, _BATCH_ENTRIES // max(1, top * n))
     out = np.empty((len(f), top), dtype=np.int64)
     for lo in range(0, len(f), step):
         out[lo:lo + step] = digit_sum(F, F.vmul(f[lo:lo + step, None], W), axis=2)

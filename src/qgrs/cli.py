@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -24,11 +25,17 @@ from .errors import (
     NonCanonicalModulus,
     ParamsRejected,
     QgrsError,
+    RangeViolated,
     SchemaError,
     VerificationMismatch,
     brief,
 )
-from .field import check_modulus, make_field, prime_power_decompose
+from .field import (
+    DEFAULT_ORDER_LIMIT,
+    check_modulus,
+    make_field,
+    prime_power_decompose,
+)
 from .grs import GrsSpec, hermitian_gram
 from .verifier import DEFAULT_MINOR_BUDGET, DEFAULT_WORD_BUDGET, certify
 
@@ -262,7 +269,8 @@ def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None
 
 
 @main.command("enumerate")
-@click.option("--max-q", type=int, default=13, show_default=True)
+@click.option("--max-q", type=click.IntRange(max=math.isqrt(DEFAULT_ORDER_LIMIT)),
+              default=13, show_default=True)
 @click.option("--max-n", type=int, default=64, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -325,15 +333,15 @@ def cmd_enumerate(max_q, max_n, fmt, threads, k_max_only,
 def cmd_table(q):
     """Admissible (h, r) cells at this q with the top distance each reaches."""
     try:
-        prime_power_decompose(q)
-    except ValueError as exc:
+        cells = list(iter_family_params(q))
+    except RangeViolated as exc:
         click.echo(f"rejected: {exc}", err=True)
         sys.exit(2)
     threshold = q / 2 + 1
     click.echo(f"q = {q}: maximal-distance cells "
                f"(* marks d > q/2 + 1 = {threshold:g})")
     click.echo(f"{'family':>6} {'h':>4} {'r':>4} {'n':>6} {'d_max':>6}")
-    for cell in iter_family_params(q):
+    for cell in cells:
         d_max = cell.k_max + 1
         mark = " *" if d_max > threshold else ""
         click.echo(f"{cell.family:>6} {cell.h:>4} {cell.r:>4} "

@@ -50,9 +50,10 @@ from .errors import (
     ParityViolated,
     RangeViolated,
     SubfieldAssertionFailed,
+    brief,
 )
 from .exponents import Scenario, ScenarioKind
-from .field import FieldSpec, field_for_q, prime_power_decompose
+from .field import DEFAULT_ORDER_LIMIT, FieldSpec, field_for_q, prime_power_decompose
 from .grs import GrsSpec, lagrange_weights
 from .matrix import FMatrix
 from .solver import (
@@ -140,6 +141,11 @@ class Params:
 
 
 def _check_q(q: int) -> None:
+    # the order bound is checked first: factoring a large prime q would take
+    # time in sqrt(q) before field_for_q rejects its field anyway
+    if q > math.isqrt(DEFAULT_ORDER_LIMIT):
+        raise RangeViolated(f"GF(q^2) for q = {brief(q)} exceeds the order "
+                            f"limit {DEFAULT_ORDER_LIMIT}")
     try:
         prime_power_decompose(q)
     except ValueError as e:

@@ -72,25 +72,31 @@ def hermitian_gram(spec: GrsSpec) -> np.ndarray:
     """(k, k) int64 code array G[i][j] = sum_l (v_l a_l^j) (v_l a_l^i)^q.
 
     Expanded: sum_l norm(v_l) * a_l^(q*i + j); computed directly from that
-    expansion (route 1 — no interpolation machinery involved).
+    expansion (route 1 — no interpolation machinery involved), in slices of
+    at most bulk._BATCH_ENTRIES // n exponent rows (at least one).
     """
     F = spec.field
-    k, q = spec.k, F.q
+    k, q, n = spec.k, F.q, spec.n
+    a = np.array(spec.locators, dtype=np.int64)
     norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
-    exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
-    terms = bulk.power_codes(F, spec.locators, exps)   # (k*k, n)
-    terms = F.vmul(terms, norms)
-    sums = bulk.digit_sum(F, terms, axis=1)            # (k*k,)
+    exps = np.add.outer(q * np.arange(k), np.arange(k)).ravel()
+    step = max(1, bulk._BATCH_ENTRIES // n)
+    sums = np.empty(k * k, dtype=np.int64)
+    for lo in range(0, k * k, step):
+        terms = bulk.power_codes(F, a, exps[lo:lo + step])      # (rows, n)
+        sums[lo:lo + step] = bulk.digit_sum(F, F.vmul(terms, norms), axis=1)
     return sums.reshape(k, k)
 
 
 def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:
     """u_i = prod_{j != i} (a_i - a_j)  (the node products, not inverted),
-    as an array of codes."""
+    as an array of codes, one slice of difference rows at a time
+    (:func:`bulk.node_differences`)."""
     a = np.array(locators, dtype=np.int64)
-    diffs = F.vsub(a[:, None], a[None, :])
-    np.fill_diagonal(diffs, 1)
-    return F.vprod(diffs, axis=1)
+    out = np.empty(len(a), dtype=np.int64)
+    for lo, diffs in bulk.node_differences(F, a):
+        out[lo:lo + len(diffs)] = F.vprod(diffs, axis=1)
+    return out
 
 
 def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:

@@ -328,15 +328,22 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     G = generator_matrix(spec)
     if F.order > _RANK_SAMPLES_ABOVE_ORDER:
         good = np.array([FMatrix(F, G[:, c]).rank() == k for c in cols])
+        bad = cols[np.flatnonzero(~good)[:1]]
     else:
         # sample i's rows are G's columns cols[i]: its transpose, which is
-        # nonsingular exactly when the sample is
-        good = bulk.batch_minors_nonsingular(
-            F, np.ascontiguousarray(G.T).take(cols, axis=0))
-    if not good.all():  # pragma: no cover - would contradict the argument
-        bad = cols[int(np.flatnonzero(~good)[0])]
+        # nonsingular exactly when the sample is.  The samples are gathered
+        # and decided in order, at most bulk._BATCH_ENTRIES // k^2 at a time
+        Gt = np.ascontiguousarray(G.T)
+        step = max(1, bulk._BATCH_ENTRIES // (k * k))
+        for lo in range(0, len(cols), step):
+            good = bulk.batch_minors_nonsingular(
+                F, Gt.take(cols[lo:lo + step], axis=0))
+            bad = cols[lo + np.flatnonzero(~good)[:1]]
+            if len(bad):
+                break
+    if len(bad):  # pragma: no cover - would contradict the argument
         return MdsReport(MdsStatus.FAILED, "structural", len(ranks),
-                         f"sampled minor at columns {tuple(int(c) for c in bad)} "
+                         f"sampled minor at columns {tuple(bad[0].tolist())} "
                          "is singular despite the factorization argument")
     return MdsReport(MdsStatus.VERIFIED, "structural", len(ranks),
                      f"factorization argument + {len(ranks)} sampled minors")

@@ -107,7 +107,7 @@ def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
     F = make_field(19, 1)
     rng = random.Random(300)
     n, top, rows = 300, 150, 50
-    step = bulk._NEWTON_CHUNK // (top * n)
+    step = bulk._BATCH_ENTRIES // (top * n)
     assert 1 <= step and 2 * step < rows - 1
     nodes = rng.sample(range(F.order), n)
     vals = np.array([[rng.randrange(F.order) for _ in range(n)] for _ in range(rows)])
@@ -115,7 +115,10 @@ def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
     assert got.shape == (rows, top)
     for r in (0, step, rows - 1):
         assert got[r].tolist() == _scalar_divided_differences(F, nodes, vals[r].tolist())[n - top:]
-    monkeypatch.setattr(bulk, "_NEWTON_CHUNK", rows * top * n)
+    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", rows * top * n)
+    assert np.array_equal(bulk.newton_coefficients(F, nodes, vals, top), got)
+    # a 64-entry bound: one node-difference row and one value row a slice
+    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
     assert np.array_equal(bulk.newton_coefficients(F, nodes, vals, top), got)
 
 

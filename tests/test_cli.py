@@ -179,6 +179,18 @@ def test_construct_rejects_zero_h(runner):
     assert "DivisibilityViolated: h = 0 does not divide q+1 = 8" in res.output
 
 
+def test_q_past_the_order_limit_exits_2(runner):
+    # GF(1031^2) is past the order limit: a bad input, not an internal breach
+    res = runner.invoke(main, ["construct", "--family", "5", "--q", "1031",
+                               "--h", "2", "--r", "1", "--k", "1"])
+    assert res.exit_code == 2
+    assert "RangeViolated" in res.output and "order limit" in res.output
+    res = runner.invoke(main, ["table", "1031"])
+    assert res.exit_code == 2 and "order limit" in res.output
+    res = runner.invoke(main, ["enumerate", "--max-q", "1025"])
+    assert res.exit_code == 2
+
+
 def test_construct_exit_3_on_internal_breach(runner, monkeypatch):
     fake = CertBundle(
         spec=None, herm_gram_ok=True, herm_interp_ok=True,

@@ -10,6 +10,7 @@ it, so the carve-out cannot silently drift away from the mathematics.
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,18 @@ def test_validate_raises_only_params_rejected():
                             continue
                         accepted += 1
     assert accepted > 1000
+
+
+@pytest.mark.parametrize("q", [1031, 2 ** 61 - 1], ids=["q1031", "mersenne61"])
+def test_validate_rejects_q_past_the_order_limit_before_factoring(q):
+    # GF(q^2) is past the order limit: RangeViolated at once, not a
+    # FieldTooLarge from field_for_q after trial division up to sqrt(q)
+    t0 = time.perf_counter()
+    with pytest.raises(RangeViolated, match="exceeds the order limit"):
+        validate(5, q, 2, 1, 1)
+    with pytest.raises(RangeViolated, match="exceeds the order limit"):
+        construct(5, q, 2, 1, 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rejected_contract_tuple_has_working_sibling():

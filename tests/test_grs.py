@@ -13,6 +13,8 @@ import random
 import numpy as np
 import pytest
 
+from qgrs import bulk
+from qgrs.constructions import construct
 from qgrs.field import make_field
 from qgrs.grs import (
     GrsSpec,
@@ -165,3 +167,45 @@ def test_exhaustive_distance_is_singleton_for_tiny_grs():
                     for i in range(spec.n)]
             best = min(best, sum(1 for c in word if c))
     assert best == singleton_distance(spec.n, spec.k) == 3
+
+
+# the paper's new codes at three characteristics: [61, 9]_16, [60, 5]_11 and
+# [127, 32]_64 (d = k + 1 > q/2 + 1)
+_SLICED_CODES = [(1, 16, 17, 4, 9), (2, 11, 6, 3, 5), (1, 64, 65, 2, 32)]
+
+
+@pytest.mark.parametrize("args", _SLICED_CODES, ids=lambda a: f"f{a[0]}-q{a[1]}-k{a[4]}")
+def test_routes_match_across_slice_boundaries(monkeypatch, args):
+    # a 64-entry batch bound puts one exponent row and one node-difference
+    # row in each slice, a 1000-entry one a few rows with a short last slice;
+    # every route must give its one-slice result, on the code and on a
+    # norm-changing mutant of it
+    spec = construct(*args)
+    F = spec.field
+    mults = list(spec.multipliers)
+    mults[len(mults) // 2] = int(F.vmul(mults[len(mults) // 2], F.vexp(1)))
+    mutant = GrsSpec(F, spec.locators, tuple(mults), spec.k)
+    cases = [spec, mutant]
+    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
+    whole = [(hermitian_gram(c), dual_containment_check(c),
+              lagrange_weights(F, c.locators)) for c in cases]
+    assert whole[0][1] == (True, None) and whole[1][1][0] is False
+
+    rows = []
+    power_codes = bulk.power_codes
+
+    def counting(F, base, exps):
+        rows.append(len(exps))
+        return power_codes(F, base, exps)
+
+    monkeypatch.setattr(bulk, "power_codes", counting)
+    for bound in (64, 1000):
+        monkeypatch.setattr(bulk, "_BATCH_ENTRIES", bound)
+        step = max(1, bound // spec.n)
+        for c, (gram, dual, weights) in zip(cases, whole):
+            rows.clear()
+            assert np.array_equal(hermitian_gram(c), gram)
+            assert rows == [min(step, spec.k ** 2 - lo)
+                            for lo in range(0, spec.k ** 2, step)]
+            assert dual_containment_check(c) == dual
+            assert np.array_equal(lagrange_weights(F, c.locators), weights)

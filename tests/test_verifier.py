@@ -339,6 +339,23 @@ def test_minor_sweep_memory_is_bounded():
     assert peak < 4 * 2 ** 20
 
 
+def test_certify_memory_is_bounded():
+    # [3907, 40]_64, one of the paper's new codes (d = 41 > q/2 + 1): a
+    # certify that built its gram powers, node differences or sampled
+    # minors in one piece would peak near 360 MiB here
+    spec = construct(1, 64, 65, 62, 40)
+    tracemalloc.start()
+    try:
+        cert = certify(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.herm_gram_ok and cert.herm_interp_ok
+    assert cert.mds.ok and cert.mds.method == "structural"
+    assert str(cert.quantum) == "[[3907,3827,41]]_64"
+    assert peak < 40 * 2 ** 20
+
+
 def test_exhaustive_distance_catches_repeated_locator():
     r = check_min_distance_exhaustive(_degenerate_spec())
     assert r.status is MdsStatus.FAILED
@@ -396,6 +413,29 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args", [(2, 11, 6, 3, 5), (1, 16, 17, 4, 9),
+                                  (1, 64, 65, 2, 32)],
+                         ids=["q11-n60-k5", "q16-n61-k9", "q64-n127-k32"])
+def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
+    # with a 64-entry batch bound the samples are decided one or two at a
+    # time; status, checked and detail stay those of one slice
+    spec = construct(*args)
+    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
+    whole = structural_minor_certificate(spec)
+    calls = []
+    kernel = bulk.batch_minors_nonsingular
+
+    def counting(F, mats):
+        calls.append(len(mats))
+        return kernel(F, mats)
+
+    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
+    monkeypatch.setattr(bulk, "batch_minors_nonsingular", counting)
+    assert structural_minor_certificate(spec) == whole
+    assert whole.ok and whole.checked == 512 and sum(calls) == 512
+    assert max(calls) == max(1, 64 // spec.k ** 2)
+
+
 def test_structural_tripwire_names_first_singular_sample(monkeypatch):
     # a generator matrix with a zero column, as a matrix-building bug could
     # give: every sampled minor through that column is singular, and the
@@ -417,6 +457,25 @@ def test_structural_tripwire_names_first_singular_sample(monkeypatch):
     first = next(tuple(c) for c in cols.tolist() if 7 in c)
     assert r.status is MdsStatus.FAILED and r.checked == 512
     assert r.detail.startswith(f"sampled minor at columns {first} is singular")
+
+    # two equal columns that meet first in a late sample: with two samples
+    # a slice, the report names that sample, as one slice does
+    def first_with(a, b):
+        return next(i for i, c in enumerate(cols.tolist()) if a in c and b in c)
+
+    a, b = next(c[:2] for c in reversed(cols.tolist()) if first_with(*c[:2]) >= 400)
+    twin = generator_matrix(spec).copy()
+    twin[:, b] = twin[:, a]
+    monkeypatch.setattr(verifier, "generator_matrix", lambda spec: twin)
+    first = tuple(cols[first_with(a, b)].tolist())
+    reports = []
+    for bound in (1 << 40, 2 * spec.k ** 2):
+        monkeypatch.setattr(bulk, "_BATCH_ENTRIES", bound)
+        seen.clear()
+        reports.append(structural_minor_certificate(spec))
+    assert reports[0] == reports[1]
+    assert reports[0].status is MdsStatus.FAILED and reports[0].checked == 512
+    assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
 
 
 @pytest.mark.parametrize("args,i_list", [
