@@ -49,39 +49,28 @@ def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.nd
 _BATCH_ENTRIES = 1 << 18
 
 
-def node_differences(F: FieldSpec, a: np.ndarray):
-    """Yield (lo, D) for consecutive slices of rows of the (n, n) matrix
-    D[i, j] = a_i - a_j, with 1 on its diagonal; a slice holds at most
-    _BATCH_ENTRIES // n rows (at least one), starting at row lo."""
-    n = len(a)
-    step = max(1, _BATCH_ENTRIES // n)
-    for lo in range(0, n, step):
-        diffs = F.vsub(a[lo:lo + step, None], a[None, :])
-        # row i of the slice meets the diagonal at column lo + i
-        diffs.reshape(-1)[lo::n + 1] = 1
-        yield lo, diffs
-
-
 def newton_coefficients(F: FieldSpec, node_codes: list[int],
                         value_rows: np.ndarray, top: int) -> np.ndarray:
     """Newton coefficients (triangular basis) of orders n - top .. n - 1 of
-    the interpolants through (node[i], value_rows[r, i]), one row per r.
+    the interpolants through (a_i, u_i * value_rows[r, i]), one row per r,
+    where a_i = node_codes[i] and u_i = prod_{l != i} (a_i - a_l).
 
     Order t has basis degree exactly t, so an interpolant has degree
-    < n - top iff its row vanishes.  Each is a divided difference in closed
-    form, f[a_0..a_t] = sum_{i <= t} f_i / prod_{j <= t, j != i} (a_i - a_j).
-    Cumulative sums of the logs of the nodes' (distinct) differences give
-    every denominator, one slice of difference rows (:func:`node_differences`)
-    at a time; one broadcast ``vmul`` and one field sum per chunk of at most
+    < n - top iff its row vanishes.  Order t is the divided difference
+    sum_{i <= t} u_i f_i / prod_{l <= t, l != i} (a_i - a_l), and the node
+    products cancel: it is sum_i f_i * prod_{l > t} (a_i - a_l), where the
+    product is 0 for i > t (it holds a_i - a_i).  So the weights W[t, i]
+    need no inverse and read only the last top - 1 nodes: the last row is
+    all ones, and each row above is the row below times (a - a_{t + 1}).
+    One broadcast ``vmul`` and one field sum per chunk of at most
     _BATCH_ENTRIES products (at least one value row) give every coefficient.
     """
     f = np.array(value_rows, dtype=np.int64, ndmin=2)
     n = f.shape[1]
     a = np.asarray(node_codes, dtype=np.int64)
-    dens = np.empty((top, n), dtype=np.int64)
-    for lo, diffs in node_differences(F, a):
-        dens[:, lo:lo + len(diffs)] = np.cumsum(F.vlog(diffs), axis=1)[:, n - top:].T
-    W = np.where(np.arange(n) > np.arange(n - top, n)[:, None], 0, F.vexp(-dens))
+    W = np.ones((top, n), dtype=np.int64)
+    for j in range(top - 2, -1, -1):   # row j is order n - top + j
+        W[j] = F.vmul(W[j + 1], F.vsub(a, a[n - top + j + 1]))
     step = max(1, _BATCH_ENTRIES // max(1, top * n))
     out = np.empty((len(f), top), dtype=np.int64)
     for lo in range(0, len(f), step):

@@ -164,10 +164,17 @@ def _check_k(k: int, k_max: int) -> None:
         raise RangeViolated(f"k = {k} outside [1, {k_max}]")
 
 
-def _norm_indices(name: str, idx, default, r: int, modulus: int) -> tuple[int, ...]:
+def _norm_indices(name: str, idx, default, r: int, modulus: int,
+                  q: int) -> tuple[int, ...]:
     idx = tuple(int(i) for i in (default if idx is None else idx))
     if len(idx) != r:
         raise RangeViolated(f"{name} must have length {r}, got {len(idx)}")
+    # an index is a discrete log: past the group order it would only alias a
+    # smaller one, and past int64 it would overflow the exponent arrays
+    bound = q * q - 1
+    for i in idx:
+        if abs(i) >= bound:
+            raise RangeViolated(f"{name} entry {brief(i)} outside ({-bound}, {bound})")
     if len({i % modulus for i in idx}) != r:
         raise RangeViolated(f"{name} entries must be distinct mod {modulus}")
     return idx
@@ -221,7 +228,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             raise RangeViolated(f"r = {r} < 3")
         sc = _scenario(ScenarioKind.SHIFTED_EVEN, q, h // 2, (r - 3) // 2)
         _check_k(k, sc.k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, h)
+        idx = _norm_indices("i_list", i_list, range(r), r, h, q)
         return Params(2, q, h, r, k, idx, None, sc.m, r * sc.m,
                       sc.k_max, sc.s, sc.t)
     if family == 3:
@@ -235,7 +242,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             raise RangeViolated(f"r = {r} outside [1, {s}]")
         sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r)
         _check_k(k, sc.k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, s)
+        idx = _norm_indices("i_list", i_list, range(r), r, s, q)
         return Params(3, q, h, r, k, idx, None, sc.m, r * sc.m,
                       sc.k_max, s, None)
     if family == 4:
@@ -250,8 +257,8 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, t)
         _check_k(k, sc.k_max)
         r1, r2 = (r + 1) // 2, r // 2
-        even_idx = _norm_indices("i_list", i_list, range(r1), r1, s)
-        odd_idx = _norm_indices("j_list", j_list, range(r2), r2, s)
+        even_idx = _norm_indices("i_list", i_list, range(r1), r1, s, q)
+        odd_idx = _norm_indices("j_list", j_list, range(r2), r2, s, q)
         return Params(4, q, h, r, k, even_idx, odd_idx, sc.m, r * sc.m,
                       sc.k_max, s, t)
     if family == 5:
@@ -271,7 +278,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             # and are found by the fallback search.
             k_max = min(k_max, q - 2)
         _check_k(k, k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, h)
+        idx = _norm_indices("i_list", i_list, range(r), r, h, q)
         return Params(5, q, h, r, k, idx, None, m, r * m, k_max, None, None)
     raise RangeViolated(f"family must be 1..5, got {family}")
 
@@ -490,6 +497,8 @@ def iter_family_params(q: int, n_max: int | None = None) -> Iterator[Params]:
     A "cell" is a (family, h, r) choice with default index lists; each is
     yielded as a validated Params at k = k_max.  Every smaller k >= 1 is
     admissible too (the profile conditions for smaller k are a subset).
+    Each family tries every divisor h of q + 1 (families 1 and 2) or q - 1
+    (families 3 to 5) with every r in 1..h, and validate() alone decides.
     """
     _check_q(q)
 
@@ -502,23 +511,13 @@ def iter_family_params(q: int, n_max: int | None = None) -> Iterator[Params]:
             return None
         return replace(probe, k=probe.k_max)
 
-    for h in _divisors(q + 1):
-        for r in range(2, min(q, h)):
-            p = _try(1, h, r)
-            if p:
-                yield p
-    for h in _divisors(q + 1):
-        for r in range(3, h, 2):
-            p = _try(2, h, r)
-            if p:
-                yield p
-    for h in _divisors(q - 1):
-        for r in range(1, h):
-            p = _try(3, h, r) or _try(4, h, r)
-            if p:
-                yield p
-    for h in _divisors(q - 1):
-        for r in range(1, h + 1):
-            p = _try(5, h, r)
-            if p:
-                yield p
+    # families 3 and 4 split one (h, r) range at r = h / 2, so at most one
+    # of them admits a cell
+    for families, x in (((1,), q + 1), ((2,), q + 1), ((3, 4), q - 1),
+                        ((5,), q - 1)):
+        for h in _divisors(x):
+            for r in range(1, h + 1):
+                for family in families:
+                    p = _try(family, h, r)
+                    if p:
+                        yield p

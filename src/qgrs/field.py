@@ -36,7 +36,8 @@ size O(order) — the log/exp lookup-table design of the galois library
 The tests hold the ``v*`` methods to a scalar reference, in
 ``tests/oracle.py``, that reads none of these tables.
 
-Orders are capped (default 2^20) because the tables are built eagerly.
+Orders are capped at DEFAULT_ORDER_LIMIT = 2^20 because the tables are built
+eagerly.
 """
 from __future__ import annotations
 
@@ -157,7 +158,7 @@ def _respread(values: np.ndarray, digits: int, src: int, dst: int,
     return out
 
 
-def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
+def field_order(p: int, e: int) -> int:
     """p^(2e), once e >= 1, the order bound and the primality of p hold.
 
     The bound is checked before p is tested or the power is formed: a
@@ -170,8 +171,8 @@ def field_order(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> int:
     order = 1
     for _ in range(2 * e):
         order *= p
-        if order > limit:
-            raise FieldTooLarge(f"p^(2e) exceeds limit {limit}")
+        if order > DEFAULT_ORDER_LIMIT:
+            raise FieldTooLarge(f"p^(2e) exceeds limit {DEFAULT_ORDER_LIMIT}")
     if _prime_factors(p) != (p,):
         raise NotPrime(f"p = {p} is not prime")
     return order
@@ -190,8 +191,8 @@ class FieldSpec:
         "_sp", "_spexp", "_red", "_redsp", "_half",
     )
 
-    def __init__(self, p: int, e: int, limit: int) -> None:
-        self.order = field_order(p, e, limit)
+    def __init__(self, p: int, e: int) -> None:
+        self.order = field_order(p, e)
         self.p = p
         self.e = e
         self.q = p ** e
@@ -386,19 +387,15 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=64)
-def _make_field_cached(p: int, e: int, limit: int) -> FieldSpec:
-    return FieldSpec(p, e, limit)
-
-
-def make_field(p: int, e: int, *, limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
+def make_field(p: int, e: int) -> FieldSpec:
     """Build (or fetch the cached) GF(p^(2e)) with the canonical modulus."""
-    return _make_field_cached(p, e, limit)
+    return FieldSpec(p, e)
 
 
-def field_for_q(q: int, *, limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
+def field_for_q(q: int) -> FieldSpec:
     """GF(q^2) for a prime-power q."""
     p, e = prime_power_decompose(q)
-    return make_field(p, e, limit=limit)
+    return make_field(p, e)
 
 
 def check_modulus(p: int, e: int, coeffs) -> None:

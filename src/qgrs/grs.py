@@ -90,11 +90,16 @@ def hermitian_gram(spec: GrsSpec) -> np.ndarray:
 
 def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:
     """u_i = prod_{j != i} (a_i - a_j)  (the node products, not inverted),
-    as an array of codes, one slice of difference rows at a time
-    (:func:`bulk.node_differences`)."""
+    as an array of codes, from slices of at most bulk._BATCH_ENTRIES // n
+    rows (at least one) of the difference matrix, with 1 on its diagonal."""
     a = np.array(locators, dtype=np.int64)
-    out = np.empty(len(a), dtype=np.int64)
-    for lo, diffs in bulk.node_differences(F, a):
+    n = len(a)
+    step = max(1, bulk._BATCH_ENTRIES // n)
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, step):
+        diffs = F.vsub(a[lo:lo + step, None], a[None, :])
+        # row i of the slice meets the diagonal at column lo + i
+        diffs.reshape(-1)[lo::n + 1] = 1
         out[lo:lo + len(diffs)] = F.vprod(diffs, axis=1)
     return out
 
@@ -102,19 +107,20 @@ def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:
 def dual_containment_check(spec: GrsSpec) -> tuple[bool, int | None]:
     """Route 2: interpolation criterion for containment in the Hermitian dual.
 
-    For each monomial power j < k the values u_i * norm(v_i) * a_i^(q*j)
-    must interpolate (through the locators) to degree <= n-k-1: their k
-    Newton coefficients of order >= n-k, divided differences in closed form
-    (:func:`bulk.newton_coefficients`), must all vanish.
+    For each monomial power j < k the values u_i * norm(v_i) * a_i^(q*j),
+    u_i the node products, must interpolate (through the locators) to
+    degree <= n-k-1: their k Newton coefficients of order >= n-k must all
+    vanish.  :func:`bulk.newton_coefficients` takes norm(v_i) * a_i^(q*j)
+    and supplies the u_i itself, where they cancel against the divided
+    differences' denominators.
 
     Returns (ok, first failing j).
     """
     F = spec.field
     k, q = spec.k, F.q
     norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
-    weights = F.vmul(lagrange_weights(F, spec.locators), norms)
     conj_pows = bulk.power_codes(F, spec.locators, q * np.arange(k))   # (k, n)
-    values = F.vmul(conj_pows, weights)
+    values = F.vmul(conj_pows, norms)
     top = bulk.newton_coefficients(F, spec.locators, values, k)       # (k, k)
     bad = np.flatnonzero(top.any(axis=1))
     if bad.size:

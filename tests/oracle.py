@@ -13,17 +13,22 @@
 * :class:`ScalarField`, one-at-a-time arithmetic on int codes computed
   from the base-p digits and the modulus alone, that every ``FieldSpec.v*``
   op is held equal to.  It reads none of the field's tables, so a defect in
-  them cannot hide behind the same defect in the reference.
+  them cannot hide behind the same defect in the reference;
+* the node products and the Newton recursion on :class:`ScalarField` ops,
+  that :func:`qgrs.bulk.newton_coefficients` is held equal to;
+* the per-family (h, r) ranges that :func:`qgrs.constructions.iter_family_params`
+  once restated, which its cell lists are held equal to.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
 
-from qgrs.errors import InvalidScenario, ZeroArgument
+from qgrs.constructions import Params, validate
+from qgrs.errors import InvalidScenario, ParamsRejected, ZeroArgument
 from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import FieldSpec
 from qgrs.grs import GrsSpec, generator_matrix, singleton_distance
@@ -150,6 +155,65 @@ class ScalarField:
 
     def in_base(self, a: int) -> bool:
         return self.frobenius(a) == a
+
+
+def node_products(F: FieldSpec, nodes) -> list[int]:
+    """u_i = prod_{l != i} (a_i - a_l), one scalar op at a time."""
+    S = ScalarField(F)
+    out = []
+    for i, a in enumerate(nodes):
+        u = 1
+        for l, b in enumerate(nodes):
+            if l != i:
+                u = S.mul(u, S.sub(a, b))
+        out.append(u)
+    return out
+
+
+def divided_differences(F: FieldSpec, nodes, rows) -> list[list[int]]:
+    """The Newton recursion, one scalar field op at a time: all n
+    coefficients of the interpolant through (nodes[i], row[i]), per row."""
+    S = ScalarField(F)
+    n = len(nodes)
+    inverses: dict[tuple[int, int], int] = {}
+    out = []
+    for row in rows:
+        dd = [int(v) for v in row]
+        for t in range(1, n):
+            for i in range(n - 1, t - 1, -1):
+                den = inverses.get((i, t))
+                if den is None:
+                    den = inverses[i, t] = S.inv(S.sub(nodes[i], nodes[i - t]))
+                dd[i] = S.mul(S.sub(dd[i], dd[i - 1]), den)
+        out.append(dd)
+    return out
+
+
+def family_cells(q: int, n_max: int | None = None) -> list[Params]:
+    """iter_family_params by each family's own r range, from its hypotheses:
+    1 < r < min(q, h); odd r in [3, h); r < h shared by families 3 and 4;
+    r in [1, h]."""
+    def _try(family: int, h: int, r: int) -> Params | None:
+        try:
+            probe = validate(family, q, h, r, 1)
+        except ParamsRejected:
+            return None
+        if n_max is not None and probe.n > n_max:
+            return None
+        return replace(probe, k=probe.k_max)
+
+    up = [d for d in range(1, q + 2) if (q + 1) % d == 0]
+    down = [d for d in range(1, q) if (q - 1) % d == 0]
+    tries = ([(1, h, r) for h in up for r in range(2, min(q, h))]
+             + [(2, h, r) for h in up for r in range(3, h, 2)]
+             + [((3, 4), h, r) for h in down for r in range(1, h)]
+             + [(5, h, r) for h in down for r in range(1, h + 1)])
+    out = []
+    for family, h, r in tries:
+        p = (_try(3, h, r) or _try(4, h, r)) if family == (3, 4) else _try(family, h, r)
+        if p:
+            out.append(p)
+    return out
 
 
 @dataclass(frozen=True)

@@ -43,19 +43,27 @@ def test_power_codes_matches_scalar():
             assert got[ei, bi] == S.pow(int(b), int(e))
 
 
+def _over_node_products(F, nodes, rows):
+    """rows[r][i] / u_i, by scalar ops: newton_coefficients multiplies the
+    values by the node products u_i, so these interpolate through rows."""
+    S = ScalarField(F)
+    us = oracle.node_products(F, nodes)
+    return np.array([[S.div(int(v), u) for v, u in zip(row, us)] for row in rows])
+
+
 def test_newton_degree_detection():
     F = make_field(7, 1)
     rng = random.Random(99)
     nodes = rng.sample(range(1, F.order), 9)
     for deg in [0, 2, 5, 8]:
         coeffs = [rng.randrange(F.order) for _ in range(deg)] + [rng.randrange(1, F.order)]
-        values = [[_horner(F, coeffs, x) for x in nodes]]
-        dd = bulk.newton_coefficients(F, nodes, np.array(values), len(nodes))
+        values = _over_node_products(F, nodes, [[_horner(F, coeffs, x) for x in nodes]])
+        dd = bulk.newton_coefficients(F, nodes, values, len(nodes))
         # triangular basis: coefficients above the true degree vanish
         assert all(int(c) == 0 for c in dd[0, deg + 1:])
         assert int(dd[0, deg]) != 0
         # the top 9 - deg coefficients, alone, decide degree < deg + 1
-        top = bulk.newton_coefficients(F, nodes, np.array(values), len(nodes) - deg)
+        top = bulk.newton_coefficients(F, nodes, values, len(nodes) - deg)
         assert top[0].tolist() == dd[0, deg:].tolist()
 
 
@@ -67,19 +75,6 @@ def _horner(F, coeffs, x):
     return acc
 
 
-def _scalar_divided_differences(F, nodes, row):
-    """The Newton recursion, one scalar field op at a time: all n
-    coefficients of the interpolant through (nodes[i], row[i])."""
-    S = ScalarField(F)
-    n = len(nodes)
-    dd = list(row)
-    for t in range(1, n):
-        for i in range(n - 1, t - 1, -1):
-            num = S.sub(dd[i], dd[i - 1])
-            dd[i] = S.div(num, S.sub(nodes[i], nodes[i - t]))
-    return dd
-
-
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 6), (3, 4)],
                          ids=["GF9", "GF4096", "GF6561"])
 def test_newton_matches_scalar_divided_differences(p, e):
@@ -89,16 +84,16 @@ def test_newton_matches_scalar_divided_differences(p, e):
     nodes = rng.sample(range(F.order), n)
     vals = [[rng.randrange(F.order) for _ in range(n)] for _ in range(3)]
     vals[0][:4] = [0] * 4
-    got = bulk.newton_coefficients(F, nodes, np.array(vals), n)
+    divided = _over_node_products(F, nodes, vals)
+    got = bulk.newton_coefficients(F, nodes, divided, n)
     assert got.shape == (3, n)
-    for r, row in enumerate(vals):
-        assert got[r].tolist() == _scalar_divided_differences(F, nodes, row)
+    assert got.tolist() == oracle.divided_differences(F, nodes, vals)
     # fewer than n: the top coefficients, ascending; a single row is one row
-    top = bulk.newton_coefficients(F, nodes, np.array(vals), 4)
+    top = bulk.newton_coefficients(F, nodes, divided, 4)
     assert top.tolist() == got[:, n - 4:].tolist()
-    assert bulk.newton_coefficients(F, nodes, np.array(vals[1]), 4).tolist() == [
+    assert bulk.newton_coefficients(F, nodes, divided[1], 4).tolist() == [
         got[1, n - 4:].tolist()]
-    assert bulk.newton_coefficients(F, nodes, np.array(vals), 0).shape == (3, 0)
+    assert bulk.newton_coefficients(F, nodes, divided, 0).shape == (3, 0)
 
 
 def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
@@ -110,16 +105,18 @@ def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
     step = bulk._BATCH_ENTRIES // (top * n)
     assert 1 <= step and 2 * step < rows - 1
     nodes = rng.sample(range(F.order), n)
-    vals = np.array([[rng.randrange(F.order) for _ in range(n)] for _ in range(rows)])
-    got = bulk.newton_coefficients(F, nodes, vals, top)
+    vals = [[rng.randrange(F.order) for _ in range(n)] for _ in range(rows)]
+    divided = _over_node_products(F, nodes, vals)
+    got = bulk.newton_coefficients(F, nodes, divided, top)
     assert got.shape == (rows, top)
-    for r in (0, step, rows - 1):
-        assert got[r].tolist() == _scalar_divided_differences(F, nodes, vals[r].tolist())[n - top:]
+    want = oracle.divided_differences(F, nodes, [vals[r] for r in (0, step, rows - 1)])
+    for r, dd in zip((0, step, rows - 1), want):
+        assert got[r].tolist() == dd[n - top:]
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", rows * top * n)
-    assert np.array_equal(bulk.newton_coefficients(F, nodes, vals, top), got)
-    # a 64-entry bound: one node-difference row and one value row a slice
+    assert np.array_equal(bulk.newton_coefficients(F, nodes, divided, top), got)
+    # a 64-entry bound: one value row a chunk
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
-    assert np.array_equal(bulk.newton_coefficients(F, nodes, vals, top), got)
+    assert np.array_equal(bulk.newton_coefficients(F, nodes, divided, top), got)
 
 
 def _planted_minor_stack(F, k, rng):

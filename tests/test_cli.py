@@ -1,6 +1,7 @@
 """CLI tests: round trips, exit codes, serialization, and enumeration."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -374,6 +375,31 @@ def test_index_list_parsing(tmp_path, runner):
                                 "--h", "4", "--r", "2", "--k", "2",
                                 "--i-list", "0,x"])
     assert res2.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "2", "--q", "5", "--h", "6", "--r", "3",
+     "--i-list", "0,1,100000000000000000000000"],
+    ["--family", "3", "--q", "7", "--h", "6", "--r", "2",
+     "--i-list", "0,4611686018427387905"],
+    ["--family", "5", "--q", "7", "--h", "3", "--r", "2",
+     "--i-list", "0,9223372036854775807"],
+], ids=["f2-past-int64", "f3-doubled-past-int64", "f5-int64-max"])
+def test_construct_rejects_index_past_the_group_order(runner, args):
+    # |i| >= q^2 - 1 is a bad input: no OverflowError traceback (exit 1),
+    # and no exponent that overflows int64 into a failed build (exit 3)
+    res = runner.invoke(main, ["construct", *args, "--k", "1"])
+    assert res.exit_code == 2, res.output
+    assert "RangeViolated: i_list entry" in res.output
+
+
+def test_construct_keeps_in_range_index_document(tmp_path, runner):
+    # recorded before index entries were bounded by the group order
+    out, _ = _doc(tmp_path, runner,
+                  ["construct", "--family", "2", "--q", "5", "--h", "6",
+                   "--r", "3", "--k", "1", "--i-list", "0,1,-4"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "59af748b840a03fb75acab80492cc13375eb0928d56001c100a40ee19fcd6e85")
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,17 @@ from qgrs.errors import (
     RangeViolated,
 )
 from qgrs.exponents import Scenario, ScenarioKind
-from qgrs.field import field_for_q
+from qgrs.field import field_for_q, prime_power_decompose
 from qgrs.grs import GrsSpec, hermitian_gram, lagrange_weights
 from qgrs.matrix import FMatrix
 from qgrs.verifier import certify
 
-from oracle import ScalarField, brute_force_multiplier_search, enumerate_quotients
+from oracle import (
+    ScalarField,
+    brute_force_multiplier_search,
+    enumerate_quotients,
+    family_cells,
+)
 
 
 def _lift(spec):
@@ -152,6 +157,19 @@ def test_validate_raises_only_params_rejected():
                             continue
                         accepted += 1
     assert accepted > 1000
+
+
+def test_validate_bounds_index_entries_by_the_group_order():
+    # an index is a discrete log, so |i| < q^2 - 1 (24 at q = 5, 48 at
+    # q = 7); the entries tried are distinct mod h, so only the bound rejects
+    assert validate(2, 5, 6, 3, 1, i_list=[0, 1, 23]).i_list == (0, 1, 23)
+    assert validate(2, 5, 6, 3, 1, i_list=[0, 2, -23]).i_list == (0, 2, -23)
+    for bad in (24, -24, 10 ** 30):
+        with pytest.raises(RangeViolated, match="i_list entry .* outside"):
+            validate(2, 5, 6, 3, 1, i_list=[1, 2, bad])
+    assert validate(4, 7, 6, 4, 1, j_list=[0, 47]).j_list == (0, 47)
+    with pytest.raises(RangeViolated, match="j_list entry .* outside"):
+        validate(4, 7, 6, 4, 1, j_list=[1, 48])
 
 
 @pytest.mark.parametrize("q", [1031, 2 ** 61 - 1], ids=["q1031", "mersenne61"])
@@ -511,6 +529,18 @@ def test_small_q_cells_all_certify():
             assert qp.n == p.n and qp.k == p.n - 2 * p.k
             seen += 1
     assert seen == 10
+
+
+@pytest.mark.parametrize("n_max", [None, 64])
+def test_iter_family_params_matches_per_family_ranges(n_max):
+    # validate() alone decides admissibility over r in 1..h; the cells, and
+    # their order, are those of each family's own r range
+    for q in range(2, 129):
+        try:
+            prime_power_decompose(q)
+        except ValueError:
+            continue
+        assert list(iter_family_params(q, n_max=n_max)) == family_cells(q, n_max), q
 
 
 def test_iter_family_params_respects_n_max():

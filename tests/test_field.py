@@ -112,7 +112,7 @@ def test_make_field_rejections():
     with pytest.raises(FieldTooLarge):
         make_field(2, 11)  # 2^22 > 2^20
     # the boundary itself is allowed
-    assert make_field(2, 10, limit=1 << 20).order == 1 << 20
+    assert make_field(2, 10).order == DEFAULT_ORDER_LIMIT == 1 << 20
 
 
 def test_exp_log_bijectivity():
@@ -156,7 +156,7 @@ TABLE_FIELDS = sorted({pe for pe in map(_prime_power, range(2, 82)) if pe}
                          ids=lambda pe: f"GF{pe[0] ** (2 * pe[1])}")
 def test_doubled_tables_match_stepped_walk(pe):
     # built outside make_field's cache, so the large tables are not kept
-    F = FieldSpec(*pe, DEFAULT_ORDER_LIMIT)
+    F = FieldSpec(*pe)
     assert F.modulus == FROZEN_MODULI[pe]
     exp, log = stepped_exp_log(*pe, F.modulus)
     assert np.array_equal(F._exp, exp)
@@ -181,7 +181,7 @@ def _digitwise_reduction(p, width, out_base):
                          ids=lambda pe: f"GF{pe[0] ** (2 * pe[1])}")
 def test_add_tables_match_digitwise_build(pe):
     p, e = pe
-    F = FieldSpec(p, e, DEFAULT_ORDER_LIMIT)
+    F = FieldSpec(p, e)
     width = e if F._half else 2 * e
     assert F._half == (0 if width == 2 * e else (2 * p - 1) ** e)
     assert np.array_equal(F._red, _digitwise_reduction(p, width, p))
@@ -356,7 +356,7 @@ def test_oracle_catches_a_log_table_defect():
     # a private GF(81), so the cached one keeps its tables; with the logs of
     # two units swapped, vmul(a, 1) reads b.  A reference that looked up the
     # same tables would make the same mistake and agree.
-    F = FieldSpec(3, 2, 1 << 20)
+    F = FieldSpec(3, 2)
     a, b = 5, 7
     F._log[[a, b]] = F._log[[b, a]]
     assert F.vmul(a, 1) == b

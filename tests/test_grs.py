@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from qgrs import bulk
+from qgrs import bulk, grs
 from qgrs.constructions import construct
 from qgrs.field import make_field
 from qgrs.grs import (
@@ -25,6 +25,7 @@ from qgrs.grs import (
     singleton_distance,
 )
 
+import oracle
 from oracle import ScalarField
 
 
@@ -174,6 +175,65 @@ def test_exhaustive_distance_is_singleton_for_tiny_grs():
 _SLICED_CODES = [(1, 16, 17, 4, 9), (2, 11, 6, 3, 5), (1, 64, 65, 2, 32)]
 
 
+def _norm_mutant(spec):
+    """The code with its middle multiplier times g, whose norm is not 1."""
+    F = spec.field
+    mults = list(spec.multipliers)
+    mults[len(mults) // 2] = int(F.vmul(mults[len(mults) // 2], F.vexp(1)))
+    return GrsSpec(F, spec.locators, tuple(mults), spec.k)
+
+
+@pytest.mark.parametrize("args", _SLICED_CODES, ids=lambda a: f"f{a[0]}-q{a[1]}-k{a[4]}")
+def test_interpolation_route_matches_scalar_divided_differences(monkeypatch, args):
+    # the route hands bulk.newton_coefficients N(v_i) a_i^(qj) and lets the
+    # node products u_i cancel there; its top rows must still be the top k
+    # divided differences of u_i N(v_i) a_i^(qj), computed by scalar ops.
+    # Rows 0, k/2 and k - 1 of the code and of its mutant: the scalar
+    # recursion takes about 0.15 s a row at [127, 32]_64
+    tops = []
+    newton = bulk.newton_coefficients
+
+    def recording(*call):
+        tops.append(newton(*call))
+        return tops[-1]
+
+    monkeypatch.setattr(bulk, "newton_coefficients", recording)
+    spec = construct(*args)
+    cases = [spec, _norm_mutant(spec)]
+    F, n, k = spec.field, spec.n, spec.k
+    S = ScalarField(F)
+    us = oracle.node_products(F, spec.locators)
+    js = (0, k // 2, k - 1)
+    rows = [[S.mul(S.mul(u, S.norm(v)), S.pow(a, F.q * j))
+             for a, v, u in zip(c.locators, c.multipliers, us)]
+            for c in cases for j in js]
+    want = [dd[n - k:] for dd in oracle.divided_differences(F, spec.locators, rows)]
+    got, verdicts = [], []
+    for c in cases:
+        tops.clear()
+        verdicts.append(dual_containment_check(c))
+        assert len(tops) == 1 and tops[0].shape == (k, k)
+        got += [tops[0][j].tolist() for j in js]
+    assert got == want
+    # the mutant moves row 0's top coefficient, sum_i N(v_i), by its change
+    # of norm, so its first failing j is 0
+    assert not any(map(any, want[:3])) and any(want[3])
+    assert verdicts == [(True, None), (False, 0)]
+
+
+def test_interpolation_route_reads_neither_node_products_nor_gram(monkeypatch):
+    # the node products cancel inside the Newton kernel, and the route
+    # shares nothing with the gram route
+    def forbidden(*args):
+        raise AssertionError("called by the interpolation route")
+
+    spec = construct(*_SLICED_CODES[1])
+    monkeypatch.setattr(grs, "lagrange_weights", forbidden)
+    monkeypatch.setattr(grs, "hermitian_gram", forbidden)
+    assert dual_containment_check(spec) == (True, None)
+    assert dual_containment_check(_norm_mutant(spec))[0] is False
+
+
 @pytest.mark.parametrize("args", _SLICED_CODES, ids=lambda a: f"f{a[0]}-q{a[1]}-k{a[4]}")
 def test_routes_match_across_slice_boundaries(monkeypatch, args):
     # a 64-entry batch bound puts one exponent row and one node-difference
@@ -182,10 +242,7 @@ def test_routes_match_across_slice_boundaries(monkeypatch, args):
     # norm-changing mutant of it
     spec = construct(*args)
     F = spec.field
-    mults = list(spec.multipliers)
-    mults[len(mults) // 2] = int(F.vmul(mults[len(mults) // 2], F.vexp(1)))
-    mutant = GrsSpec(F, spec.locators, tuple(mults), spec.k)
-    cases = [spec, mutant]
+    cases = [spec, _norm_mutant(spec)]
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
     whole = [(hermitian_gram(c), dual_containment_check(c),
               lagrange_weights(F, c.locators)) for c in cases]
