@@ -164,9 +164,13 @@ def _check_k(k: int, k_max: int) -> None:
         raise RangeViolated(f"k = {k} outside [1, {k_max}]")
 
 
-def _norm_indices(name: str, idx, default, r: int, modulus: int,
+def _norm_indices(name: str, idx, r: int, modulus: int,
                   q: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in (default if idx is None else idx))
+    if idx is None:
+        # the default 0..r-1 keeps both rules below: every caller has
+        # already bounded r by the modulus, and r <= q < q^2 - 1
+        return tuple(range(r))
+    idx = tuple(int(i) for i in idx)
     if len(idx) != r:
         raise RangeViolated(f"{name} must have length {r}, got {len(idx)}")
     # an index is a discrete log: past the group order it would only alias a
@@ -228,7 +232,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             raise RangeViolated(f"r = {r} < 3")
         sc = _scenario(ScenarioKind.SHIFTED_EVEN, q, h // 2, (r - 3) // 2)
         _check_k(k, sc.k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, h, q)
+        idx = _norm_indices("i_list", i_list, r, h, q)
         return Params(2, q, h, r, k, idx, None, sc.m, r * sc.m,
                       sc.k_max, sc.s, sc.t)
     if family == 3:
@@ -242,7 +246,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             raise RangeViolated(f"r = {r} outside [1, {s}]")
         sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r)
         _check_k(k, sc.k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, s, q)
+        idx = _norm_indices("i_list", i_list, r, s, q)
         return Params(3, q, h, r, k, idx, None, sc.m, r * sc.m,
                       sc.k_max, s, None)
     if family == 4:
@@ -257,8 +261,8 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, t)
         _check_k(k, sc.k_max)
         r1, r2 = (r + 1) // 2, r // 2
-        even_idx = _norm_indices("i_list", i_list, range(r1), r1, s, q)
-        odd_idx = _norm_indices("j_list", j_list, range(r2), r2, s, q)
+        even_idx = _norm_indices("i_list", i_list, r1, s, q)
+        odd_idx = _norm_indices("j_list", j_list, r2, s, q)
         return Params(4, q, h, r, k, even_idx, odd_idx, sc.m, r * sc.m,
                       sc.k_max, s, t)
     if family == 5:
@@ -278,7 +282,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             # and are found by the fallback search.
             k_max = min(k_max, q - 2)
         _check_k(k, k_max)
-        idx = _norm_indices("i_list", i_list, range(r), r, h, q)
+        idx = _norm_indices("i_list", i_list, r, h, q)
         return Params(5, q, h, r, k, idx, None, m, r * m, k_max, None, None)
     raise RangeViolated(f"family must be 1..5, got {family}")
 

@@ -16,6 +16,9 @@ The Singleton distance is decided by the cheapest affordable route:
    determinant in the locators, so distinct locators and nonzero
    multipliers force every minor nonzero — spot-checked with a block of
    deterministically sampled minors as defense against matrix-building bugs.
+   Up to order 4096 each sample is decided as a whole k x k matrix; above
+   it, by one block of the reduced form of the generator matrix, which
+   is exact linear algebra and does not lean on the factorization.
 
 The report always names the route that decided, so downstream consumers can
 distinguish an enumerated verdict from a structural one.
@@ -52,12 +55,14 @@ _LEAF_WIDTH = 2
 _SLICE_ENTRIES = 1 << 14
 _SAMPLED_MINORS = 512
 _SAMPLE_SEED = 0xC0DE
-#: above this order the structural route ranks its sampled minors one by
-#: one with FMatrix.rank instead of batch_minors_nonsingular.  The verdict
-#: is the same either way (the tests compare the two, sample for sample, on
-#: two q = 81 codes); the branch is kept only because the benchmark's
-#: verify-docs workload expects a matrix.rref span from its q = 81 documents.
-_RANK_SAMPLES_ABOVE_ORDER = 4096
+#: above this order the structural route decides its sampled minors
+#: through one reduced form of G (_reduced_samples_nonsingular), whose
+#: blocks are smaller than the samples; at or below it each sample is
+#: decided as a whole k x k batch entry.  The reduced route costs an rref of
+#: k Python steps and one kernel call per block size, which made the small
+#: codes of the sweeps (q <= 13, k <= 10) slower, so it waits for the orders
+#: where the k x k eliminations dominate.
+_REDUCE_SAMPLES_ABOVE_ORDER = 4096
 
 
 class MdsStatus(Enum):
@@ -326,8 +331,8 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     ranks = sorted({rng.randrange(total) for _ in range(picks)})
     cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
-    if F.order > _RANK_SAMPLES_ABOVE_ORDER:
-        good = np.array([FMatrix(F, G[:, c]).rank() == k for c in cols])
+    if F.order > _REDUCE_SAMPLES_ABOVE_ORDER:
+        good = _reduced_samples_nonsingular(F, G, cols)
         bad = cols[np.flatnonzero(~good)[:1]]
     else:
         # sample i's rows are G's columns cols[i]: its transpose, which is
@@ -347,6 +352,48 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
                          "is singular despite the factorization argument")
     return MdsReport(MdsStatus.VERIFIED, "structural", len(ranks),
                      f"factorization argument + {len(ranks)} sampled minors")
+
+
+def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,
+                                 cols: np.ndarray) -> np.ndarray:
+    """good[i]: is the k x k minor of G on columns cols[i] nonsingular?
+
+    R = rref(G) is G times an invertible matrix, so it has the same
+    singular k-subsets when rank(G) = k; when rank(G) < k all of them are
+    singular.  With pivot columns P, column P[i] of R is the unit vector
+    e_i, so expanding det R_S along the unit columns of S & P leaves,
+    up to sign, the minor of R on the rows i with P[i] not in S and the
+    columns S - P: a b x b block, b = k - |S & P|.  The samples are
+    grouped by b and each group's blocks decided in batches of at most
+    bulk._BATCH_ENTRIES // b^2; b = 0 means S = P, which is nonsingular.
+    """
+    k, n = G.shape
+    R, pivots = FMatrix(F, G).rref()
+    good = np.zeros(len(cols), dtype=bool)
+    if len(pivots) < k:
+        return good
+    # row_of[c]: the row whose pivot is column c, or -1
+    row_of = np.full(n, -1, dtype=np.intp)
+    row_of[list(pivots)] = np.arange(k)
+    hit = row_of[cols]                                 # (samples, k)
+    in_p = hit >= 0
+    sizes = k - in_p.sum(axis=1)
+    flat = R.array.reshape(-1)
+    for b in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == b)
+        if b == 0:
+            good[idx] = True
+            continue
+        keep = np.ones((len(idx), k), dtype=bool)
+        keep[np.repeat(np.arange(len(idx)), k - b), hit[idx][in_p[idx]]] = False
+        rows = np.nonzero(keep)[1].reshape(len(idx), b)
+        free = cols[idx][~in_p[idx]].reshape(len(idx), b)
+        step = max(1, bulk._BATCH_ENTRIES // (b * b))
+        for lo in range(0, len(idx), step):
+            at = slice(lo, lo + step)
+            good[idx[at]] = bulk.batch_minors_nonsingular(F, flat.take(
+                rows[at, :, None] * n + free[at, None, :]))
+    return good
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from qgrs import constructions
 from qgrs.constructions import (
     FAMILIES,
     Params,
@@ -170,6 +171,30 @@ def test_validate_bounds_index_entries_by_the_group_order():
     assert validate(4, 7, 6, 4, 1, j_list=[0, 47]).j_list == (0, 47)
     with pytest.raises(RangeViolated, match="j_list entry .* outside"):
         validate(4, 7, 6, 4, 1, j_list=[1, 48])
+
+
+def test_default_index_lists_skip_no_rejection(monkeypatch):
+    # validate returns the default index lists 0..r-1 unchecked; passing
+    # them explicitly runs the length, bound and distinctness rules.  Every
+    # (family, h, r) cell for q <= 32, h <= q + 2, r <= h + 1, must give the
+    # same Params, or the same exception type and message, either way
+    def outcome(*args):
+        try:
+            return validate(*args)
+        except ParamsRejected as exc:
+            return type(exc), str(exc)
+
+    norm = constructions._norm_indices
+    cells = [(family, q, h, r, 1)
+             for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+             for family in FAMILIES for h in range(q + 3) for r in range(h + 2)]
+    unchecked = [outcome(*cell) for cell in cells]
+    monkeypatch.setattr(
+        constructions, "_norm_indices",
+        lambda name, idx, r, modulus, q: norm(
+            name, tuple(range(r)) if idx is None else idx, r, modulus, q))
+    assert [outcome(*cell) for cell in cells] == unchecked
+    assert sum(isinstance(o, Params) for o in unchecked) > 1000
 
 
 @pytest.mark.parametrize("q", [1031, 2 ** 61 - 1], ids=["q1031", "mersenne61"])

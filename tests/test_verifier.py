@@ -414,11 +414,13 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
 
 
 @pytest.mark.parametrize("args", [(2, 11, 6, 3, 5), (1, 16, 17, 4, 9),
-                                  (1, 64, 65, 2, 32)],
-                         ids=["q11-n60-k5", "q16-n61-k9", "q64-n127-k32"])
+                                  (1, 64, 65, 2, 32), (3, 81, 80, 1, 12)],
+                         ids=["q11-n60-k5", "q16-n61-k9", "q64-n127-k32",
+                              "q81-n82-k12"])
 def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
-    # with a 64-entry batch bound the samples are decided one or two at a
-    # time; status, checked and detail stay those of one slice
+    # with a 64-entry batch bound the samples are decided a few at a time:
+    # k x k samples, or at q = 81 the b x b blocks of the reduced form of G;
+    # status, checked and detail stay those of one slice
     spec = construct(*args)
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
     whole = structural_minor_certificate(spec)
@@ -426,14 +428,18 @@ def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
     kernel = bulk.batch_minors_nonsingular
 
     def counting(F, mats):
-        calls.append(len(mats))
+        calls.append(mats.shape[:2])
         return kernel(F, mats)
 
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
     monkeypatch.setattr(bulk, "batch_minors_nonsingular", counting)
     assert structural_minor_certificate(spec) == whole
-    assert whole.ok and whole.checked == 512 and sum(calls) == 512
-    assert max(calls) == max(1, 64 // spec.k ** 2)
+    assert whole.ok and whole.checked == 512
+    assert sum(m for m, _ in calls) == 512
+    # every call within its size's bound, and some call at it
+    assert max(m - max(1, 64 // b ** 2) for m, b in calls) == 0
+    if spec.field.order <= verifier._REDUCE_SAMPLES_ABOVE_ORDER:
+        assert {b for _, b in calls} == {spec.k}
 
 
 def test_structural_tripwire_names_first_singular_sample(monkeypatch):
@@ -478,15 +484,8 @@ def test_structural_tripwire_names_first_singular_sample(monkeypatch):
     assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
 
 
-@pytest.mark.parametrize("args,i_list", [
-    ((3, 81, 80, 1, 12), (0,)),
-    ((3, 81, 80, 2, 42), (0, 1)),
-], ids=["q81-n82-k12", "q81-n164-k42"])
-def test_structural_rank_branch_agrees_with_batch_kernel(monkeypatch, args, i_list):
-    # at q = 81 the structural route ranks each sample with FMatrix.rank;
-    # batch_minors_nonsingular must give the same verdict, sample for sample
-    spec = construct(*args, i_list=i_list)
-    F, k = spec.field, spec.k
+def _sampled_columns(monkeypatch, spec):
+    """The structural route's report on spec, and its (512, k) samples."""
     seen = []
     unrank = bulk.unrank_lex
 
@@ -495,18 +494,109 @@ def test_structural_rank_branch_agrees_with_batch_kernel(monkeypatch, args, i_li
         return seen[-1]
 
     monkeypatch.setattr(bulk, "unrank_lex", recording)
-    assert structural_minor_certificate(spec).checked == 512
+    report = structural_minor_certificate(spec)
+    monkeypatch.setattr(bulk, "unrank_lex", unrank)
     (cols,) = seen
+    return report, cols
+
+
+def _full_samples_nonsingular(F, G, cols):
+    return bulk.batch_minors_nonsingular(F, np.ascontiguousarray(G.T).take(cols, axis=0))
+
+
+@pytest.mark.parametrize("args,i_list", [
+    ((3, 81, 80, 1, 12), (0,)),
+    ((3, 81, 80, 2, 42), (0, 1)),
+    ((1, 128, 129, 2, 64), None),
+], ids=["q81-n82-k12", "q81-n164-k42", "q128-n255-k64"])
+def test_reduced_samples_agree_with_batch_kernel(monkeypatch, args, i_list):
+    # above order 4096 the structural route decides each sample through the
+    # reduced form of G; batch_minors_nonsingular on the full k x k samples
+    # must give the same verdict, sample for sample, also once two columns
+    # are made equal so that every sample through both is singular
+    spec = construct(*args, i_list=i_list)
+    F, k = spec.field, spec.k
+    assert F.order > verifier._REDUCE_SAMPLES_ABOVE_ORDER
+    report, cols = _sampled_columns(monkeypatch, spec)
+    assert report.ok and report.checked == 512
     G = generator_matrix(spec)
-    # the samples themselves, then each with its second column replaced by
-    # its first, which makes every minor singular
-    twins = cols.copy()
-    twins[:, 1] = twins[:, 0]
-    for subsets, want in ((cols, True), (twins, False)):
-        ranked = np.array([FMatrix(F, G[:, c]).rank() == k for c in subsets])
-        batched = bulk.batch_minors_nonsingular(F, G[:, subsets].transpose(1, 0, 2))
-        assert np.array_equal(ranked, batched)
-        assert (ranked == want).all()
+    twin = G.copy()
+    twin[:, int(cols[0, -1])] = twin[:, int(cols[0, 0])]
+    verdicts = []
+    for M in (G, twin):
+        verdicts.append(verifier._reduced_samples_nonsingular(F, M, cols))
+        assert np.array_equal(verdicts[-1], _full_samples_nonsingular(F, M, cols))
+    assert verdicts[0].all()
+    assert not verdicts[1][0] and verdicts[1].any()
+
+
+def _planted(F, G, cols, kind):
+    """A copy of G with one matrix-building bug planted: see the ids of
+    test_reduced_route_reports_as_the_direct_route."""
+    k, n = G.shape
+    G = G.copy()
+    if kind == "late-twins":
+        # the two columns that first meet in the latest sample
+        first = {}
+        for i, c in enumerate(cols.tolist()):
+            for pair in itertools.combinations(c, 2):
+                first.setdefault(pair, i)
+        (a, b), i = max(first.items(), key=lambda item: item[1])
+        assert i >= 128
+        G[:, b] = G[:, a]
+    elif kind == "zero-column":
+        G[:, int(cols[3, 1])] = 0
+    elif kind == "dependent-head":
+        # in the first sample with three columns before k, the third is
+        # made the sum of the other two: the pivots are no longer 0..k-1
+        a, b, c = next(s[s < k][:3] for s in cols if (s < k).sum() >= 3)
+        G[:, c] = F.vadd(G[:, a], G[:, b])
+    elif kind == "rank-deficient":
+        G[-1] = G[0]
+    elif kind == "sample-is-pivots":
+        # zero every column before the first sample's last that is not in
+        # it: the sample's columns become the pivot columns of rref(G)
+        head = np.setdiff1d(np.arange(cols[0, -1]), cols[0])
+        G[:, head] = 0
+    return G
+
+
+@pytest.mark.parametrize("kind", ["late-twins", "zero-column", "dependent-head",
+                                  "rank-deficient", "sample-is-pivots"])
+@pytest.mark.parametrize("args,i_list", [
+    ((3, 81, 80, 1, 12), (0,)),
+    ((3, 81, 80, 2, 42), (0, 1)),
+], ids=["q81-n82-k12", "q81-n164-k42"])
+def test_reduced_route_reports_as_the_direct_route(monkeypatch, args, i_list, kind):
+    # a planted bug in G: the reduced route decides every sample as the
+    # full k x k kernel does, and its report names the same first singular
+    # sample as the direct route's, at a bound that slices every group
+    spec = construct(*args, i_list=i_list)
+    F, k = spec.field, spec.k
+    _, cols = _sampled_columns(monkeypatch, spec)
+    G = _planted(F, generator_matrix(spec), cols, kind)
+    pivots = FMatrix(F, G).rref()[1]
+    if kind == "dependent-head":
+        assert pivots != tuple(range(k)) and len(pivots) == k
+    if kind == "rank-deficient":
+        assert len(pivots) < k
+    reduced = verifier._reduced_samples_nonsingular(F, G, cols)
+    if kind == "sample-is-pivots":
+        assert pivots == tuple(cols[0].tolist()) and reduced[0]
+    assert np.array_equal(reduced, _full_samples_nonsingular(F, G, cols))
+    assert not reduced.all()
+
+    monkeypatch.setattr(verifier, "generator_matrix", lambda spec: G)
+    reports = []
+    for above, bound in ((1 << 40, 1 << 40), (verifier._REDUCE_SAMPLES_ABOVE_ORDER, 1 << 40),
+                         (verifier._REDUCE_SAMPLES_ABOVE_ORDER, 2 * k * k)):
+        monkeypatch.setattr(verifier, "_REDUCE_SAMPLES_ABOVE_ORDER", above)
+        monkeypatch.setattr(bulk, "_BATCH_ENTRIES", bound)
+        reports.append(structural_minor_certificate(spec))
+    first = tuple(cols[int(np.flatnonzero(~reduced)[0])].tolist())
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].status is MdsStatus.FAILED and reports[0].checked == 512
+    assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
 
 
 def test_minor_sweep_matches_rank_oracle_at_gf6561():
