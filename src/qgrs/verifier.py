@@ -358,14 +358,14 @@ def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,
                                  cols: np.ndarray) -> np.ndarray:
     """good[i]: is the k x k minor of G on columns cols[i] nonsingular?
 
-    R = rref(G) is G times an invertible matrix, so it has the same
-    singular k-subsets when rank(G) = k; when rank(G) < k all of them are
-    singular.  With pivot columns P, column P[i] of R is the unit vector
-    e_i, so expanding det R_S along the unit columns of S & P leaves,
-    up to sign, the minor of R on the rows i with P[i] not in S and the
-    columns S - P: a b x b block, b = k - |S & P|.  The samples are
-    grouped by b and each group's blocks decided in batches of at most
-    bulk._BATCH_ENTRIES // b^2; b = 0 means S = P, which is nonsingular.
+    R = rref(G) is E G for an invertible E, so when rank(G) = k its k x k
+    minors are those of G times det E; when rank(G) < k all are singular.
+    With pivot columns P, column P[i] of R is the unit vector e_i, so
+    expanding det R_S along the unit columns of S & P leaves, up to sign,
+    the minor of R on the rows i with P[i] not in S and the columns S - P:
+    a b x b block, b = k - |S & P|.  The samples are grouped by b and each
+    group's blocks decided in batches of at most bulk._BATCH_ENTRIES // b^2;
+    b = 0 means S = P, which is nonsingular.
     """
     k, n = G.shape
     R, pivots = FMatrix(F, G).rref()

@@ -381,6 +381,26 @@ def test_structural_certificate_survives_huge_binomials():
     assert r.ok and 0 < r.checked <= 512
 
 
+def _sampled_columns(monkeypatch, spec):
+    """The structural route's report on spec, and its (512, k) samples."""
+    seen = []
+    unrank = bulk.unrank_lex
+
+    def recording(n, k, ranks):
+        seen.append(unrank(n, k, ranks))
+        return seen[-1]
+
+    monkeypatch.setattr(bulk, "unrank_lex", recording)
+    report = structural_minor_certificate(spec)
+    monkeypatch.setattr(bulk, "unrank_lex", unrank)
+    (cols,) = seen
+    return report, cols
+
+
+def _full_samples_nonsingular(F, G, cols):
+    return bulk.batch_minors_nonsingular(F, np.ascontiguousarray(G.T).take(cols, axis=0))
+
+
 @pytest.mark.parametrize("args,i_list,nk,digest", [
     # a sweep-small spec
     pytest.param((2, 11, 6, 3, 5), None, (60, 5),
@@ -397,18 +417,9 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     # produced for these ranks
     spec = construct(*args, i_list=i_list)
     assert (spec.n, spec.k) == nk
-    seen = []
-    unrank = bulk.unrank_lex
-
-    def recording(n, k, ranks):
-        seen.append(unrank(n, k, ranks))
-        return seen[-1]
-
-    monkeypatch.setattr(bulk, "unrank_lex", recording)
-    r = structural_minor_certificate(spec)
+    r, cols = _sampled_columns(monkeypatch, spec)
     assert r.ok and r.checked == 512
     assert r.detail == "factorization argument + 512 sampled minors"
-    (cols,) = seen
     assert cols.shape == (512, spec.k) and cols.dtype == np.int32
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
@@ -482,26 +493,6 @@ def test_structural_tripwire_names_first_singular_sample(monkeypatch):
     assert reports[0] == reports[1]
     assert reports[0].status is MdsStatus.FAILED and reports[0].checked == 512
     assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
-
-
-def _sampled_columns(monkeypatch, spec):
-    """The structural route's report on spec, and its (512, k) samples."""
-    seen = []
-    unrank = bulk.unrank_lex
-
-    def recording(n, k, ranks):
-        seen.append(unrank(n, k, ranks))
-        return seen[-1]
-
-    monkeypatch.setattr(bulk, "unrank_lex", recording)
-    report = structural_minor_certificate(spec)
-    monkeypatch.setattr(bulk, "unrank_lex", unrank)
-    (cols,) = seen
-    return report, cols
-
-
-def _full_samples_nonsingular(F, G, cols):
-    return bulk.batch_minors_nonsingular(F, np.ascontiguousarray(G.T).take(cols, axis=0))
 
 
 @pytest.mark.parametrize("args,i_list", [
