@@ -5,9 +5,11 @@ index h in the multiplicative group, of order m = (q^2-1)/h.  Locators are
 unions of cosets c*H (family 1 adds the zero locator); multipliers are
 constant along each coset up to a fixed twist g^(nu * twist).  Summing a
 geometric series collapses every Hermitian gram entry to a short linear
-condition on the per-coset norm profile, with the admissible index windows
-given by the closed forms in exponents.py.  The profile systems are then
-solved exactly:
+condition on the per-coset norm profile, one per quotient of the family's
+exponent window.  validate() puts that window's closed form from
+exponents.py on Params.scenario, and each builder reads its profile rows
+from Scenario.quotients alone.  The profile systems are then solved
+exactly:
 
 * family 1 — zero plus r untwisted cosets; wide system, counting route
   plus descent to the base subfield.
@@ -113,8 +115,9 @@ class Params:
     """A validated parameter tuple with derived scalars filled in.
 
     i_list / j_list are normalized to tuples (defaults installed); family 1
-    takes none.  s and t are the half-divisor and window radius where the
-    family defines them, None otherwise.
+    takes none.  scenario states the family's exponent windows (families 1
+    to 4; None for family 5): the builders read their profile rows from its
+    quotients and their twist from its s.
     """
 
     family: int
@@ -127,8 +130,7 @@ class Params:
     m: int
     n: int
     k_max: int
-    s: int | None
-    t: int | None
+    scenario: Scenario | None
 
     def provenance(self) -> dict:
         out = {"family": self.family, "q": self.q, "h": self.h,
@@ -219,7 +221,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             sc = _scenario(ScenarioKind.ODD, q, (h - 1) // 2, (r - 2) // 2)
         _check_k(k, sc.k_max)
         return Params(1, q, h, r, k, None, None, sc.m, r * sc.m + 1,
-                      sc.k_max, sc.s, sc.t)
+                      sc.k_max, sc)
     if family == 2:
         _no_indices(2, i_list, j_list, allow_i=True)
         if h % 2 != 0:
@@ -233,8 +235,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         sc = _scenario(ScenarioKind.SHIFTED_EVEN, q, h // 2, (r - 3) // 2)
         _check_k(k, sc.k_max)
         idx = _norm_indices("i_list", i_list, r, h, q)
-        return Params(2, q, h, r, k, idx, None, sc.m, r * sc.m,
-                      sc.k_max, sc.s, sc.t)
+        return Params(2, q, h, r, k, idx, None, sc.m, r * sc.m, sc.k_max, sc)
     if family == 3:
         _no_indices(3, i_list, j_list, allow_i=True)
         if h % 2 != 0:
@@ -247,8 +248,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r)
         _check_k(k, sc.k_max)
         idx = _norm_indices("i_list", i_list, r, s, q)
-        return Params(3, q, h, r, k, idx, None, sc.m, r * sc.m,
-                      sc.k_max, s, None)
+        return Params(3, q, h, r, k, idx, None, sc.m, r * sc.m, sc.k_max, sc)
     if family == 4:
         if h % 2 != 0:
             raise ParityViolated(f"h = {h} must be even")
@@ -257,14 +257,13 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         s = h // 2
         if not s < r < 2 * s:
             raise RangeViolated(f"r = {r} outside ({s}, {2 * s})")
-        t = r // 2
-        sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, t)
+        sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r // 2)
         _check_k(k, sc.k_max)
         r1, r2 = (r + 1) // 2, r // 2
         even_idx = _norm_indices("i_list", i_list, r1, s, q)
         odd_idx = _norm_indices("j_list", j_list, r2, s, q)
         return Params(4, q, h, r, k, even_idx, odd_idx, sc.m, r * sc.m,
-                      sc.k_max, s, t)
+                      sc.k_max, sc)
     if family == 5:
         _no_indices(5, i_list, j_list, allow_i=True)
         if h < 1 or (q - 1) % h != 0:
@@ -283,7 +282,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             k_max = min(k_max, q - 2)
         _check_k(k, k_max)
         idx = _norm_indices("i_list", i_list, r, h, q)
-        return Params(5, q, h, r, k, idx, None, m, r * m, k_max, None, None)
+        return Params(5, q, h, r, k, idx, None, m, r * m, k_max, None)
     raise RangeViolated(f"family must be 1..5, got {family}")
 
 
@@ -335,13 +334,11 @@ def _coprimality_guard(F: FieldSpec, m: int) -> None:
 def _build_zero_union_cosets(F: FieldSpec, p: Params) -> GrsSpec:
     """Length r*m + 1 codes on {0} plus the cosets g^1 H, ..., g^r H."""
     r, m = p.r, p.m
-    a_start = p.s - p.t if p.h % 2 == 0 else p.s - p.t + 1
-    # a row of ones, then (0, alpha^(l*u))_{l=1..r}, alpha = g^m
-    us = np.arange(a_start, a_start + r - 2)
-    rows = np.zeros((r - 1, r + 1), dtype=np.int64)
-    rows[0] = 1
-    rows[1:, 1:] = F.vexp(m * np.outer(us, np.arange(1, r + 1)))
-    A = FMatrix(F, rows)
+    # rows (alpha^(l*u))_{l=1..r}, alpha = g^m, after the zero locator's
+    # column: 1 at quotient 0, where the coset row is all ones, else 0
+    us = np.array(sorted(p.scenario.quotients))
+    cosets = _profile_rows(F, 0, m, us, range(1, r + 1))
+    A = FMatrix(F, np.column_stack([us == 0, cosets.array]))
     x = np.array(descend_to_base(A, solve_all_nonzero(A)))
     x[0] = F.vmul(x[0], F.embed_int(m))
     v = F.vsolve_norm(x)
@@ -356,11 +353,10 @@ def _build_zero_union_cosets(F: FieldSpec, p: Params) -> GrsSpec:
 
 
 def _build_twisted_cosets(F: FieldSpec, p: Params) -> GrsSpec:
-    q, r, m = p.q, p.r, p.m
+    q, m = p.q, p.m
     # xi = g^((q+1)/h - (q+1)), alpha = g^m
-    a_start = p.s - p.t
     A = _profile_rows(F, (q + 1) // p.h - (q + 1), m,
-                      range(a_start, a_start + r - 1), p.i_list)
+                      sorted(p.scenario.quotients), p.i_list)
     per_coset = F.vsolve_norm(solve_projective_unique(A))
     return _spec(F, p, _coset_locators(F, p.i_list, p.h, m),
                  _twisted_multipliers(F, per_coset, m, twist=p.h - 1))
@@ -372,12 +368,12 @@ def _build_twisted_cosets(F: FieldSpec, p: Params) -> GrsSpec:
 
 
 def _build_square_cosets(F: FieldSpec, p: Params) -> GrsSpec:
-    q, r, m = p.q, p.r, p.m
+    q, m = p.q, p.m
     # xi = g^(-(q+1)), beta = g^(2m)
-    B = _profile_rows(F, -(q + 1), 2 * m, range(1, r), p.i_list)
+    B = _profile_rows(F, -(q + 1), 2 * m, sorted(p.scenario.quotients), p.i_list)
     per_coset = F.vsolve_norm(solve_projective_unique(B))
     return _spec(F, p, _coset_locators(F, [2 * i for i in p.i_list], p.h, m),
-                 _twisted_multipliers(F, per_coset, m, twist=p.s))
+                 _twisted_multipliers(F, per_coset, m, twist=p.scenario.s))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +382,14 @@ def _build_square_cosets(F: FieldSpec, p: Params) -> GrsSpec:
 
 
 def _build_mixed_cosets(F: FieldSpec, p: Params) -> GrsSpec:
-    q, m, t = p.q, p.m, p.t
+    q, m, us = p.q, p.m, sorted(p.scenario.quotients)
     # one family-3 block per coset kind, xi = g^(-(q+1)), beta = g^(2m)
-    A = FMatrix.block_diag(F, [_profile_rows(F, -(q + 1), 2 * m, range(1, t), idx)
+    A = FMatrix.block_diag(F, [_profile_rows(F, -(q + 1), 2 * m, us, idx)
                                for idx in (p.i_list, p.j_list)])
     per_coset = F.vsolve_norm(descend_to_base(A, solve_all_nonzero(A)))
     exps = [2 * i for i in p.i_list] + [2 * j + 1 for j in p.j_list]
     return _spec(F, p, _coset_locators(F, exps, p.h, m),
-                 _twisted_multipliers(F, per_coset, m, twist=p.s))
+                 _twisted_multipliers(F, per_coset, m, twist=p.scenario.s))
 
 
 # ---------------------------------------------------------------------------

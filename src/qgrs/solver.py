@@ -4,10 +4,10 @@ Three routes, each with its own hypotheses, each verified before *and*
 after solving — a wrong answer here silently poisons everything downstream,
 so every function re-checks its own output instead of trusting algebra.
 
-* :func:`solve_projective_unique` — for an (r-1) x r system whose kernel
-  is one line spanned by a totally nonzero vector (so every column-deletion
-  is invertible) and which is row-equivalent to its entrywise q-th power.
-  A unit scaling lands that vector in the base subfield.
+* :func:`solve_projective_unique` — for a system in r unknowns, of any
+  number of rows, whose kernel is one line spanned by a totally nonzero
+  vector and which is row-equivalent to its entrywise q-th power.  A unit
+  scaling lands that vector in the base subfield.
 
 * :func:`solve_all_nonzero` — for a wider system whose kernel basis is
   nonzero somewhere in every column (so no column deletion drops the rank).
@@ -72,20 +72,19 @@ def _in_base(F: FieldSpec, codes: np.ndarray) -> bool:
 def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
     """Unique-kernel route: returns the base-subfield representative.
 
-    Requires shape (r-1, r), every column-deletion invertible, and
-    row-equivalence of A with its entrywise q-th power.  The result is the
-    (projectively unique) kernel vector scaled into (F_q^*)^r, smallest
-    unit-shift exponent first.
+    Requires the kernel of A to be one line spanned by a totally nonzero
+    vector, and row-equivalence of A with its entrywise q-th power.  Only
+    the row space of A matters, so A may have any number of rows.  The
+    result is the (projectively unique) kernel vector scaled into
+    (F_q^*)^r, smallest unit-shift exponent first.
     """
     F = A.field
-    r = A.ncols
-    if A.nrows != r - 1:
-        raise WrongShape(f"need (r-1) x r, got {A.nrows} x {A.ncols}")
-    # each deletion is invertible iff the kernel is one totally nonzero line
     ns = A.nullspace()
-    dependent = np.flatnonzero(ns[0] == 0) if len(ns) == 1 else [0]
-    if len(dependent):
-        raise ColumnDependence(f"columns other than {dependent[0]} are dependent")
+    if len(ns) != 1:
+        raise ColumnDependence(f"kernel has dimension {len(ns)}, need 1")
+    zero = np.flatnonzero(ns[0] == 0)
+    if zero.size:
+        raise ColumnDependence(f"columns other than {zero[0]} are dependent")
     if not A.row_equivalent(A.entrywise_frobenius()):
         raise FrobeniusHypothesisFailed("A is not row-equivalent to A^(q)")
     c = ns[0]

@@ -88,7 +88,12 @@ def test_frozen_instances(family, args, expected):
 def test_derived_instance_has_no_smaller_sibling():
     # the (q, h, r) = (13, 4, 3) cell pins every derived scalar
     p = validate(4, 13, 4, 3, 9)
-    assert (p.m, p.n, p.k_max, p.s, p.t) == (42, 126, 9, 2, 1)
+    assert (p.m, p.n, p.k_max) == (42, 126, 9)
+    assert p.scenario == Scenario(ScenarioKind.HALF_SHIFT, 13, 2, 1)
+    # family 3's window radius is r itself
+    assert validate(3, 13, 12, 5, 11).scenario == Scenario(
+        ScenarioKind.HALF_SHIFT, 13, 6, 5)
+    assert validate(5, 13, 4, 3, 9).scenario is None
     # and no admissible family-4 cell at q = 13 has length 90
     lengths = {c.n for c in iter_family_params(13) if c.family == 4}
     assert 90 not in lengths

@@ -20,7 +20,6 @@ from qgrs.errors import (
     NotASolution,
     NotFound,
     QgrsError,
-    WrongShape,
 )
 from qgrs.field import FieldSpec, make_field
 from qgrs.matrix import FMatrix
@@ -109,16 +108,27 @@ def test_projective_unique_randomized(q, p, e):
         assert not any(A.mul_vec(codes))
         # kernel dimension is 1, so the answer is unique up to scaling
         assert len(A.nullspace()) == 1
+        # a taller system with the same row space: A stacked with random
+        # combinations of its rows, in shuffled order
+        combos = [[rng.randrange(F.order) for _ in range(r - 1)]
+                  for _ in range(rng.randrange(1, 2 * r))]
+        rows = A.array.tolist() + [list(_combine(F, c, A.array.tolist()))
+                                   for c in combos]
+        rng.shuffle(rows)
+        assert solve_projective_unique(FMatrix(F, rows)) == codes
 
 
 def test_projective_unique_shape_and_dependence_errors():
     F = make_field(5, 1)
-    with pytest.raises(WrongShape):
+    # three independent rows in two unknowns: the kernel is trivial
+    with pytest.raises(ColumnDependence, match="kernel has dimension 0"):
         solve_projective_unique(FMatrix(F, np.array([[1, 2, 3], [2, 3, 4]]).T))
-    # a zero column makes the complementary columns dependent
-    A = FMatrix(F, [[1, 0, 2], [2, 0, 4]])
-    with pytest.raises(ColumnDependence):
-        solve_projective_unique(A)
+    # one independent row in three unknowns: a 2-D kernel
+    with pytest.raises(ColumnDependence, match="kernel has dimension 2"):
+        solve_projective_unique(FMatrix(F, [[1, 0, 2], [2, 0, 4]]))
+    # a 1-D kernel that is zero at column 0: the other columns are dependent
+    with pytest.raises(ColumnDependence, match="columns other than 0"):
+        solve_projective_unique(FMatrix(F, [[1, 0, 0], [0, 1, 2]]))
 
 
 def test_projective_unique_frobenius_hypothesis_error():
@@ -526,11 +536,16 @@ def test_projective_kernel_criterion_matches_deletion_loop(p, e):
             A = FMatrix(F, np.array(_sparse_matrix(rng, r - 1, r, codes),
                                     dtype=np.int64).reshape(r - 1, r))
         want = _projective_hypotheses(A)
-        assert _outcome(solve_projective_unique, A) == want
         if want is None or want[0] is FrobeniusHypothesisFailed:
             seen.add(want and want[0])
         else:
-            seen.add((len(A.nullspace()), _named_column(want[1]) > 0))
+            dim = A.ncols - A.rank()
+            seen.add((dim, _named_column(want[1]) > 0))
+            if dim != 1:
+                # the loop fails at column 0 whenever the kernel is not a
+                # line; the solver names the kernel's dimension instead
+                want = ColumnDependence, f"kernel has dimension {dim}, need 1"
+        assert _outcome(solve_projective_unique, A) == want
     # every branch occurred: both hypotheses holding, the Frobenius test
     # failing, and the column test failing at column 0 with a kernel of
     # dimension 2, and at column 0 and at a later column with a kernel line
