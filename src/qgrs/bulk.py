@@ -83,7 +83,8 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
 # ---------------------------------------------------------------------------
 
 
-def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
+def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray,
+                             sizes=None) -> np.ndarray:
     """For a (B, k, k) stack of code matrices: which are nonsingular?
 
     Gaussian elimination on the whole batch at once.  Each step takes the
@@ -93,23 +94,39 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray) -> np.ndarray:
     matrix by its Schur complement in one fused ``F.veliminate`` call.  Once a
     2x2 complement [[a, b], [c, d]] is left, its determinant ad - bc is
     nonzero exactly when a*d != b*c; for k = 1 the entry itself decides.
+
+    With ``sizes``, nonincreasing, matrix i is the sizes[i] x sizes[i] block
+    in the bottom-right corner of mats[i]; the rest of mats[i] is not read.
+    One pass of k - 2 steps decides them all, largest first: the blocks of
+    size s join the stack at the step that leaves its matrices s x s, so a
+    block costs what a stack of its own size would.  Size 0 is nonsingular.
     """
-    M = np.array(mats, dtype=np.int64)
+    M = np.asarray(mats, dtype=np.int64)
     B, k = M.shape[:2]
+    # ends[s]: how many matrices (a prefix of the stack) have size s or more
+    ends = ([B] * (k + 1) + [0] if sizes is None else np.searchsorted(
+        -np.asarray(sizes), -np.arange(k + 2), side="right").tolist())
     ok = np.ones(B, dtype=bool)
-    batch = np.arange(B)
-    for _ in range(k - 2):
-        nz = M[:, :, 0] != 0
+    X = M[:ends[k]].copy()
+    for t in range(k - 2):
+        if len(X) < ends[k - t]:
+            X = np.concatenate((X, M[len(X):ends[k - t], t:, t:]))
+        batch = np.arange(len(X))
+        nz = X[:, :, 0] != 0
         piv = nz.argmax(axis=1)
-        ok &= nz[batch, piv]
-        top = M[batch, piv]
-        M[batch, piv] = M[:, 0]
-        M = F.veliminate(M[:, 1:, 1:], M[:, 1:, 0, None], top[:, None, 1:],
+        ok[:len(X)] &= nz[batch, piv]
+        top = X[batch, piv]
+        X[batch, piv] = X[:, 0]
+        X = F.veliminate(X[:, 1:, 1:], X[:, 1:, 0, None], top[:, None, 1:],
                          top[:, 0, None, None])
     if k >= 2:
-        return ok & (F.vmul(M[:, 0, 0], M[:, 1, 1])
-                     != F.vmul(M[:, 0, 1], M[:, 1, 0]))
-    return ok & (M[:, 0, 0] != 0) if k else ok
+        if len(X) < ends[2]:
+            X = np.concatenate((X, M[len(X):ends[2], k - 2:, k - 2:]))
+        ok[:len(X)] &= (F.vmul(X[:, 0, 0], X[:, 1, 1])
+                        != F.vmul(X[:, 0, 1], X[:, 1, 0]))
+    if k >= 1 and ends[2] < ends[1]:
+        ok[ends[2]:ends[1]] &= M[ends[2]:ends[1], k - 1, k - 1] != 0
+    return ok
 
 
 def schur_children(F: FieldSpec, R: np.ndarray, nodes: np.ndarray,

@@ -18,6 +18,7 @@ import sys
 from typing import Any
 
 import click
+import numpy as np
 
 from .constructions import construct as build_code
 from .constructions import iter_family_params, to_quantum
@@ -100,15 +101,18 @@ def decode_document(doc: Any) -> GrsSpec:
     F = make_field(p, e)  # only now: building the tables is the slow part
     n_units = F.order - 1
 
-    def _unit(log: Any, what: str) -> int:
+    def _log(log: Any, what: str) -> int:
         log = _exact_int(log, f"{what} log")
         if not 0 <= log < n_units:
             raise SchemaError(f"log {brief(log)} outside [0, {n_units})")
-        return int(F.vexp(log))
+        return log
 
-    # "zero" is a locator only: a zero multiplier is never a unit
-    locators = tuple(0 if x == "zero" else _unit(x, "locator") for x in raw_locs)
-    multipliers = tuple(_unit(x, "multiplier") for x in raw_mults)
+    # every log is checked, in document order, before one exp lookup; "zero"
+    # (log -1) is a locator only: a zero multiplier is never a unit
+    logs = np.array([-1 if x == "zero" else _log(x, "locator") for x in raw_locs]
+                    + [_log(x, "multiplier") for x in raw_mults], dtype=np.int64)
+    codes = np.where(logs < 0, 0, F.vexp(logs)).tolist()
+    locators, multipliers = tuple(codes[:len(raw_locs)]), tuple(codes[len(raw_locs):])
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise SchemaError(f"provenance must be an object, got {type(provenance).__name__}")

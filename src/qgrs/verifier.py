@@ -16,9 +16,9 @@ The Singleton distance is decided by the cheapest affordable route:
    determinant in the locators, so distinct locators and nonzero
    multipliers force every minor nonzero — spot-checked with a block of
    deterministically sampled minors as defense against matrix-building bugs.
-   Up to order 4096 each sample is decided as a whole k x k matrix; above
-   it, by one block of the reduced form of the generator matrix, which
-   is exact linear algebra and does not lean on the factorization.
+   The generator matrix is reduced once, and each sample is decided by
+   one block of its reduced form, in one elimination pass over all the
+   blocks: exact linear algebra that does not lean on the factorization.
 
 The report always names the route that decided, so downstream consumers can
 distinguish an enumerated verdict from a structural one.
@@ -55,14 +55,6 @@ _LEAF_WIDTH = 2
 _SLICE_ENTRIES = 1 << 14
 _SAMPLED_MINORS = 512
 _SAMPLE_SEED = 0xC0DE
-#: above this order the structural route decides its sampled minors
-#: through one reduced form of G (_reduced_samples_nonsingular), whose
-#: blocks are smaller than the samples; at or below it each sample is
-#: decided as a whole k x k batch entry.  The reduced route costs an rref of
-#: k Python steps and one kernel call per block size, which made the small
-#: codes of the sweeps (q <= 13, k <= 10) slower, so it waits for the orders
-#: where the k x k eliminations dominate.
-_REDUCE_SAMPLES_ABOVE_ORDER = 4096
 
 
 class MdsStatus(Enum):
@@ -331,21 +323,7 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     ranks = sorted({rng.randrange(total) for _ in range(picks)})
     cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
-    if F.order > _REDUCE_SAMPLES_ABOVE_ORDER:
-        good = _reduced_samples_nonsingular(F, G, cols)
-        bad = cols[np.flatnonzero(~good)[:1]]
-    else:
-        # sample i's rows are G's columns cols[i]: its transpose, which is
-        # nonsingular exactly when the sample is.  The samples are gathered
-        # and decided in order, at most bulk._BATCH_ENTRIES // k^2 at a time
-        Gt = np.ascontiguousarray(G.T)
-        step = max(1, bulk._BATCH_ENTRIES // (k * k))
-        for lo in range(0, len(cols), step):
-            good = bulk.batch_minors_nonsingular(
-                F, Gt.take(cols[lo:lo + step], axis=0))
-            bad = cols[lo + np.flatnonzero(~good)[:1]]
-            if len(bad):
-                break
+    bad = cols[np.flatnonzero(~_reduced_samples_nonsingular(F, G, cols))[:1]]
     if len(bad):  # pragma: no cover - would contradict the argument
         return MdsReport(MdsStatus.FAILED, "structural", len(ranks),
                          f"sampled minor at columns {tuple(bad[0].tolist())} "
@@ -363,36 +341,37 @@ def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,
     With pivot columns P, column P[i] of R is the unit vector e_i, so
     expanding det R_S along the unit columns of S & P leaves, up to sign,
     the minor of R on the rows i with P[i] not in S and the columns S - P:
-    a b x b block, b = k - |S & P|.  The samples are grouped by b and each
-    group's blocks decided in batches of at most bulk._BATCH_ENTRIES // b^2;
-    b = 0 means S = P, which is nonsingular.
+    a b x b block, b = k - |S & P|.  Order only changes the sign, so each
+    sample lists its block's rows and columns last.  Largest block first,
+    at most bulk._BATCH_ENTRIES frame entries a call, the blocks go to one
+    pass of bulk.batch_minors_nonsingular in the bottom-right corners of
+    frames the size of the call's first block.
     """
     k, n = G.shape
     R, pivots = FMatrix(F, G).rref()
     good = np.zeros(len(cols), dtype=bool)
     if len(pivots) < k:
         return good
-    # row_of[c]: the row whose pivot is column c, or -1
-    row_of = np.full(n, -1, dtype=np.intp)
+    # row_of[c]: the row whose pivot is column c, or k
+    row_of = np.full(n, k, dtype=np.intp)
     row_of[list(pivots)] = np.arange(k)
-    hit = row_of[cols]                                 # (samples, k)
-    in_p = hit >= 0
-    sizes = k - in_p.sum(axis=1)
+    sizes = (row_of[cols] == k).sum(axis=1)
+    order = np.argsort(-sizes)
+    sizes, cols = sizes[order], cols.take(order, axis=0)
+    hit = row_of[cols]
+    # each sample lists its block's rows (unhit) and columns (free) last
+    unhit = np.ones((len(cols), k + 1), dtype=bool)
+    unhit[np.arange(len(cols))[:, None], hit] = False
+    rows = np.argsort(unhit[:, :k], axis=1)
+    free = np.take_along_axis(cols, np.argsort(hit == k, axis=1), axis=1)
     flat = R.array.reshape(-1)
-    for b in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == b)
-        if b == 0:
-            good[idx] = True
-            continue
-        keep = np.ones((len(idx), k), dtype=bool)
-        keep[np.repeat(np.arange(len(idx)), k - b), hit[idx][in_p[idx]]] = False
-        rows = np.nonzero(keep)[1].reshape(len(idx), b)
-        free = cols[idx][~in_p[idx]].reshape(len(idx), b)
-        step = max(1, bulk._BATCH_ENTRIES // (b * b))
-        for lo in range(0, len(idx), step):
-            at = slice(lo, lo + step)
-            good[idx[at]] = bulk.batch_minors_nonsingular(F, flat.take(
-                rows[at, :, None] * n + free[at, None, :]))
+    lo = 0
+    while lo < len(cols):
+        m = int(sizes[lo])
+        hi = lo + max(1, bulk._BATCH_ENTRIES // max(1, m * m))
+        frames = flat.take(rows[lo:hi, k - m:, None] * n + free[lo:hi, None, k - m:])
+        good[order[lo:hi]] = bulk.batch_minors_nonsingular(F, frames, sizes[lo:hi])
+        lo = hi
     return good
 
 

@@ -165,6 +165,46 @@ def test_batch_minors_match_rank(p, e, k):
     assert any(expect) and not all(expect)
 
 
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (3, 2)], ids=["GF16", "GF25", "GF81"])
+def test_batch_minors_decide_mixed_sizes_in_one_pass(p, e):
+    # blocks of every size 0..6 in one call, each in the bottom-right corner
+    # of a 6 x 6 frame of junk: the planted stacks of every size (singular
+    # ones among them), and square blocks cut from a rank-3 matrix, which
+    # are singular above size 3.  Each verdict must be the one that the
+    # uniform kernel gives the block alone, whatever the junk
+    F = make_field(p, e)
+    rng = random.Random(7 + F.order)
+    top = 6
+
+    def rand(rows, cols):
+        return np.array([[rng.randrange(F.order) for _ in range(cols)]
+                         for _ in range(rows)])
+
+    low_rank = F.vcombine(rand(top, 3), rand(3, top))
+    blocks = [np.zeros((5, 0, 0), dtype=np.int64)]
+    for b in range(1, top + 1):
+        cuts = [low_rank[np.ix_(sorted(rng.sample(range(top), b)),
+                                sorted(rng.sample(range(top), b)))]
+                for _ in range(20)]
+        blocks.append(np.concatenate((_planted_minor_stack(F, b, rng), cuts)))
+    expect = np.concatenate([bulk.batch_minors_nonsingular(F, s) for s in blocks])
+    sizes = np.repeat(np.arange(top + 1), [len(s) for s in blocks])
+    assert expect[sizes == 0].all()
+    assert all(not expect[sizes == b].all() for b in range(1, top + 1))
+    assert expect[sizes == 3][-20:].any() and not expect[sizes > 3][-20:].any()
+    order = np.argsort(-sizes, kind="stable")
+    for _ in range(2):
+        frames = np.stack([rand(top, top) for _ in sizes])
+        for i, block in enumerate(itertools.chain.from_iterable(blocks)):
+            frames[i, top - len(block):, top - len(block):] = block
+        stack = frames[order]
+        kept = stack.copy()
+        got = np.empty(len(sizes), dtype=bool)
+        got[order] = bulk.batch_minors_nonsingular(F, stack, sizes[order])
+        assert np.array_equal(got, expect)
+        assert np.array_equal(stack, kept)
+
+
 def test_combinations_array_matches_itertools():
     n, k = 7, 3
     total = math.comb(n, k)

@@ -429,18 +429,20 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
                          ids=["q11-n60-k5", "q16-n61-k9", "q64-n127-k32",
                               "q81-n82-k12"])
 def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
-    # with a 64-entry batch bound the samples are decided a few at a time:
-    # k x k samples, or at q = 81 the b x b blocks of the reduced form of G;
-    # status, checked and detail stay those of one slice
+    # with a 64-entry batch bound the b x b blocks of the reduced form of G
+    # are decided a few at a time; status, checked and detail stay those of
+    # one slice
     spec = construct(*args)
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
     whole = structural_minor_certificate(spec)
     calls = []
     kernel = bulk.batch_minors_nonsingular
 
-    def counting(F, mats):
+    def counting(F, mats, sizes):
         calls.append(mats.shape[:2])
-        return kernel(F, mats)
+        # largest block first, each call's frame the size of its first block
+        assert sizes[0] == mats.shape[1] and (np.diff(sizes) <= 0).all()
+        return kernel(F, mats, sizes)
 
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
     monkeypatch.setattr(bulk, "batch_minors_nonsingular", counting)
@@ -449,8 +451,6 @@ def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
     assert sum(m for m, _ in calls) == 512
     # every call within its size's bound, and some call at it
     assert max(m - max(1, 64 // b ** 2) for m, b in calls) == 0
-    if spec.field.order <= verifier._REDUCE_SAMPLES_ABOVE_ORDER:
-        assert {b for _, b in calls} == {spec.k}
 
 
 def test_structural_tripwire_names_first_singular_sample(monkeypatch):
@@ -495,19 +495,26 @@ def test_structural_tripwire_names_first_singular_sample(monkeypatch):
     assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
 
 
-@pytest.mark.parametrize("args,i_list", [
-    ((3, 81, 80, 1, 12), (0,)),
-    ((3, 81, 80, 2, 42), (0, 1)),
-    ((1, 128, 129, 2, 64), None),
-], ids=["q81-n82-k12", "q81-n164-k42", "q128-n255-k64"])
+#: structural specs at every order: sweep-small's [60, 5]_11, the paper's
+#: new codes [50, 25]_49 and [127, 32]_64 (d = k + 1 > q/2 + 1), and q = 81
+_STRUCTURAL_SPECS = [
+    pytest.param((2, 11, 6, 3, 5), None, id="q11-n60-k5"),
+    pytest.param((3, 49, 48, 1, 25), (0,), id="q49-n50-k25"),
+    pytest.param((1, 64, 65, 2, 32), None, id="q64-n127-k32"),
+    pytest.param((3, 81, 80, 1, 12), (0,), id="q81-n82-k12"),
+    pytest.param((3, 81, 80, 2, 42), (0, 1), id="q81-n164-k42"),
+]
+
+
+@pytest.mark.parametrize("args,i_list", _STRUCTURAL_SPECS + [
+    pytest.param((1, 128, 129, 2, 64), None, id="q128-n255-k64")])
 def test_reduced_samples_agree_with_batch_kernel(monkeypatch, args, i_list):
-    # above order 4096 the structural route decides each sample through the
-    # reduced form of G; batch_minors_nonsingular on the full k x k samples
-    # must give the same verdict, sample for sample, also once two columns
-    # are made equal so that every sample through both is singular
+    # the structural route decides each sample through the reduced form of
+    # G; batch_minors_nonsingular on the full k x k samples must give the
+    # same verdict, sample for sample, also once two columns are made equal
+    # so that every sample through both is singular
     spec = construct(*args, i_list=i_list)
     F, k = spec.field, spec.k
-    assert F.order > verifier._REDUCE_SAMPLES_ABOVE_ORDER
     report, cols = _sampled_columns(monkeypatch, spec)
     assert report.ok and report.checked == 512
     G = generator_matrix(spec)
@@ -533,7 +540,8 @@ def _planted(F, G, cols, kind):
             for pair in itertools.combinations(c, 2):
                 first.setdefault(pair, i)
         (a, b), i = max(first.items(), key=lambda item: item[1])
-        assert i >= 128
+        # at [50, 25] every pair of columns meets within the first 26 samples
+        assert i >= 20
         G[:, b] = G[:, a]
     elif kind == "zero-column":
         G[:, int(cols[3, 1])] = 0
@@ -554,14 +562,11 @@ def _planted(F, G, cols, kind):
 
 @pytest.mark.parametrize("kind", ["late-twins", "zero-column", "dependent-head",
                                   "rank-deficient", "sample-is-pivots"])
-@pytest.mark.parametrize("args,i_list", [
-    ((3, 81, 80, 1, 12), (0,)),
-    ((3, 81, 80, 2, 42), (0, 1)),
-], ids=["q81-n82-k12", "q81-n164-k42"])
+@pytest.mark.parametrize("args,i_list", _STRUCTURAL_SPECS)
 def test_reduced_route_reports_as_the_direct_route(monkeypatch, args, i_list, kind):
     # a planted bug in G: the reduced route decides every sample as the
-    # full k x k kernel does, and its report names the same first singular
-    # sample as the direct route's, at a bound that slices every group
+    # full k x k kernel does, and its report names the first sample that the
+    # full kernel finds singular, also at a bound that slices every call
     spec = construct(*args, i_list=i_list)
     F, k = spec.field, spec.k
     _, cols = _sampled_columns(monkeypatch, spec)
@@ -579,13 +584,11 @@ def test_reduced_route_reports_as_the_direct_route(monkeypatch, args, i_list, ki
 
     monkeypatch.setattr(verifier, "generator_matrix", lambda spec: G)
     reports = []
-    for above, bound in ((1 << 40, 1 << 40), (verifier._REDUCE_SAMPLES_ABOVE_ORDER, 1 << 40),
-                         (verifier._REDUCE_SAMPLES_ABOVE_ORDER, 2 * k * k)):
-        monkeypatch.setattr(verifier, "_REDUCE_SAMPLES_ABOVE_ORDER", above)
+    for bound in (1 << 40, 2 * k * k):
         monkeypatch.setattr(bulk, "_BATCH_ENTRIES", bound)
         reports.append(structural_minor_certificate(spec))
     first = tuple(cols[int(np.flatnonzero(~reduced)[0])].tolist())
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
     assert reports[0].status is MdsStatus.FAILED and reports[0].checked == 512
     assert reports[0].detail.startswith(f"sampled minor at columns {first} is singular")
 
