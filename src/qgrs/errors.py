@@ -62,7 +62,7 @@ class HypothesisFailed(QgrsError):
 
 
 class FrobeniusHypothesisFailed(QgrsError):
-    """The matrix is not row-equivalent to its entrywise q-th power."""
+    """rref(A) has an entry outside F_q: A is not row-equivalent to A^(q)."""
 
 
 class HasZeroCoordinate(QgrsError):

@@ -80,9 +80,6 @@ class FMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def entrywise_frobenius(self) -> "FMatrix":
-        return FMatrix(self.field, self.field.vpow(self.array, self.field.q))
-
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix * column vector, both as int codes: one ``vcombine`` with
         the rows as coefficients and the entries of vec as the summands.
@@ -142,14 +139,6 @@ class FMatrix:
         basis[np.arange(len(free)), free] = 1
         basis[:, list(pivots)] = self.field.vneg(R.array[:len(pivots), free].T)
         return basis
-
-    def row_equivalent(self, other: "FMatrix") -> bool:
-        """Same row space (shape-compatible in columns)."""
-        if self.ncols != other.ncols:
-            return False
-        a, pa = self.rref()
-        b, pb = other.rref()
-        return pa == pb and np.array_equal(a.array[:len(pa)], b.array[:len(pb)])
 
     # -- protocol -----------------------------------------------------------------
 

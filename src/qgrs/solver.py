@@ -6,8 +6,8 @@ so every function re-checks its own output instead of trusting algebra.
 
 * :func:`solve_projective_unique` — for a system in r unknowns, of any
   number of rows, whose kernel is one line spanned by a totally nonzero
-  vector and which is row-equivalent to its entrywise q-th power.  A unit
-  scaling lands that vector in the base subfield.
+  vector and which is row-equivalent to its entrywise q-th power.  That
+  line's basis vector is then base-valued: no unit scaling.
 
 * :func:`solve_all_nonzero` — for a wider system whose kernel basis is
   nonzero somewhere in every column (so no column deletion drops the rank).
@@ -18,6 +18,10 @@ so every function re-checks its own output instead of trusting algebra.
 * :func:`descend_to_base` — turns a totally nonzero kernel vector over
   GF(q^2) of a conjugation-stable system into one with all coordinates in
   the base subfield, by evaluating all q+1 unit shifts at once.
+
+Row-equivalence with A^(q) is read from the rref(A) that FMatrix keeps:
+Frobenius is an automorphism, so rref(A^(q)) = rref(A)^(q), and the
+hypothesis says that every entry of rref(A) is in the base subfield.
 
 Vectors are evaluated on the field's numpy ops (``FieldSpec.v*``), its
 only arithmetic; no routine here loops over vector entries.
@@ -73,36 +77,19 @@ def solve_projective_unique(A: FMatrix) -> tuple[int, ...]:
     """Unique-kernel route: returns the base-subfield representative.
 
     Requires the kernel of A to be one line spanned by a totally nonzero
-    vector, and row-equivalence of A with its entrywise q-th power.  Only
-    the row space of A matters, so A may have any number of rows.  The
-    result is the (projectively unique) kernel vector scaled into
-    (F_q^*)^r, smallest unit-shift exponent first.
+    vector, and every entry of rref(A) in the base subfield (A row-equivalent
+    to A^(q)).  Only the row space of A matters, so A may have any number
+    of rows.  The result is the line's nullspace basis vector, unscaled.
     """
-    F = A.field
     ns = A.nullspace()
     if len(ns) != 1:
         raise ColumnDependence(f"kernel has dimension {len(ns)}, need 1")
     zero = np.flatnonzero(ns[0] == 0)
     if zero.size:
         raise ColumnDependence(f"columns other than {zero[0]} are dependent")
-    if not A.row_equivalent(A.entrywise_frobenius()):
+    if not _in_base(A.field, A.rref()[0].array):
         raise FrobeniusHypothesisFailed("A is not row-equivalent to A^(q)")
-    c = ns[0]
-    # c^(q) is again in the kernel, hence proportional to c
-    ratios = F.vmul(F.vpow(c, F.q), F.vinv(c))
-    lam = int(ratios[0])
-    if (ratios != lam).any():
-        raise FrobeniusHypothesisFailed("conjugate kernel vector not proportional")
-    llam = int(F.vlog(lam))
-    if llam % (F.q - 1) != 0:  # lam^(q+1) = 1 makes this impossible
-        raise NoValidShift("conjugation ratio is not a (q-1)-th power")
-    assert F.vpow(lam, F.q + 1) == 1
-    # want mu = g^j with mu^(q-1) * lam = 1:  (q-1) j = -dlog(lam)  (mod q^2-1)
-    j = (-(llam // (F.q - 1))) % (F.q + 1)
-    out = F.vmul(F.vexp(j), c)
-    if not _in_base(F, out):  # pragma: no cover
-        raise NoValidShift("normalized vector escaped the base subfield")
-    return _check_solution(A, out)
+    return _check_solution(A, ns[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +215,9 @@ def descend_to_base(A: FMatrix, c: Sequence[int]) -> tuple[int, ...]:
 
     Evaluates all shifts g^j, j = 1..q+1, at once: with y = g^j c, the rows
     y + y^(q) (coordinatewise conjugation) are Frobenius-fixed and still in
-    the kernel when A is row-equivalent to A^(q); the first totally nonzero
-    row wins.  Works whenever the vector is shorter than q+1.
+    the kernel when rref(A) is base-valued (A row-equivalent to A^(q)); the
+    first totally nonzero row wins.  Works whenever the vector is shorter
+    than q+1.
     """
     F = A.field
     if len(c) != A.ncols:
@@ -238,7 +226,7 @@ def descend_to_base(A: FMatrix, c: Sequence[int]) -> tuple[int, ...]:
         raise HasZeroCoordinate("input vector has a zero coordinate")
     if any(A.mul_vec(c)):
         raise NotASolution("input vector is not in the kernel")
-    if not A.row_equivalent(A.entrywise_frobenius()):
+    if not _in_base(F, A.rref()[0].array):
         raise FrobeniusHypothesisFailed("A is not row-equivalent to A^(q)")
     q = F.q
     Y = F.vmul(F.vexp(np.arange(1, q + 2))[:, None], np.array(c, dtype=np.int64))

@@ -316,11 +316,7 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
         return MdsReport(MdsStatus.FAILED, "structural", 0, "repeated locator")
     if 0 in spec.multipliers:  # pragma: no cover
         return MdsReport(MdsStatus.FAILED, "structural", 0, "zero multiplier")
-    total = math.comb(n, k)
-    # stdlib RNG: C(n, k) routinely exceeds int64, numpy draws cannot
-    rng = random.Random(_SAMPLE_SEED)
-    picks = min(_SAMPLED_MINORS, total)
-    ranks = sorted({rng.randrange(total) for _ in range(picks)})
+    ranks = _sample_ranks(math.comb(n, k))
     cols = bulk.unrank_lex(n, k, ranks)
     G = generator_matrix(spec)
     bad = cols[np.flatnonzero(~_reduced_samples_nonsingular(F, G, cols))[:1]]
@@ -330,6 +326,16 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
                          "is singular despite the factorization argument")
     return MdsReport(MdsStatus.VERIFIED, "structural", len(ranks),
                      f"factorization argument + {len(ranks)} sampled minors")
+
+
+def _sample_ranks(total: int) -> list[int]:
+    """Sorted distinct ranks of min(_SAMPLED_MINORS, total) seeded draws
+    below total, each the next total.bit_length()-bit draw below it: the
+    stdlib randrange's stream, pinned in this package.  The stdlib RNG,
+    because C(n, k) routinely exceeds int64 and numpy draws cannot."""
+    rng, bits = random.Random(_SAMPLE_SEED), total.bit_length()
+    below = (r for r in iter(lambda: rng.getrandbits(bits), None) if r < total)
+    return sorted({next(below) for _ in range(min(_SAMPLED_MINORS, total))})
 
 
 def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,

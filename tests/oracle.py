@@ -53,14 +53,17 @@ class ScalarField:
 
     A code's base-p digits are its residue polynomial, constant term first.
     Addition is digitwise mod p; multiplication is the schoolbook product of
-    the two digit polynomials reduced by the modulus; everything else is
-    built from those two.
+    the two digit polynomials reduced by the modulus (at p = 2 the same
+    product on the codes' bits: shift and XOR); everything else is built
+    from those two.
     """
 
     def __init__(self, F: FieldSpec) -> None:
         self.p, self.q, self.order = F.p, F.q, F.order
         self.d = 2 * F.e
         self.modulus = tuple(F.modulus)
+        # at p = 2, the monic modulus as a bit mask, x^d included
+        self._modulus_bits = sum(c << j for j, c in enumerate(self.modulus))
         self._sums, self._negs, self._products = _MEMOS.setdefault(
             (self.p, self.modulus), ({}, {}, {}))
 
@@ -108,6 +111,26 @@ class ScalarField:
         return out
 
     def _product(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return self._binary_product(a, b)
+        return self._schoolbook_product(a, b)
+
+    def _binary_product(self, a: int, b: int) -> int:
+        """p = 2: a code's bits are its digits, so the product is the
+        carry-less product of the two codes, reduced by the modulus from
+        the top degree down."""
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a <<= 1
+            b >>= 1
+        for top in range(out.bit_length() - 1, self.d - 1, -1):
+            if out >> top & 1:
+                out ^= self._modulus_bits << (top - self.d)
+        return out
+
+    def _schoolbook_product(self, a: int, b: int) -> int:
         p, d, m = self.p, self.d, self.modulus
         x, y = self._digits(a), self._digits(b)
         prod = [0] * (2 * d - 1)

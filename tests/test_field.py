@@ -308,6 +308,19 @@ def test_characteristic_two_addition_is_xor():
     assert (F.vneg(b) == b).all()
 
 
+@pytest.mark.parametrize("e", range(1, 11), ids=lambda e: f"GF{4 ** e}")
+def test_oracle_binary_product_matches_schoolbook(e):
+    # at p = 2 the oracle multiplies by shift and XOR; on random operands up
+    # to GF(2^20) it must give its own schoolbook digit product
+    S = ScalarField(make_field(2, e))
+    rng = np.random.default_rng(e)
+    a, b = rng.integers(0, S.order, (2, 400)).tolist()
+    a += [0, 1, S.order - 1]
+    b += [S.order - 1, S.order - 1, S.order - 1]
+    assert ([S._binary_product(x, y) for x, y in zip(a, b)]
+            == [S._schoolbook_product(x, y) for x, y in zip(a, b)])
+
+
 # GF(3^10) is past the spread cap: its odd-p addition reduces each base-q
 # half on its own
 VECTOR_FIELDS = [(3, 1), (2, 2), (13, 1), (2, 6), (3, 4), (3, 5)]

@@ -187,9 +187,8 @@ def _norm_mutant(spec):
 def test_interpolation_route_matches_scalar_divided_differences(monkeypatch, args):
     # the route hands bulk.newton_coefficients N(v_i) a_i^(qj) and lets the
     # node products u_i cancel there; its top rows must still be the top k
-    # divided differences of u_i N(v_i) a_i^(qj), computed by scalar ops.
-    # Rows 0, k/2 and k - 1 of the code and of its mutant: the scalar
-    # recursion takes about 0.15 s a row at [127, 32]_64
+    # divided differences of u_i N(v_i) a_i^(qj), computed by scalar ops,
+    # for all k rows of the code and of its mutant
     tops = []
     newton = bulk.newton_coefficients
 
@@ -203,7 +202,7 @@ def test_interpolation_route_matches_scalar_divided_differences(monkeypatch, arg
     F, n, k = spec.field, spec.n, spec.k
     S = ScalarField(F)
     us = oracle.node_products(F, spec.locators)
-    js = (0, k // 2, k - 1)
+    js = range(k)
     rows = [[S.mul(S.mul(u, S.norm(v)), S.pow(a, F.q * j))
              for a, v, u in zip(c.locators, c.multipliers, us)]
             for c in cases for j in js]
@@ -217,7 +216,7 @@ def test_interpolation_route_matches_scalar_divided_differences(monkeypatch, arg
     assert got == want
     # the mutant moves row 0's top coefficient, sum_i N(v_i), by its change
     # of norm, so its first failing j is 0
-    assert not any(map(any, want[:3])) and any(want[3])
+    assert not any(map(any, want[:k])) and any(want[k])
     assert verdicts == [(True, None), (False, 0)]
 
 

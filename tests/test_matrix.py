@@ -169,6 +169,14 @@ def test_nullspace_vectors_are_solutions():
                 assert all(c == 0 for c in A.mul_vec(v))
 
 
+def _row_equivalent(A, B):
+    """Same row space: equal pivots and equal nonzero rows of the rrefs."""
+    if A.ncols != B.ncols:
+        return False
+    (a, pa), (b, pb) = A.rref(), B.rref()
+    return pa == pb and np.array_equal(a.array[:len(pa)], b.array[:len(pb)])
+
+
 def test_rref_is_idempotent_and_row_equivalent():
     rng = random.Random(11)
     F = make_field(2, 2)
@@ -177,7 +185,7 @@ def test_rref_is_idempotent_and_row_equivalent():
         R, _ = A.rref()
         R2, _ = R.rref()
         assert R == R2
-        assert A.row_equivalent(R)
+        assert _row_equivalent(A, R)
 
 
 def test_row_equivalence_under_random_row_ops():
@@ -192,11 +200,11 @@ def test_row_equivalence_under_random_row_ops():
     f = rng.randrange(F.order)
     rows[2] = [S.add(a, S.mul(f, b)) for a, b in zip(rows[2], rows[0])]
     B = FMatrix(F, rows)
-    assert A.row_equivalent(B)
+    assert _row_equivalent(A, B)
     # a generically perturbed matrix is not
     rows[0] = [S.add(x, 1) for x in rows[0]]
     C = FMatrix(F, rows)
-    assert not A.row_equivalent(C) or C.rref()[0] == A.rref()[0]
+    assert not _row_equivalent(A, C) or C.rref()[0] == A.rref()[0]
 
 
 def test_vandermonde_rank():
@@ -210,16 +218,40 @@ def test_vandermonde_rank():
     assert W.rank() == 6
 
 
-def test_entrywise_frobenius_is_involution_here():
-    rng = random.Random(3)
-    F = make_field(3, 1)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)],
+                         ids=["GF4", "GF9", "GF16", "GF25", "GF49", "GF64"])
+def test_rref_commutes_with_entrywise_frobenius(p, e):
+    # Frobenius is a field automorphism, so reducing A^(q) gives rref(A)
+    # with every entry raised to q, on the same pivots: the solvers read
+    # "A is row-equivalent to A^(q)" as "rref(A) is base-valued"
+    F = make_field(p, e)
     S = ScalarField(F)
-    A = _random_matrix(F, rng, 3, 3)
-    B = A.entrywise_frobenius()
-    assert B.entrywise_frobenius() == A
-    for i in range(3):
-        for j in range(3):
-            assert B.array[i, j] == S.pow(int(A.array[i, j]), F.q)
+    rng = random.Random(100 * p + e)
+    cases = [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 5), dtype=np.int64)]
+    for _ in range(30):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        cases.append(_random_matrix(F, rng, nrows, ncols).array)
+        # rank-deficient: every row a combination of at most two rows
+        basis = _random_matrix(F, rng, rng.randrange(1, 3), ncols).array.tolist()
+        rows = []
+        for _ in range(nrows + 1):
+            acc = [0] * ncols
+            for b in basis:
+                c = rng.randrange(F.order)
+                acc = [S.add(x, S.mul(c, y)) for x, y in zip(acc, b)]
+            rows.append(acc)
+        cases.append(np.array(rows, dtype=np.int64))
+    deficient = non_base = 0
+    for array in cases:
+        A = FMatrix(F, array)
+        conj = FMatrix(F, [[S.frobenius(int(x)) for x in r] for r in array.tolist()]
+                       if array.size else array)
+        (R, pivots), (Rq, pivots_q) = A.rref(), conj.rref()
+        assert pivots_q == pivots
+        assert Rq.array.tolist() == [[S.frobenius(x) for x in r] for r in R.array.tolist()]
+        deficient += A.rank() < min(A.shape)
+        non_base += not all(S.in_base(x) for x in R.array.flat)
+    assert deficient > 10 and non_base > 10
 
 
 def test_matmul_and_mul_vec_agree():

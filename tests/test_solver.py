@@ -103,6 +103,8 @@ def test_projective_unique_randomized(q, p, e):
         B = _scaled_vandermonde(F, rng, r - 1, r)
         A = _random_row_scaling(F, rng, B)
         codes = solve_projective_unique(A)
+        # the kernel line's basis vector, returned with no unit scaling
+        assert codes == tuple(A.nullspace()[0].tolist())
         assert all(codes)
         assert all(S.in_base(c) for c in codes)
         assert not any(A.mul_vec(codes))
@@ -115,7 +117,9 @@ def test_projective_unique_randomized(q, p, e):
         rows = A.array.tolist() + [list(_combine(F, c, A.array.tolist()))
                                    for c in combos]
         rng.shuffle(rows)
-        assert solve_projective_unique(FMatrix(F, rows)) == codes
+        stacked = FMatrix(F, rows)
+        assert solve_projective_unique(stacked) == codes
+        assert codes == tuple(stacked.nullspace()[0].tolist())
 
 
 def test_projective_unique_shape_and_dependence_errors():
@@ -451,7 +455,11 @@ def _projective_hypotheses(A):
     for i, rank in enumerate(_deletion_ranks(A)):
         if rank != A.ncols - 1:
             return ColumnDependence, f"columns other than {i} are dependent"
-    if not A.row_equivalent(A.entrywise_frobenius()):
+    # the Frobenius test as it was first stated: reduce A^(q) a second time
+    # and compare its pivots and nonzero rows with those of rref(A)
+    F = A.field
+    (R, pa), (Rq, pq) = A.rref(), FMatrix(F, F.vpow(A.array, F.q)).rref()
+    if pa != pq or not np.array_equal(R.array[:len(pa)], Rq.array[:len(pq)]):
         return FrobeniusHypothesisFailed, "A is not row-equivalent to A^(q)"
     return None
 

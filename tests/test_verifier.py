@@ -424,6 +424,19 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     assert hashlib.sha256(cols.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("total", [1, 2, 512, 1024, 2 ** 70] + [
+    math.comb(n, k) for n, k in [(10, 3), (41, 5), (60, 5), (64, 6), (50, 25),
+                                 (127, 32), (164, 42), (1023, 256)]])
+def test_sample_ranks_match_stdlib_randrange(total):
+    # the draw loop states in this package the stream that the stdlib's
+    # randrange gave on the Python versions the pinned samples were made on;
+    # on this interpreter the two must still agree
+    rng = random.Random(verifier._SAMPLE_SEED)
+    picks = min(verifier._SAMPLED_MINORS, total)
+    assert verifier._sample_ranks(total) == sorted({rng.randrange(total)
+                                                    for _ in range(picks)})
+
+
 @pytest.mark.parametrize("args", [(2, 11, 6, 3, 5), (1, 16, 17, 4, 9),
                                   (1, 64, 65, 2, 32), (3, 81, 80, 1, 12)],
                          ids=["q11-n60-k5", "q16-n61-k9", "q64-n127-k32",
