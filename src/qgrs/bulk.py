@@ -9,8 +9,10 @@ order.  The tests hold the results to the table-free scalar reference in
 Column k-subsets are ranked and unranked in lexicographic order against one
 cached binomial table per (n, k) (:func:`comb_table`): :func:`unrank_lex`
 turns a whole batch of ranks into subsets one position at a time, with no
-per-subset Python loop, and works on Python ints once C(n, k) passes int64.
-The tests hold it to the scalar unranker kept in ``tests/oracle.py``.
+per-subset Python loop.  Once C(n, k) passes int64 it starts on Python ints
+and moves to int64 at the first position from which every rank left to
+unrank fits.  The tests hold it to the scalar unranker kept in
+``tests/oracle.py``.
 """
 from __future__ import annotations
 
@@ -187,12 +189,19 @@ def unrank_lex(n: int, k: int, ranks) -> np.ndarray:
     Combinadic unranking, one position at a time for all ranks together:
     the complement rank C(n, k) - 1 - r is sum_pos C(n - 1 - c_pos, k - pos),
     and each term is the largest table entry of its row not above what is
-    left.
+    left.  Since c_pos >= pos, what is left once pos positions are fixed is
+    below C(n - pos, k - pos).  On a Python-int table, from the first
+    position where that bound is below 2^63 the ranks are int64 and the rows
+    still to be read are clipped at 2^63 - 1: a clipped entry is above every
+    rank left, so it is never selected, and each row stays nondecreasing.
     """
     T = comb_table(n, k)
     rest = T[k, n] - 1 - np.asarray(ranks, dtype=T.dtype)
     out = np.empty((len(rest), k), dtype=np.int32)
     for pos in range(k):
+        if rest.dtype == object and T[k - pos, n - pos] < 2 ** 63:
+            T = np.minimum(T[:k - pos + 1], 2 ** 63 - 1).astype(np.int64)
+            rest = rest.astype(np.int64)
         row = T[k - pos]
         x = np.searchsorted(row, rest, side="right") - 1
         rest -= row[x]

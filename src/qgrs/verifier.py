@@ -10,7 +10,9 @@ The Singleton distance is decided by the cheapest affordable route:
 2. exhaustive codeword-weight enumeration over projective messages
    (complete: all (q^2k - 1)/(q^2 - 1) words are decided, at a cost of
    about q^(2(k-2)) partial words x n, since one histogram of the roots
-   in the last message coordinate counts the zeros of q^2 words at once);
+   in the last message coordinate counts the zeros of q^2 words at once,
+   and each partial word is one broadcast addition of a shared high row
+   and a multiple of the next generator row);
 3. a structural certificate — every maximal minor of a matrix with rows
    v_i * a_i^j factors as a product of multipliers times a Vandermonde
    determinant in the locators, so distinct locators and nonzero
@@ -30,6 +32,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -258,39 +261,55 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
     word W_i + c G[k-1] vanishes for exactly one c, -W_ij / G[k-1, j]; one
     bincount over (i, c) pairs then counts the zeros of all order words at
     once.  Where G[k-1, j] = 0 (locator 0), the column is zero for every c
-    iff W_ij = 0.  A batch holds max(1, chunk // order) partial words, so
-    about ``chunk`` words.
+    iff W_ij = 0.
+
+    The partial words are built by broadcasting: i = h * order + d_0, and
+    W_i = H_h + d_0 G[lead+1], where the high row H_h is G[lead] plus the
+    terms t >= 1.  The order multiples of G[lead+1] are made once, each
+    batch's high rows by one ``vcombine``, and its W by one broadcast
+    ``vadd``.  (For L = 1 there is no d_0: the one partial word is G[lead]
+    plus the zero multiple.)  A batch holds max(1, chunk // order^2) high
+    rows with every d_0, or, when order^2 > chunk, one high row with
+    max(1, chunk // order) values of d_0, so about ``chunk`` words.
     """
     k, n = G.shape
     order = F.order
     last = G[k - 1]
     live = last != 0
     inv_last = F.vinv(last[live])
-    rows = G[lead:k - 1]
     span = order ** (k - lead - 2)
-    per_batch = max(1, chunk // order)
+    low = order if lead < k - 2 else 1            # how many values d_0 takes
+    highs = span // low
+    multiples = F.vmul(np.arange(low)[:, None], G[lead + 1])
+    high = np.concatenate((G[lead:lead + 1], G[lead + 2:k - 1]))
+    h_step = max(1, chunk // order ** 2)
+    d_step = min(low, max(1, chunk // order))
     best = None
-    for lo in range(0, span, per_batch):
-        idx = np.arange(lo, min(lo + per_batch, span), dtype=np.int64)
-        coeffs = np.ones((len(idx), len(rows)), dtype=np.int64)
-        for t in range(1, len(rows)):
-            coeffs[:, t] = (idx // order ** (t - 1)) % order
-        W = F.vcombine(coeffs, rows)
-        roots = F.vmul(F.vneg(W[:, live]), inv_last)
-        keys = roots + (np.arange(len(idx)) * order)[:, None]
-        zeros = np.bincount(keys.ravel(), minlength=len(idx) * order)
-        zeros = zeros.reshape(len(idx), order)
-        zeros += np.count_nonzero(W[:, ~live] == 0, axis=1)[:, None]
-        light_i, light_c = np.nonzero(zeros >= k)
-        if not light_i.size:
-            continue
-        tails = light_c * span + idx[light_i]
-        b = int(np.argmin(tails))
-        if best is None or tails[b] < best[0]:
-            i, c = light_i[b], light_c[b]
-            msg = ((0,) * lead + (1,) + tuple(coeffs[i, 1:].tolist())
-                   + (int(c),))
-            best = (int(tails[b]), msg, n - int(zeros[i, c]))
+    for h_lo in range(0, highs, h_step):
+        h = np.arange(h_lo, min(h_lo + h_step, highs), dtype=np.int64)
+        coeffs = np.ones((len(h), len(high)), dtype=np.int64)
+        for t in range(1, len(high)):
+            coeffs[:, t] = (h // order ** (t - 1)) % order
+        H = F.vcombine(coeffs, high)
+        for d_lo in range(0, low, d_step):
+            W = F.vadd(H[:, None], multiples[None, d_lo:d_lo + d_step])
+            idx = (h[:, None] * low + np.arange(d_lo, d_lo + W.shape[1])).ravel()
+            W = W.reshape(len(idx), n)
+            roots = F.vmul(F.vneg(W[:, live]), inv_last)
+            keys = roots + (np.arange(len(idx)) * order)[:, None]
+            zeros = np.bincount(keys.ravel(), minlength=len(idx) * order)
+            zeros = zeros.reshape(len(idx), order)
+            zeros += np.count_nonzero(W[:, ~live] == 0, axis=1)[:, None]
+            light_i, light_c = np.nonzero(zeros >= k)
+            if not light_i.size:
+                continue
+            tails = light_c * span + idx[light_i]
+            b = int(np.argmin(tails))
+            if best is None or tails[b] < best[0]:
+                i, c = int(idx[light_i[b]]), int(light_c[b])
+                digits = tuple(i // order ** t % order for t in range(k - lead - 2))
+                best = (int(tails[b]), (0,) * lead + (1,) + digits + (c,),
+                        n - int(zeros[light_i[b], c]))
     return best
 
 
@@ -331,11 +350,17 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
 def _sample_ranks(total: int) -> list[int]:
     """Sorted distinct ranks of min(_SAMPLED_MINORS, total) seeded draws
     below total, each the next total.bit_length()-bit draw below it: the
-    stdlib randrange's stream, pinned in this package.  The stdlib RNG,
-    because C(n, k) routinely exceeds int64 and numpy draws cannot."""
+    stdlib randrange's stream, pinned in this package.  The draws come in
+    rounds, each one ``getrandbits`` map as long as the number of accepted
+    draws still missing, so no round overshoots.  The stdlib RNG, because
+    C(n, k) routinely exceeds int64 and numpy draws cannot."""
     rng, bits = random.Random(_SAMPLE_SEED), total.bit_length()
-    below = (r for r in iter(lambda: rng.getrandbits(bits), None) if r < total)
-    return sorted({next(below) for _ in range(min(_SAMPLED_MINORS, total))})
+    picks = min(_SAMPLED_MINORS, total)
+    drawn: list[int] = []
+    while len(drawn) < picks:
+        drawn += [r for r in map(rng.getrandbits, repeat(bits, picks - len(drawn)))
+                  if r < total]
+    return sorted(set(drawn))
 
 
 def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,

@@ -52,10 +52,10 @@ class ScalarField:
     ``F.q``, ``F.order`` and ``F.modulus`` only.
 
     A code's base-p digits are its residue polynomial, constant term first.
-    Addition is digitwise mod p; multiplication is the schoolbook product of
-    the two digit polynomials reduced by the modulus (at p = 2 the same
-    product on the codes' bits: shift and XOR); everything else is built
-    from those two.
+    Addition is digitwise mod p (at p = 2, XOR of the codes' bits);
+    multiplication is the schoolbook product of the two digit polynomials
+    reduced by the modulus (at p = 2 the same product on the codes' bits:
+    shift and XOR); everything else is built from those two.
     """
 
     def __init__(self, F: FieldSpec) -> None:
@@ -88,6 +88,8 @@ class ScalarField:
         return out
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         out = self._sums.get((a, b))
         if out is None:
             out = self._remember(self._sums, (a, b), self._code(

@@ -253,18 +253,29 @@ def test_unrank_lex_every_rank_up_to_n10():
 
 
 @pytest.mark.parametrize("n,k", [(60, 5), (66, 33), (67, 33), (68, 34),
-                                 (82, 24), (127, 32), (164, 42), (300, 150)])
+                                 (82, 24), (127, 32), (130, 17), (164, 42),
+                                 (300, 150)])
 def test_unrank_lex_matches_scalar_oracle(n, k):
-    # the structural route's rank stream; C(n, k) passes 2^63 from n = 67
+    # the structural route's rank stream; C(n, k) passes 2^63 from n = 67.
+    # The unranking moves to int64 at position 0 of (66, 33), 1 of (67, 33),
+    # 2 of (68, 34), 3 of (130, 17) and 16 of (127, 32)
     total = math.comb(n, k)
     rng = random.Random(0xC0DE)
     ranks = sorted({rng.randrange(total) for _ in range(min(512, total))})
-    ranks += [0, total - 1]
+    ranks += [0, 1, total - 2, total - 1]
     got = bulk.unrank_lex(n, k, ranks)
     assert got.tolist() == [oracle._unrank_lex(n, k, r) for r in ranks]
-    assert got[-2].tolist() == list(range(k))
+    assert got[-4].tolist() == list(range(k))
+    assert got[-3].tolist() == list(range(k - 1)) + [k]
+    assert got[-2].tolist() == [n - k - 1] + list(range(n - k + 1, n))
     assert got[-1].tolist() == list(range(n - k, n))
     assert bulk.comb_table(n, k).dtype == (object if total >= 2 ** 63 else np.int64)
+    # the first position whose ranks left are all below 2^63
+    start = next(pos for pos in range(k + 1)
+                 if math.comb(n - pos, k - pos) < 2 ** 63)
+    switch = {(66, 33): 0, (67, 33): 1, (68, 34): 2, (130, 17): 3,
+              (127, 32): 16, (164, 42): 28}
+    assert start == switch.get((n, k), start)
 
 
 @st.composite

@@ -36,6 +36,7 @@ from qgrs.verifier import (
     structural_minor_certificate,
 )
 
+import oracle
 from oracle import (
     ScalarField,
     SearchReport,
@@ -411,6 +412,17 @@ def _full_samples_nonsingular(F, G, cols):
     pytest.param((3, 81, 80, 2, 42), (0, 1), (164, 42),
                  "db2fad19d2ea0ddd569b01a234a46319ec0ae4746040e7a0606a321368691393",
                  id="q81-n164-k42"),
+    # C(n, k) > 2^63, with the unranking moving to int64 at position 16 of
+    # 32, 3 of 17 and 2 of 16
+    pytest.param((1, 64, 65, 2, 32), None, (127, 32),
+                 "ba6b20e17f098b82709b518cffd9a5accbb28e682e419fdd11db5903352d84d4",
+                 id="q64-n127-k32"),
+    pytest.param((3, 25, 24, 5, 17), None, (130, 17),
+                 "c66e93cc4b30021aec9d30a650eec1da952d4c2a07699ce48869133d74a00ba7",
+                 id="q25-n130-k17"),
+    pytest.param((1, 64, 65, 2, 16), None, (127, 16),
+                 "b8de1b5c958ea43e1ec938f81e81db4142cfc3106ac7945a9aeab12f44137114",
+                 id="q64-n127-k16"),
 ])
 def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
     # sha256 of the (512, k) int32 column array that the scalar unranker
@@ -426,9 +438,12 @@ def test_structural_samples_are_pinned(monkeypatch, args, i_list, nk, digest):
 
 @pytest.mark.parametrize("total", [1, 2, 512, 1024, 2 ** 70] + [
     math.comb(n, k) for n, k in [(10, 3), (41, 5), (60, 5), (64, 6), (50, 25),
-                                 (127, 32), (164, 42), (1023, 256)]])
+                                 (127, 32), (164, 42), (1023, 256)]] + [
+    # around the draw-width and machine-word boundaries
+    3, 511, 513, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1, 2 ** 63,
+    2 ** 64 + 1, math.comb(67, 33)])
 def test_sample_ranks_match_stdlib_randrange(total):
-    # the draw loop states in this package the stream that the stdlib's
+    # the draw rounds state in this package the stream that the stdlib's
     # randrange gave on the Python versions the pinned samples were made on;
     # on this interpreter the two must still agree
     rng = random.Random(verifier._SAMPLE_SEED)
@@ -697,21 +712,26 @@ def test_exhaustive_distance_matches_combine_oracle_on_mds_codes(chunk,
             got = check_min_distance_exhaustive(spec, **kw)
             monkeypatch.undo()
             assert got == want, (F, spec.locators, spec.multipliers, k)
-            # a batch holds about ``chunk`` words: chunk // order partial words
-            assert max(batches, default=1) <= max(1, (chunk or 8192) // F.order)
+            # a batch holds about ``chunk`` words: its high rows come from one
+            # vcombine, order partial words and order^2 words each
+            assert max(batches, default=1) <= max(1, (chunk or 8192) // F.order ** 2)
             assert got.ok and got.checked == projective_word_count(F.order, k)
             seen.add((p == 2, k, 0 in spec.locators))
     assert {(two, 1) for two in (True, False)} <= {s[:2] for s in seen}
     assert (True, 3, True) in seen and (False, 3, True) in seen
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1000, None])
+@pytest.mark.parametrize("chunk", [1, 3, 1000, None, 8192] + [
+    # one high row of order partial words, give or take one word
+    pytest.param(lambda order, d=d: order ** 2 + d, id=f"order^2{d:+d}")
+    for d in (-1, 0, 1)])
 def test_exhaustive_distance_matches_combine_oracle_on_failing_codes(chunk):
     rng = random.Random(9049)
-    kw = {} if chunk is None else {"chunk": chunk}
     failed = 0
     for trial in range(60):
         F = make_field(*_DISTANCE_FIELDS[trial % len(_DISTANCE_FIELDS)])
+        kw = {} if chunk is None else {
+            "chunk": chunk(F.order) if callable(chunk) else chunk}
         k = rng.randint(1, 4 if F.order <= 9 else 3)
         n = rng.randint(max(k, 2), min(F.order, 10))
         locs, mults = _random_code(F, rng, k, n, rng.random() < 0.5)
@@ -727,6 +747,76 @@ def test_exhaustive_distance_matches_combine_oracle_on_failing_codes(chunk):
             F, locs, mults, k)
         failed += want.status is MdsStatus.FAILED
     assert 20 < failed < 60
+
+
+def _planted_light_code(F, rng, msg):
+    """A k x (k + 1) code matrix G, k = len(msg), whose only light word, up
+    to scaling, is msg @ G.
+
+    The code is the dual of a vector h with one zero entry j0, so e_j0 is
+    its only word of weight < 2 = n - k + 1.  Every row but msg's lead row
+    is a random word of the code; the lead row makes msg @ G = e_j0.
+    """
+    S = ScalarField(F)
+    k = len(msg)
+    n = k + 1
+    lead = next(t for t, m in enumerate(msg) if m)
+    j0, j1 = rng.sample(range(n), 2)
+    h = [0 if j == j0 else rng.randrange(1, F.order) for j in range(n)]
+    while True:
+        G = [[rng.randrange(F.order) for _ in range(n)] for _ in range(k)]
+        for row in G:
+            row[j1] = 0
+            dot = 0
+            for x, y in zip(row, h):
+                dot = S.add(dot, S.mul(x, y))
+            row[j1] = S.neg(S.div(dot, h[j1]))
+        G[lead] = [int(j == j0) for j in range(n)]
+        for t in range(lead + 1, k):
+            G[lead] = [S.sub(a, S.mul(msg[t], b)) for a, b in zip(G[lead], G[t])]
+        G = np.array(G, dtype=np.int64)
+        if FMatrix(F, G).rank() == k:
+            return G
+
+
+@pytest.mark.parametrize("p,e,k", [(2, 1, 5), (3, 1, 4)],
+                         ids=["GF4-k5", "GF9-k4"])
+def test_exhaustive_distance_finds_planted_word_at_batch_edges(monkeypatch,
+                                                               p, e, k):
+    # a lead's partial words are i = h * order + d_0.  With chunk = 2 order^2
+    # a batch holds the high rows h = 2b and 2b + 1 with every d_0; with
+    # order^2 - 1 it holds one high row and order - 1 values of d_0.  The
+    # only light word is planted at d_0 = 0 and order - 1, in the first and
+    # last high row of a batch, and the route must report it as the oracle
+    # scan does
+    F = make_field(p, e)
+    order = F.order
+    rng = random.Random(order * 100 + k)
+    spec = _FakeSpec(F, range(k + 1), [1] * (k + 1), k)
+    planted = 0
+    for lead in (0, 1):
+        width = k - lead - 2                  # digits of i
+        highs = order ** (width - 1)
+        for h in sorted({0, 2, 3, highs - 1} & set(range(highs))):
+            for d0 in (0, order - 1):
+                i, c = h * order + d0, rng.randrange(order)
+                msg = ((0,) * lead + (1,)
+                       + tuple(i // order ** t % order for t in range(width))
+                       + (c,))
+                G = _planted_light_code(F, rng, msg)
+                monkeypatch.setattr(verifier, "generator_matrix", lambda s: G)
+                monkeypatch.setattr(oracle, "generator_matrix", lambda s: G)
+                checked = (sum(order ** (k - 1 - l) for l in range(lead))
+                           + c * order ** width + i + 1)
+                want = MdsReport(MdsStatus.FAILED, "exhaustive-distance",
+                                 checked, f"message {msg} gives weight 1 < 2")
+                assert scan_min_distance_exhaustive(spec) == want
+                for chunk in (1, order ** 2 - 1, order ** 2, 2 * order ** 2,
+                              8192):
+                    got = check_min_distance_exhaustive(spec, chunk=chunk)
+                    assert got == want, (msg, chunk)
+                planted += 1
+    assert planted == {4: 14, 9: 10}[order]
 
 
 def test_exhaustive_distance_matches_combine_oracle_over_spread_cap():
