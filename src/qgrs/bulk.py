@@ -24,17 +24,6 @@ import numpy as np
 from .field import FieldSpec
 
 
-def digit_sum(F: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Field-sum of an array of codes along one axis (addition is digitwise)."""
-    if F.p == 2:
-        return np.bitwise_xor.reduce(arr, axis=axis).astype(np.int64)
-    acc, rest = 0, np.asarray(arr, dtype=np.int64)
-    for pw in F.p ** np.arange(2 * F.e):
-        rest, digits = np.divmod(rest, F.p)
-        acc = acc + digits.sum(axis=axis) % F.p * pw
-    return acc
-
-
 def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """codes[e_idx, b_idx] = base^exp with the 0^0 = 1 convention."""
     base_codes = np.asarray(base_codes, dtype=np.int64)
@@ -76,7 +65,7 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
     step = max(1, _BATCH_ENTRIES // max(1, top * n))
     out = np.empty((len(f), top), dtype=np.int64)
     for lo in range(0, len(f), step):
-        out[lo:lo + step] = digit_sum(F, F.vmul(f[lo:lo + step, None], W), axis=2)
+        out[lo:lo + step] = F.vsum(F.vmul(f[lo:lo + step, None], W), axis=2)
     return out
 
 
@@ -89,13 +78,14 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray,
                              sizes=None) -> np.ndarray:
     """For a (B, k, k) stack of code matrices: which are nonsingular?
 
-    Gaussian elimination on the whole batch at once.  Each step takes the
-    first row with a nonzero entry in the leading column as pivot (argmax
-    over the nonzero mask), swaps it to the top of every matrix, marks the
-    matrices whose leading column is all zero as singular, and replaces each
-    matrix by its Schur complement in one fused ``F.veliminate`` call.  Once a
-    2x2 complement [[a, b], [c, d]] is left, its determinant ad - bc is
-    nonzero exactly when a*d != b*c; for k = 1 the entry itself decides.
+    Gaussian elimination on the whole batch at once, with row 0 as every
+    matrix's pivot row.  At each step only the matrices whose row 0 leads
+    with a zero swap in their first row with a nonzero lead; those with none
+    are marked singular.  A block of an MDS code's reduced form never swaps:
+    every entry of its Schur complements is nonzero.  Each matrix is then
+    replaced by its Schur complement in one fused ``F.veliminate`` call.
+    Once a 2x2 complement [[a, b], [c, d]] is left, its determinant ad - bc
+    is nonzero exactly when a*d != b*c; for k = 1 the entry itself decides.
 
     With ``sizes``, nonincreasing, matrix i is the sizes[i] x sizes[i] block
     in the bottom-right corner of mats[i]; the rest of mats[i] is not read.
@@ -113,14 +103,13 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray,
     for t in range(k - 2):
         if len(X) < ends[k - t]:
             X = np.concatenate((X, M[len(X):ends[k - t], t:, t:]))
-        batch = np.arange(len(X))
-        nz = X[:, :, 0] != 0
-        piv = nz.argmax(axis=1)
-        ok[:len(X)] &= nz[batch, piv]
-        top = X[batch, piv]
-        X[batch, piv] = X[:, 0]
-        X = F.veliminate(X[:, 1:, 1:], X[:, 1:, 0, None], top[:, None, 1:],
-                         top[:, 0, None, None])
+        swap = np.flatnonzero(X[:, 0, 0] == 0)
+        if swap.size:
+            piv = (X[swap, :, 0] != 0).argmax(axis=1)
+            ok[swap] &= X[swap, piv, 0] != 0
+            X[swap, 0], X[swap, piv] = X[swap, piv], X[swap, 0]
+        X = F.veliminate(X[:, 1:, 1:], X[:, 1:, 0, None], X[:, None, 0, 1:],
+                         X[:, 0, 0, None, None])
     if k >= 2:
         if len(X) < ends[2]:
             X = np.concatenate((X, M[len(X):ends[2], k - 2:, k - 2:]))

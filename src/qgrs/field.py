@@ -31,7 +31,9 @@ size O(order) — the log/exp lookup-table design of the galois library
   reduction table maps the digitwise sum back.  That table has
   (2p - 1)^(2e) entries, joined from the (2p - 1)^e table of one half;
   above _SPREAD_TABLE_CAP the two halves of a sum are reduced separately
-  against the half table instead.
+  against the half table instead;
+* a sum along an axis (``vsum``) spreads once and adds the axis's halves
+  until one row is left, about three passes over the array at any e.
 
 The tests hold the ``v*`` methods to a scalar reference, in
 ``tests/oracle.py``, that reads none of these tables.
@@ -339,6 +341,19 @@ class FieldSpec:
         a = np.asarray(a)
         out = self._exp[self._log[a].sum(axis=axis) % (self.order - 1)]
         return np.where((a == 0).any(axis=axis), 0, out)
+
+    def vsum(self, a, axis: int) -> np.ndarray:
+        """Sum along one axis; an empty axis sums to 0.  For odd p the
+        spreads are folded: the first half of the axis is added to the last,
+        an odd middle row waits for the next round, until one row is left."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis).astype(np.int64)
+        s = np.moveaxis(self._sp[a], axis, 0)
+        while len(s) > 1:
+            m = len(s) // 2
+            s[:m] = self._reduce(s[:m] + s[-m:], self._redsp, self._half)
+            s = s[:len(s) - m]
+        return self._reduce(s.sum(axis=0), self._red, self.q)
 
     def veliminate(self, a, x, r, t=1) -> np.ndarray:
         """a - x * r / t, the update of one elimination step; t nonzero and

@@ -84,7 +84,7 @@ def hermitian_gram(spec: GrsSpec) -> np.ndarray:
     sums = np.empty(k * k, dtype=np.int64)
     for lo in range(0, k * k, step):
         terms = bulk.power_codes(F, a, exps[lo:lo + step])      # (rows, n)
-        sums[lo:lo + step] = bulk.digit_sum(F, F.vmul(terms, norms), axis=1)
+        sums[lo:lo + step] = F.vsum(F.vmul(terms, norms), axis=1)
     return sums.reshape(k, k)
 
 

@@ -257,31 +257,34 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
     Let L = k - lead - 1.  A message's tail index is c * order^(L-1) + i, c
     its last coordinate and i the index of its other tail digits, so the
     order words of the partial word W_i = G[lead] + sum_t d_t G[lead+1+t]
-    (t < L - 1) differ only in c.  Where G[k-1, j] != 0, column j of the
-    word W_i + c G[k-1] vanishes for exactly one c, -W_ij / G[k-1, j]; one
-    bincount over (i, c) pairs then counts the zeros of all order words at
-    once.  Where G[k-1, j] = 0 (locator 0), the column is zero for every c
-    iff W_ij = 0.
+    (t < L - 1) differ only in c.  On a live column j, G[k-1, j] != 0, the
+    word W_i + c G[k-1] vanishes for one c, the root -W_ij / G[k-1, j]; one
+    bincount over (i, c) pairs counts the zeros of all order words at once.
+    On a dead column (locator 0) it is zero for every c iff W_ij = 0.
 
-    The partial words are built by broadcasting: i = h * order + d_0, and
-    W_i = H_h + d_0 G[lead+1], where the high row H_h is G[lead] plus the
-    terms t >= 1.  The order multiples of G[lead+1] are made once, each
+    Roots are linear in the message, as words are: the live columns of G,
+    scaled once by -1 / G[k-1] and put first, make a matrix S whose partial
+    words are the roots on the live columns and the words on the dead ones.
+    They are built by broadcasting: i = h * order + d_0, and
+    W_i = H_h + d_0 S[lead+1], where the high row H_h is S[lead] plus the
+    terms t >= 1.  The order multiples of S[lead+1] are made once, each
     batch's high rows by one ``vcombine``, and its W by one broadcast
-    ``vadd``.  (For L = 1 there is no d_0: the one partial word is G[lead]
+    ``vadd``.  (For L = 1 there is no d_0: the one partial word is S[lead]
     plus the zero multiple.)  A batch holds max(1, chunk // order^2) high
     rows with every d_0, or, when order^2 > chunk, one high row with
     max(1, chunk // order) values of d_0, so about ``chunk`` words.
     """
     k, n = G.shape
     order = F.order
-    last = G[k - 1]
-    live = last != 0
-    inv_last = F.vinv(last[live])
+    live = G[k - 1] != 0
+    n_live = int(np.count_nonzero(live))
+    S = np.hstack((F.vmul(G[:, live], F.vneg(F.vinv(G[k - 1, live]))),
+                   G[:, ~live]))
     span = order ** (k - lead - 2)
     low = order if lead < k - 2 else 1            # how many values d_0 takes
     highs = span // low
-    multiples = F.vmul(np.arange(low)[:, None], G[lead + 1])
-    high = np.concatenate((G[lead:lead + 1], G[lead + 2:k - 1]))
+    multiples = F.vmul(np.arange(low)[:, None], S[lead + 1])
+    high = np.concatenate((S[lead:lead + 1], S[lead + 2:k - 1]))
     h_step = max(1, chunk // order ** 2)
     d_step = min(low, max(1, chunk // order))
     best = None
@@ -295,11 +298,11 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
             W = F.vadd(H[:, None], multiples[None, d_lo:d_lo + d_step])
             idx = (h[:, None] * low + np.arange(d_lo, d_lo + W.shape[1])).ravel()
             W = W.reshape(len(idx), n)
-            roots = F.vmul(F.vneg(W[:, live]), inv_last)
-            keys = roots + (np.arange(len(idx)) * order)[:, None]
+            keys = W[:, :n_live] + (np.arange(len(idx)) * order)[:, None]
             zeros = np.bincount(keys.ravel(), minlength=len(idx) * order)
             zeros = zeros.reshape(len(idx), order)
-            zeros += np.count_nonzero(W[:, ~live] == 0, axis=1)[:, None]
+            if n_live < n:
+                zeros += np.count_nonzero(W[:, n_live:] == 0, axis=1)[:, None]
             light_i, light_c = np.nonzero(zeros >= k)
             if not light_i.size:
                 continue

@@ -12,24 +12,11 @@ from hypothesis import strategies as st
 
 from qgrs import bulk
 from qgrs.field import make_field
+from qgrs.grs import GrsSpec, generator_matrix
 from qgrs.matrix import FMatrix
 
 import oracle
 from oracle import ScalarField
-
-
-def test_digit_sum_matches_scalar():
-    for (p, e) in [(3, 1), (2, 2), (5, 1)]:
-        F = make_field(p, e)
-        S = ScalarField(F)
-        rng = random.Random(p)
-        arr = np.array([[rng.randrange(F.order) for _ in range(7)] for _ in range(5)])
-        got = bulk.digit_sum(F, arr, axis=1)
-        for i in range(5):
-            acc = 0
-            for c in arr[i]:
-                acc = S.add(acc, int(c))
-            assert got[i] == acc
 
 
 def test_power_codes_matches_scalar():
@@ -203,6 +190,82 @@ def test_batch_minors_decide_mixed_sizes_in_one_pass(p, e):
         got[order] = bulk.batch_minors_nonsingular(F, stack, sizes[order])
         assert np.array_equal(got, expect)
         assert np.array_equal(stack, kept)
+
+
+def _late_lead_matrix(F, b, t, rng, singular):
+    """A b x b matrix L N whose elimination with row-0 pivots first meets a
+    zero lead at step t >= 1.  L is unit lower triangular, so step t sees
+    the block Z at N's bottom right times a unit lower triangular factor.
+    N's first t columns are upper triangular with a nonzero diagonal, and
+    Z is nonsingular with Z[0, 0] = 0, or has a zero first column."""
+    L = np.tril(rng.integers(0, F.order, (b, b)), -1)
+    np.fill_diagonal(L, 1)
+    N = np.triu(rng.integers(0, F.order, (b, b)))
+    N[range(t), range(t)] = rng.integers(1, F.order, t)
+    while True:
+        Z = rng.integers(0, F.order, (b - t, b - t))
+        Z[:1 if not singular else None, 0] = 0
+        if singular or FMatrix(F, Z).rank() == b - t:
+            break
+    N[t:, t:] = Z
+    M = F.vcombine(L, N)
+
+    def rank(m):
+        return FMatrix(F, m).rank()
+
+    assert all(rank(M[:s, :s]) == s for s in range(1, t + 1))
+    if singular:   # the lead column of step t is all zero
+        assert rank(M[:, :t + 1]) == t and rank(M) < b
+    else:          # its lead is zero, and a later row swaps in
+        assert rank(M[:t + 1, :t + 1]) == t and rank(M) == b
+    return M
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (3, 2)], ids=["GF16", "GF25", "GF81"])
+def test_batch_minors_pivot_only_where_row_0_leads_with_zero(p, e):
+    # one call mixes square blocks of C in the reduced form [I | C] of a GRS
+    # generator matrix (every leading minor nonzero, so row 0 always
+    # pivots), nonsingular matrices whose lead turns zero at a step t >= 1,
+    # and singular ones whose lead column turns zero there; once at one
+    # size, once with blocks of every size in the corners of junk frames
+    F = make_field(p, e)
+    rng = np.random.default_rng(F.order + 3)
+    n, k, top = 16, 8, 6
+    spec = GrsSpec(F, tuple(rng.choice(F.order, n, replace=False).tolist()),
+                   tuple(rng.integers(1, F.order, n).tolist()), k)
+    R, pivots = FMatrix(F, generator_matrix(spec)).rref()
+    assert pivots == tuple(range(k))
+    C = R.array[:, k:]
+
+    def stack(b):
+        """(blocks, planted) of size b: 12 GRS blocks, then the planted
+        matrices of both kinds at every t that a swap step can meet."""
+        grs_blocks = [C[np.ix_(np.sort(rng.choice(k, b, replace=False)),
+                               np.sort(rng.choice(n - k, b, replace=False)))]
+                      for _ in range(12)]
+        for block in grs_blocks:
+            assert all(FMatrix(F, block[:s, :s]).rank() == s for s in range(1, b + 1))
+        planted = [_late_lead_matrix(F, b, t, rng, singular)
+                   for t in range(1, b - 2) for singular in (False, True)
+                   for _ in range(3)]
+        return np.array(grs_blocks + planted).reshape(-1, b, b), len(planted)
+
+    mats, planted = stack(top)
+    assert planted == 18
+    order = rng.permutation(len(mats))
+    got = bulk.batch_minors_nonsingular(F, mats[order])
+    expect = [FMatrix(F, m).rank() == top for m in mats[order]]
+    assert got.tolist() == expect and not all(expect)
+
+    blocks = [stack(b)[0] for b in range(top, 0, -1)]
+    sizes = np.repeat(np.arange(top, 0, -1), [len(s) for s in blocks])
+    frames = rng.integers(0, F.order, (len(sizes), top, top))
+    for i, block in enumerate(itertools.chain.from_iterable(blocks)):
+        frames[i, top - len(block):, top - len(block):] = block
+    got = bulk.batch_minors_nonsingular(F, frames, sizes)
+    expect = [FMatrix(F, m).rank() == len(m)
+              for m in itertools.chain.from_iterable(blocks)]
+    assert got.tolist() == expect and not all(expect)
 
 
 def test_combinations_array_matches_itertools():

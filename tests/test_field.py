@@ -8,6 +8,9 @@ the tests build; the search in the package must reproduce them exactly.
 """
 from __future__ import annotations
 
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -428,6 +431,42 @@ def test_fused_primitives_match_scalar_ops(pe):
             acc = S.mul(acc, c)
         assert prods[i] == acc
         assert pows[i] == S.pow(int(coeffs[i, 0]), int(exps[i]))
+
+
+def test_vsum_matches_scalar():
+    for (p, e) in [(3, 1), (2, 2), (5, 1)]:
+        F = make_field(p, e)
+        S = ScalarField(F)
+        rng = random.Random(p)
+        arr = np.array([[rng.randrange(F.order) for _ in range(7)] for _ in range(5)])
+        got = F.vsum(arr, axis=1)
+        for i in range(5):
+            acc = 0
+            for c in arr[i]:
+                acc = S.add(acc, int(c))
+            assert got[i] == acc
+
+
+# GF(3^10) is the split-half field: its folds reduce each half on its own
+@pytest.mark.parametrize("pe", [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2), (3, 4), (3, 5)],
+                         ids=_vector_field_id)
+def test_vsum_folds_every_axis_length(pe):
+    # lengths 3, 7 and 9 leave an odd middle row in the first round, and 9
+    # in the next two rounds as well
+    F = make_field(*pe)
+    assert bool(F._half) == (pe == (3, 5))
+    S = ScalarField(F)
+    rng = np.random.default_rng(F.order + 2)
+    for axis in range(3):
+        for length in (0, 1, 2, 3, 7, 8, 9):
+            shape = [2, 3]
+            shape.insert(axis, length)
+            a = _operands(F, rng, 6 * length).reshape(shape)
+            got = F.vsum(a, axis=axis)
+            assert got.shape == (2, 3) and got.dtype == np.int64
+            rows = np.moveaxis(a, axis, -1).reshape(6, length).tolist()
+            want = [functools.reduce(S.add, row, 0) for row in rows]
+            assert got.ravel().tolist() == want
 
 
 def test_check_modulus():

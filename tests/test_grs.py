@@ -140,6 +140,34 @@ def test_routes_always_agree_on_random_specs():
             assert gram_ok == dual_ok
 
 
+@pytest.mark.parametrize("e", [2, 5], ids=["GF81", "GF59049"])
+def test_gram_route_at_odd_p_sums_every_digit(e):
+    # the gram route's field sums at p = 3 with e >= 2 (GF(3^10) reduces
+    # each half of its spreads on its own), on random specs of odd length
+    # with a zero locator, against sums of scalar products; then both
+    # routes on the random specs and on a code that passes
+    F = make_field(3, e)
+    S = ScalarField(F)
+    rng = random.Random(e)
+    for n in (5, 7, 9, 11):
+        k = rng.randrange(2, 5)
+        locs = [0] + rng.sample(range(1, F.order), n - 1)
+        rng.shuffle(locs)
+        mults = [rng.randrange(1, F.order) for _ in range(n)]
+        spec = GrsSpec(F, tuple(locs), tuple(mults), k)
+        gram = hermitian_gram(spec)
+        for i in range(k):
+            for j in range(k):
+                acc = 0
+                for a, v in zip(locs, mults):
+                    acc = S.add(acc, S.mul(S.norm(v), S.pow(a, F.q * i + j)))
+                assert gram[i, j] == acc
+        assert (not gram.any()) == dual_containment_check(spec)[0]
+    spec = construct(*{2: (3, 9, 4, 2, 4), 5: (2, 243, 244, 3, 20)}[e])
+    assert not hermitian_gram(spec).any()
+    assert dual_containment_check(spec) == (True, None)
+
+
 def test_dual_check_k_equals_n():
     # degree <= -1 means the weighted values must vanish identically;
     # with nonzero multipliers that is impossible, so k = n always fails
