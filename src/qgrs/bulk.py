@@ -97,7 +97,7 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray,
     B, k = M.shape[:2]
     # ends[s]: how many matrices (a prefix of the stack) have size s or more
     ends = ([B] * (k + 1) + [0] if sizes is None else np.searchsorted(
-        -np.asarray(sizes), -np.arange(k + 2), side="right").tolist())
+        -np.asarray(sizes, dtype=np.intp), -np.arange(k + 2), side="right").tolist())
     ok = np.ones(B, dtype=bool)
     X = M[:ends[k]].copy()
     for t in range(k - 2):

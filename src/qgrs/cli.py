@@ -253,9 +253,9 @@ def cmd_verify(path, minor_budget, word_budget):
 
 
 def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None]:
-    """One grid row, and the message of the error that kept the cell from
-    being built or certified, if any; such a row reports both certificates
-    as failed."""
+    """One grid row, and the message of the error (a package error, or
+    running out of memory) that kept the cell from being built or certified,
+    if any; such a row reports both certificates as failed."""
     family, q, h, r, k, n, minor_budget, word_budget = args
     row = {
         "family": family, "q": q, "h": h, "r": r, "k": k,
@@ -265,7 +265,7 @@ def _enumerate_worker(args: tuple[int, ...]) -> tuple[dict[str, Any], str | None
     try:
         spec = build_code(family, q, h, r, k)
         cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
-    except QgrsError as exc:
+    except (QgrsError, MemoryError) as exc:
         return row, (f"cell family={family} q={q} h={h} r={r} k={k}: "
                      f"{type(exc).__name__}: {exc}")
     row.update(herm_ok=cert.herm_ok, mds_ok=cert.mds_ok)

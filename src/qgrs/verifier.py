@@ -21,12 +21,14 @@ The Singleton distance is decided by the cheapest affordable route:
    The generator matrix is reduced once, and each sample is decided by
    one block of its reduced form, in one elimination pass over all the
    blocks: exact linear algebra that does not lean on the factorization.
+   Samples and block layouts are computed once per (n, k, pivots), in a bounded cache.
 
 The report always names the route that decided, so downstream consumers can
 distinguish an enumerated verdict from a structural one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -332,22 +334,18 @@ def structural_minor_certificate(spec: GrsSpec) -> MdsReport:
     sampled minors do not add mathematical strength — they guard the code
     path that builds the generator matrix.
     """
-    n, k = spec.n, spec.k
-    F = spec.field
-    if len(set(spec.locators)) != n:  # pragma: no cover - GrsSpec enforces this
+    if len(set(spec.locators)) != spec.n:  # pragma: no cover - GrsSpec enforces this
         return MdsReport(MdsStatus.FAILED, "structural", 0, "repeated locator")
     if 0 in spec.multipliers:  # pragma: no cover
         return MdsReport(MdsStatus.FAILED, "structural", 0, "zero multiplier")
-    ranks = _sample_ranks(math.comb(n, k))
-    cols = bulk.unrank_lex(n, k, ranks)
-    G = generator_matrix(spec)
-    bad = cols[np.flatnonzero(~_reduced_samples_nonsingular(F, G, cols))[:1]]
+    cols, good = _reduced_samples_nonsingular(spec.field, generator_matrix(spec))
+    bad = cols[np.flatnonzero(~good)[:1]]
     if len(bad):  # pragma: no cover - would contradict the argument
-        return MdsReport(MdsStatus.FAILED, "structural", len(ranks),
+        return MdsReport(MdsStatus.FAILED, "structural", len(cols),
                          f"sampled minor at columns {tuple(bad[0].tolist())} "
                          "is singular despite the factorization argument")
-    return MdsReport(MdsStatus.VERIFIED, "structural", len(ranks),
-                     f"factorization argument + {len(ranks)} sampled minors")
+    return MdsReport(MdsStatus.VERIFIED, "structural", len(cols),
+                     f"factorization argument + {len(cols)} sampled minors")
 
 
 def _sample_ranks(total: int) -> list[int]:
@@ -366,47 +364,64 @@ def _sample_ranks(total: int) -> list[int]:
     return sorted(set(drawn))
 
 
-def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray,
-                                 cols: np.ndarray) -> np.ndarray:
-    """good[i]: is the k x k minor of G on columns cols[i] nonsingular?
+def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(cols, good): the structural route's sampled column k-subsets of G,
+    and good[i]: is the k x k minor of G on columns cols[i] nonsingular?
 
     R = rref(G) is E G for an invertible E, so when rank(G) = k its k x k
     minors are those of G times det E; when rank(G) < k all are singular.
     With pivot columns P, column P[i] of R is the unit vector e_i, so
     expanding det R_S along the unit columns of S & P leaves, up to sign,
     the minor of R on the rows i with P[i] not in S and the columns S - P:
-    a b x b block, b = k - |S & P|.  Order only changes the sign, so each
-    sample lists its block's rows and columns last.  Largest block first,
-    at most bulk._BATCH_ENTRIES frame entries a call, the blocks go to one
-    pass of bulk.batch_minors_nonsingular in the bottom-right corners of
-    frames the size of the call's first block.
+    a b x b block, b = k - |S & P|, laid out by _sample_layout.  Largest
+    block first, at most bulk._BATCH_ENTRIES frame entries a call, the
+    blocks go to one pass of bulk.batch_minors_nonsingular in the
+    bottom-right corners of frames the size of the call's first block.
     """
     k, n = G.shape
     R, pivots = FMatrix(F, G).rref()
-    good = np.zeros(len(cols), dtype=bool)
     if len(pivots) < k:
-        return good
-    # row_of[c]: the row whose pivot is column c, or k
-    row_of = np.full(n, k, dtype=np.intp)
-    row_of[list(pivots)] = np.arange(k)
-    sizes = (row_of[cols] == k).sum(axis=1)
-    order = np.argsort(-sizes)
-    sizes, cols = sizes[order], cols.take(order, axis=0)
-    hit = row_of[cols]
-    # each sample lists its block's rows (unhit) and columns (free) last
-    unhit = np.ones((len(cols), k + 1), dtype=bool)
-    unhit[np.arange(len(cols))[:, None], hit] = False
-    rows = np.argsort(unhit[:, :k], axis=1)
-    free = np.take_along_axis(cols, np.argsort(hit == k, axis=1), axis=1)
+        cols = bulk.unrank_lex(n, k, _sample_ranks(math.comb(n, k)))
+        return cols, np.zeros(len(cols), dtype=bool)
+    cols, sizes, order, rows, free = _sample_layout(n, k, pivots)
+    good = np.empty(len(cols), dtype=bool)
     flat = R.array.reshape(-1)
     lo = 0
     while lo < len(cols):
         m = int(sizes[lo])
         hi = lo + max(1, bulk._BATCH_ENTRIES // max(1, m * m))
-        frames = flat.take(rows[lo:hi, k - m:, None] * n + free[lo:hi, None, k - m:])
+        frames = flat.take(rows[lo:hi, k - m:, None].astype(np.intp) * n
+                           + free[lo:hi, None, k - m:])
         good[order[lo:hi]] = bulk.batch_minors_nonsingular(F, frames, sizes[lo:hi])
         lo = hi
-    return good
+    return cols, good
+
+
+@functools.lru_cache(maxsize=128)
+def _sample_layout(n: int, k: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The samples of a k x n matrix whose rref has these k pivots, and where
+    their blocks lie: read-only (cols, sizes, order, rows, free), each in the
+    narrowest dtype.  The j-th largest block is sample order[j]'s, on the last
+    sizes[j] of rows[j] and of free[j]; none of it reads the code's entries.
+    An entry is about 3 * 512 * k narrow ints, a few % of the peak memory of
+    the certify that made it, so an entry bound is a memory bound."""
+    cols = bulk.unrank_lex(n, k, _sample_ranks(math.comb(n, k)))
+    # row_of[c]: the row whose pivot is column c, or k
+    row_of = np.full(n, k, dtype=np.intp)
+    row_of[list(pivots)] = np.arange(k)
+    sizes = (row_of[cols] == k).sum(axis=1)
+    order = np.argsort(-sizes)
+    by_size = cols.take(order, axis=0)
+    hit = row_of[by_size]
+    unhit = np.ones((len(cols), k + 1), dtype=bool)
+    unhit[np.arange(len(cols))[:, None], hit] = False
+    rows = np.argsort(unhit[:, :k], axis=1)
+    free = np.take_along_axis(by_size, np.argsort(hit == k, axis=1), axis=1)
+    layout = tuple(a.astype(np.min_scalar_type(a.max()))
+                   for a in (cols, sizes.take(order), order, rows, free))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,20 @@ def test_batch_minors_decide_mixed_sizes_in_one_pass(p, e):
         assert np.array_equal(stack, kept)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_batch_minors_read_unsigned_sizes(dtype):
+    # -sizes of an unsigned array wraps, which left every block undecided
+    # and so reported nonsingular: zero blocks are singular, and identity
+    # blocks are not, at any integer dtype of sizes
+    F = make_field(2, 2)
+    mats = np.concatenate((np.zeros((3, 4, 4), dtype=np.int64),
+                           np.broadcast_to(np.eye(4, dtype=np.int64), (3, 4, 4))))
+    sizes = np.array([4, 4, 3, 3, 2, 2], dtype=dtype)
+    order = [0, 3, 1, 4, 2, 5]   # zero, identity, ... within each size
+    got = bulk.batch_minors_nonsingular(F, mats[order], sizes)
+    assert got.tolist() == [False, True] * 3
+
+
 def _late_lead_matrix(F, b, t, rng, singular):
     """A b x b matrix L N whose elimination with row-0 pivots first meets a
     zero lead at step t >= 1.  L is unit lower triangular, so step t sees

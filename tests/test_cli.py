@@ -421,21 +421,40 @@ def test_enumerate_small_grid(runner):
         assert herm == "True" and mds == "True"
 
 
-def test_enumerate_reports_failing_cell_and_exits_3(runner, monkeypatch):
+def _enumerate_with_failing_cell(runner, monkeypatch, error):
+    """Enumerate q <= 5, n <= 24 once as is, then with build_code raising
+    ``error`` at the cell (2, 5, 6, 5, 4): the healthy and planted results."""
     args = ["enumerate", "--max-q", "5", "--max-n", "24", "--threads", "1"]
     healthy = runner.invoke(main, args)
     real = cli.build_code
 
     def planted(family, q, h, r, k, *rest):
         if (family, q, h, r, k) == (2, 5, 6, 5, 4):
-            raise NotFound("planted failure")
+            raise error
         return real(family, q, h, r, k, *rest)
 
     monkeypatch.setattr(cli, "build_code", planted)
-    res = runner.invoke(main, args)
+    return healthy, runner.invoke(main, args)
+
+
+def test_enumerate_reports_failing_cell_and_exits_3(runner, monkeypatch):
+    healthy, res = _enumerate_with_failing_cell(runner, monkeypatch,
+                                                NotFound("planted failure"))
     assert res.exit_code == 3
     assert "cell family=2 q=5 h=6 r=5 k=4: NotFound: planted failure" in res.stderr
     # every other row is unchanged; the failing one reports both checks failed
+    assert res.stdout == healthy.stdout.replace("2,5,6,5,4,20,12,5,True,True",
+                                                "2,5,6,5,4,20,12,5,False,False")
+    assert "failed=1" in res.stderr
+
+
+def test_enumerate_survives_a_cell_out_of_memory(runner, monkeypatch):
+    # a cell too large for memory (planted, not allocated) is one failed
+    # row, as a package error is; the run goes on and exits 3
+    healthy, res = _enumerate_with_failing_cell(runner, monkeypatch,
+                                                MemoryError("planted failure"))
+    assert res.exit_code == 3
+    assert "cell family=2 q=5 h=6 r=5 k=4: MemoryError: planted failure" in res.stderr
     assert res.stdout == healthy.stdout.replace("2,5,6,5,4,20,12,5,True,True",
                                                 "2,5,6,5,4,20,12,5,False,False")
     assert "failed=1" in res.stderr

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qgrs import bulk, verifier
-from qgrs.constructions import construct
+from qgrs.constructions import construct, iter_family_params
 from qgrs.errors import VerificationMismatch, WrongShape
 from qgrs.field import FieldSpec, field_for_q, make_field
 from qgrs.grs import GrsSpec, generator_matrix
@@ -383,7 +383,10 @@ def test_structural_certificate_survives_huge_binomials():
 
 
 def _sampled_columns(monkeypatch, spec):
-    """The structural route's report on spec, and its (512, k) samples."""
+    """The structural route's report on spec, and its (512, k) samples as
+    bulk.unrank_lex gave them.  The layout cache is cleared first, so that
+    the route unranks them here."""
+    verifier._sample_layout.cache_clear()
     seen = []
     unrank = bulk.unrank_lex
 
@@ -468,8 +471,10 @@ def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
 
     def counting(F, mats, sizes):
         calls.append(mats.shape[:2])
-        # largest block first, each call's frame the size of its first block
-        assert sizes[0] == mats.shape[1] and (np.diff(sizes) <= 0).all()
+        # largest block first, each call's frame the size of its first block;
+        # sizes come narrow and unsigned, so they are compared as intp
+        signed = np.asarray(sizes, dtype=np.intp)
+        assert signed[0] == mats.shape[1] and (np.diff(signed) <= 0).all()
         return kernel(F, mats, sizes)
 
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
@@ -479,6 +484,59 @@ def test_structural_route_matches_across_slice_boundaries(monkeypatch, args):
     assert sum(m for m, _ in calls) == 512
     # every call within its size's bound, and some call at it
     assert max(m - max(1, 64 // b ** 2) for m, b in calls) == 0
+
+
+def test_structural_layout_is_computed_once_per_shape(monkeypatch):
+    # two codes of shape [42, 6], at q = 7 and q = 13: the second certificate
+    # reads its samples and their layout from the cache that the first one
+    # filled, unranks nothing, and reports as it does on a cold cache
+    first, second = construct(2, 7, 8, 7, 6), construct(3, 13, 12, 3, 6)
+    assert (first.n, first.k) == (second.n, second.k) == (42, 6)
+    verifier._sample_layout.cache_clear()
+    cold = structural_minor_certificate(second)
+    verifier._sample_layout.cache_clear()
+    structural_minor_certificate(first)
+    unranked, sizes = [], []
+    unrank, kernel = bulk.unrank_lex, bulk.batch_minors_nonsingular
+
+    def counting(F, mats, s):
+        sizes.append(len(s))
+        return kernel(F, mats, s)
+
+    monkeypatch.setattr(bulk, "unrank_lex",
+                        lambda *args: unranked.append(args) or unrank(*args))
+    monkeypatch.setattr(bulk, "batch_minors_nonsingular", counting)
+    warm = structural_minor_certificate(second)
+    assert unranked == [] and sum(sizes) == 512
+    assert warm == cold and warm.ok and warm.checked == 512
+    info = verifier._sample_layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_structural_layout_is_read_only_and_narrow():
+    cols, sizes, order, rows, free = verifier._sample_layout(42, 6, tuple(range(6)))
+    assert cols.shape == rows.shape == free.shape == (512, 6)
+    assert sizes.shape == order.shape == (512,)
+    assert sorted(order.tolist()) == list(range(512))
+    for a in (cols, sizes, order, rows, free):
+        assert a.dtype == np.min_scalar_type(a.max()) and a.dtype.itemsize <= 2
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_structural_layouts_of_the_sweep_stay_under_1mb():
+    # the acceptance grid's tuples past both sweep budgets (2 * 10^6 minors
+    # and words), that is sweep-small's structural tuples: 51 shapes, each
+    # reduced to the pivots 0..k-1, since any k columns of a GRS code are
+    # independent
+    shapes = {(cell.n, k) for q in (3, 4, 5, 7, 8, 9, 11, 13)
+              for cell in iter_family_params(q, n_max=64)
+              for k in range(1, cell.k_max + 1)
+              if min(math.comb(cell.n, k), projective_word_count(q * q, k)) > 2_000_000}
+    assert len(shapes) == 51
+    layouts = [verifier._sample_layout(n, k, tuple(range(k))) for n, k in shapes]
+    assert sum(a.nbytes for layout in layouts for a in layout) < 1_000_000
 
 
 def test_structural_tripwire_names_first_singular_sample(monkeypatch):
@@ -497,6 +555,7 @@ def test_structural_tripwire_names_first_singular_sample(monkeypatch):
 
     monkeypatch.setattr(verifier, "generator_matrix", lambda spec: G)
     monkeypatch.setattr(bulk, "unrank_lex", recording)
+    verifier._sample_layout.cache_clear()
     r = structural_minor_certificate(spec)
     (cols,) = seen
     first = next(tuple(c) for c in cols.tolist() if 7 in c)
@@ -550,7 +609,9 @@ def test_reduced_samples_agree_with_batch_kernel(monkeypatch, args, i_list):
     twin[:, int(cols[0, -1])] = twin[:, int(cols[0, 0])]
     verdicts = []
     for M in (G, twin):
-        verdicts.append(verifier._reduced_samples_nonsingular(F, M, cols))
+        got, good = verifier._reduced_samples_nonsingular(F, M)
+        assert np.array_equal(got, cols)
+        verdicts.append(good)
         assert np.array_equal(verdicts[-1], _full_samples_nonsingular(F, M, cols))
     assert verdicts[0].all()
     assert not verdicts[1][0] and verdicts[1].any()
@@ -604,7 +665,12 @@ def test_reduced_route_reports_as_the_direct_route(monkeypatch, args, i_list, ki
         assert pivots != tuple(range(k)) and len(pivots) == k
     if kind == "rank-deficient":
         assert len(pivots) < k
-    reduced = verifier._reduced_samples_nonsingular(F, G, cols)
+    misses = verifier._sample_layout.cache_info().misses
+    got, reduced = verifier._reduced_samples_nonsingular(F, G)
+    assert np.array_equal(got, cols)
+    if kind in ("dependent-head", "sample-is-pivots"):
+        # pivots other than 0..k-1 get a layout of their own
+        assert verifier._sample_layout.cache_info().misses == misses + 1
     if kind == "sample-is-pivots":
         assert pivots == tuple(cols[0].tolist()) and reduced[0]
     assert np.array_equal(reduced, _full_samples_nonsingular(F, G, cols))
