@@ -9,8 +9,9 @@ to the same rows later.
 
 The grid is families 1-4 at q <= 32 with n <= 128, and at q in {49, 64, 81}
 with n <= 200, each cell at k in {1, k_max // 2, k_max}; plus a few cells
-with non-default index lists.  Regenerate the table (only when documents
-change on purpose) with
+with non-default index lists; plus family 5 at q <= 13 with n <= 64 at the
+same three k, on both its explicit and its kernel path.  Regenerate the
+table (only when documents change on purpose) with
 
     PYTHONPATH=src python tests/test_records.py
 """
@@ -30,6 +31,9 @@ GRID = (
     ((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32), 128),
     ((49, 64, 81), 200),
 )
+#: family 5 is pinned on a smaller grid: its kernel path solves a profile
+#: system per cell
+F5_GRID = ((2, 3, 4, 5, 7, 8, 9, 11, 13), 64)
 
 #: (family, q, h, r, k, i_list, j_list) cells off the default index lists
 INDEXED = [
@@ -46,17 +50,17 @@ INDEXED = [
 ]
 
 
+def _grid(qs, n_max: int, family_5: bool) -> list[tuple]:
+    return [(cell.family, q, cell.h, cell.r, k, None, None)
+            for q in qs for cell in iter_family_params(q, n_max=n_max)
+            if (cell.family == 5) == family_5
+            for k in sorted({1, cell.k_max // 2, cell.k_max} - {0})]
+
+
 def cells() -> list[tuple]:
     """The table's cells in row order."""
-    out = []
-    for qs, n_max in GRID:
-        for q in qs:
-            for cell in iter_family_params(q, n_max=n_max):
-                if cell.family == 5:
-                    continue
-                for k in sorted({1, cell.k_max // 2, cell.k_max} - {0}):
-                    out.append((cell.family, q, cell.h, cell.r, k, None, None))
-    return out + INDEXED
+    return ([c for qs, n_max in GRID for c in _grid(qs, n_max, False)]
+            + INDEXED + _grid(*F5_GRID, True))
 
 
 def row(cell: tuple) -> dict:
