@@ -99,7 +99,7 @@ def batch_minors_nonsingular(F: FieldSpec, mats: np.ndarray,
     ends = ([B] * (k + 1) + [0] if sizes is None else np.searchsorted(
         -np.asarray(sizes, dtype=np.intp), -np.arange(k + 2), side="right").tolist())
     ok = np.ones(B, dtype=bool)
-    X = M[:ends[k]].copy()
+    X = M[:ends[k]] if k <= 2 else M[:ends[k]].copy()   # only swaps write X
     for t in range(k - 2):
         if len(X) < ends[k - t]:
             X = np.concatenate((X, M[len(X):ends[k - t], t:, t:]))

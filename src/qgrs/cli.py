@@ -197,7 +197,8 @@ def cmd_construct(family, q, h, r, k, i_list, j_list, out,
     except ParamsRejected as exc:
         click.echo(f"rejected: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
-    except QgrsError as exc:  # solver failure or route split in an accepted tuple
+    except (QgrsError, MemoryError) as exc:
+        # a solver failure, a route split or a cell too large for memory
         click.echo(f"construction failed: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
     if not (cert.herm_ok and cert.mds_ok):

@@ -444,10 +444,11 @@ def _profile_system(F: FieldSpec, locators, k: int) -> FMatrix:
     Each gram condition sum_l y_l a_l^(q*i + j) = 0 splits over the basis
     {1, g}: with P = a^(q*i + j), the halves are c1 = (P - P^q) / (g - g^q)
     and c0 = P - c1 * g, and both lie in the base subfield.  Rows come in
-    (c0, c1) pairs, (i, j) in lexicographic order.
+    (c0, c1) pairs, (i, j) lexicographic with i <= j: as a^(q^2) = a, (j, i)
+    has halves (c0 + c1*(g + g^q), -c1), so a pair per Frobenius orbit spans all.
     """
     q = F.q
-    exps = np.array([q * i + j for i in range(k) for j in range(k)], dtype=np.int64)
+    exps = np.array([q * i + j for i in range(k) for j in range(i, k)], dtype=np.int64)
     P = bulk.power_codes(F, locators, exps)
     g = F.vexp(1)
     c1 = F.vmul(F.vsub(P, F.vpow(P, q)), F.vinv(F.vsub(g, F.vpow(g, q))))

@@ -50,7 +50,7 @@ EXHAUST_LIMIT = 200_000
 SAMPLE_BUDGET = 2_000_000
 _SAMPLE_SEED = 0x5EED
 _SAMPLE_BATCH = 4096
-_SPAN_BLOCK = 128
+_SPAN_BLOCK = 512
 #: above this order the sampled search draws from random.Random, one
 #: combination at a time.  That draw stream fixes the multipliers of every
 #: q >= 67 construction, so moving those fields onto the numpy draws would

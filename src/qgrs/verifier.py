@@ -136,42 +136,41 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     completion is the answer unless a subset before it fails, and no later
     node is expanded.  Once _LEAF_WIDTH rows are left, every
     _LEAF_WIDTH-subset of a node's remaining columns is a leaf minor, read
-    by one flat take of block offsets; the leaves of a slice are decided in
-    batches of at most ``chunk``.  Returns the first singular subset, or None.
+    as one take of its columns from a column-major copy of the residuals
+    (a transposed block, with the same determinant); the leaves of a slice
+    are decided in batches of at most ``chunk``.  Returns the first singular
+    subset, or None.
     """
     k, n = G.shape
     width = min(k, _LEAF_WIDTH)
     tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
-    # offs[t]: where tail t's width x width block lies in a flat width x w leaf
-    # residual (columns n-w..n-1).  The table stays int32; each batch adds its
-    # leaves' intp node offsets, so flat.take gets an intp index and makes no
-    # cast pass.  Rows are gathered with take(axis=0), which numpy serves far
+    # offs[t]: tail t's columns in a width x w leaf residual (columns
+    # n-w..n-1), int32; each batch adds its leaves' intp node offsets, so the
+    # take gets an intp index and makes no cast pass.  take(axis=0) is far
     # faster than a fancy index
     w = n - k + width
-    offs = (tails[:, None] + w * np.arange(width)[:, None] - (n - w)).reshape(
-        len(tails), -1).astype(np.int32)
+    offs = (tails - (n - w)).astype(np.int32)
 
     def leaves(R: np.ndarray, starts: np.ndarray,
                heads: np.ndarray) -> tuple[int, ...] | None:
         # node b's leaves are its prefix plus each of the last
         # completions[starts[b]] tails.  Leaves lo..hi-1 are got[j] leaves of
-        # each node b0 + j < b1; node b's blocks start at flat entry b*width*w
-        flat = R.reshape(-1)
+        # each node b0 + j < b1; node b's columns are rows b*w.. of cols
+        cols = R.transpose(0, 2, 1).reshape(-1, width)
         ends = np.cumsum(completions[starts])
         for lo in range(0, int(ends[-1]), chunk):
             hi = min(lo + chunk, int(ends[-1]))
             b0, b1 = np.searchsorted(ends, [lo, hi - 1], side="right") + (0, 1)
             got = np.diff(np.concatenate(([lo], ends[b0:b1 - 1], [hi])))
             t = np.arange(lo, hi) + np.repeat(len(tails) - ends[b0:b1], got)
-            base = np.repeat(np.arange(b0, b1) * (width * w), got)
-            good = bulk.batch_minors_nonsingular(F, flat.take(
-                offs.take(t, axis=0) + base[:, None]).reshape(len(t), width, width))
+            base = np.repeat(np.arange(b0, b1) * w, got)
+            good = bulk.batch_minors_nonsingular(F, cols.take(
+                offs.take(t, axis=0) + base[:, None], axis=0))
             if not good.all():
                 i = int(np.flatnonzero(~good)[0])
-                return tuple(heads[base[i] // (width * w)].tolist()
-                             + tails[t[i]].tolist())
+                return tuple(heads[base[i] // w].tolist() + tails[t[i]].tolist())
         return None
 
     def level(R: np.ndarray, starts: np.ndarray,

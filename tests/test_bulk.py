@@ -152,6 +152,23 @@ def test_batch_minors_match_rank(p, e, k):
     assert any(expect) and not all(expect)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6], ids=lambda k: f"k{k}")
+def test_batch_minors_leave_their_input_untouched(k):
+    # no swap step runs for k <= 2, so the stack is read in place; above,
+    # the swaps write to a copy.  The stack is read-only, so a write to it
+    # would raise; stacks of k >= 2 hold matrices that need a swap
+    F = make_field(5, 1)
+    mats = _planted_minor_stack(F, k, random.Random(40 + k)).astype(np.int64)
+    kept = mats.copy()
+    mats.flags.writeable = False
+    if k >= 2:
+        assert ((mats[:, 0, 0] == 0) & mats[:, 1:, 0].any(axis=1)).any()
+    expect = [FMatrix(F, m).rank() == k for m in mats]
+    for sizes in (None, np.full(len(mats), k)):
+        assert bulk.batch_minors_nonsingular(F, mats, sizes).tolist() == expect
+    assert np.array_equal(mats, kept)
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (3, 2)], ids=["GF16", "GF25", "GF81"])
 def test_batch_minors_decide_mixed_sizes_in_one_pass(p, e):
     # blocks of every size 0..6 in one call, each in the bottom-right corner

@@ -204,6 +204,20 @@ def test_construct_exit_3_on_internal_breach(runner, monkeypatch):
     assert "certification FAILED" in res.output
 
 
+def test_construct_exit_3_on_a_cell_out_of_memory(runner, monkeypatch):
+    # a cell too large for memory (planted, not allocated) exits 3 with a
+    # message, as enumerate reports it, instead of a traceback
+    def planted(*args):
+        raise MemoryError("planted failure")
+
+    monkeypatch.setattr(cli, "build_code", planted)
+    res = runner.invoke(main, ["construct", "--family", "5", "--q", "7",
+                               "--h", "6", "--r", "6", "--k", "6"])
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert "construction failed: MemoryError: planted failure" in res.stderr
+
+
 def test_construct_is_deterministic(tmp_path, runner):
     a, _ = _doc(tmp_path, runner,
                 ["construct", "--family", "2", "--q", "5", "--h", "6",

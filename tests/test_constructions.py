@@ -271,12 +271,51 @@ def test_profile_system_matches_scalar_split():
         for k in (1, 2, 3):
             rows = []
             for i in range(k):
-                for j in range(k):
+                for j in range(i, k):
                     halves = [_split_code(F, S.pow(a, q * i + j))
                               for a in locators]
                     rows += [tuple(h[0] for h in halves), tuple(h[1] for h in halves)]
             got = _profile_system(F, locators, k).array.tolist()
             assert got == [list(r) for r in rows]
+
+
+def _full_profile_system(F, locators, k):
+    """The profile system on all k^2 exponents q*i + j, split as above."""
+    q = F.q
+    exps = np.array([q * i + j for i in range(k) for j in range(k)])
+    P = F.vpow(np.asarray(locators)[None, :], exps[:, None])
+    g = F.vexp(1)
+    c1 = F.vmul(F.vsub(P, F.vpow(P, q)), F.vinv(F.vsub(g, F.vpow(g, q))))
+    c0 = F.vsub(P, F.vmul(c1, g))
+    return FMatrix(F, np.stack([c0, c1], axis=1).reshape(-1, len(locators)))
+
+
+def test_profile_system_orbit_rows_keep_the_reduced_form():
+    # one row pair per Frobenius orbit {q*i + j, q*j + i} spans the same
+    # rows as all 2k^2: same rref, so the same kernel and documents.  Every
+    # family-5 kernel cell (a locator of trace 0) at q <= 13, n <= 64, at
+    # every k, and a few at q = 16 and 17
+    cells = [(5, q, c.h, c.r, k) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
+             for c in iter_family_params(q, n_max=64) if c.family == 5
+             for k in range(1, c.k_max + 1)]
+    cells += [(5, 16, 5, 2, 6), (5, 16, 5, 4, 12), (5, 16, 15, 11, 11),
+              (5, 17, 8, 4, 8), (5, 17, 8, 6, 12), (5, 17, 16, 13, 13)]
+    checked = 0
+    for cell in cells:
+        p = validate(*cell)
+        F = field_for_q(p.q)
+        locators = _coset_locators(F, p.i_list, p.h, p.m)
+        if F.vadd(F.vpow(locators, p.q), locators).all():
+            continue   # explicit path: no profile system
+        orbit = _profile_system(F, locators, p.k)
+        assert orbit.nrows == p.k * (p.k + 1)
+        R, pivots = orbit.rref()
+        R_full, pivots_full = _full_profile_system(F, locators, p.k).rref()
+        assert pivots == pivots_full, cell
+        assert np.array_equal(R.array[:len(pivots)],
+                              R_full.array[:len(pivots)]), cell
+        checked += 1
+    assert checked > 126
 
 
 def test_full_unit_group_gf16_has_no_k3_profile():

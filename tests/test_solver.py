@@ -244,15 +244,13 @@ def test_exhaustive_span_hit_in_structured_block():
 
 
 def test_exhaustive_span_hit_past_first_block():
-    # GF(256): column (1, 0) kills every row with c0 = 0, so the first 256
-    # enumerated rows miss; (0, 1), (1, 1), (1, g), (1, g^2) kill the
-    # structured candidates and the next few rows
-    F = make_field(2, 4)
-    S = ScalarField(F)
-    g = int(F.vexp(1))
-    basis = [(1, 0, 1, 1, 1), (0, 1, 1, g, S.mul(g, g))]
+    # GF(25), three rows: column (1, 0, 0) kills every row with c0 = 0, so
+    # the first 25^2 = 625 enumerated rows miss; the other columns kill the
+    # structured candidates and the next rows, up to row 680
+    F = make_field(5, 1)
+    basis = [(1, 0, 1, 1, 1), (0, 1, 4, 1, 2), (0, 0, 0, 1, 3)]
     row, expect = _first_enumerated_hit(F, basis, range(F.order))
-    assert row > F.order > _SPAN_BLOCK
+    assert row > F.order ** 2 > _SPAN_BLOCK
     assert all_nonzero_in_span(F, basis, range(F.order)) == expect
 
 
@@ -375,12 +373,13 @@ def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vcombine
     evaluated = np.concatenate(vcombine_calls)
     assert (evaluated[:, sole] != 0).all()
     # exactly the basis sum and the zero-free draws up to the end of the hit
-    # row's block (6 * 4096 + 1199, see the draw-order test) are evaluated;
-    # the unit vectors all have zeros on sole-support rows
+    # row's block are evaluated (the hit is draw 6 * 4096 + 1199, see the
+    # draw-order test); the unit vectors all have zeros on sole-support rows
     sc = np.array(sorted(set(scalars)))
     rng = np.random.default_rng(_SAMPLE_SEED)
+    block_end = (1199 // _SPAN_BLOCK + 1) * _SPAN_BLOCK
     draws = np.concatenate([sc[rng.integers(0, len(sc), size=(_SAMPLE_BATCH, len(basis)))]
-                            for _ in range(7)])[:6 * _SAMPLE_BATCH + 10 * _SPAN_BLOCK]
+                            for _ in range(7)])[:6 * _SAMPLE_BATCH + block_end]
     expect = np.concatenate([np.ones((1, len(basis)), dtype=np.int64),
                              draws[(draws != 0).all(axis=1)]])
     assert np.array_equal(evaluated, expect)

@@ -304,6 +304,53 @@ def test_minor_sweep_reports_planted_minor_at_batch_boundaries(monkeypatch, chun
         assert check_matrix_minors(F, G, chunk=chunk) == want, (r, S)
 
 
+def _node_first_leaves(n, k):
+    """The lexicographic rank of the first leaf of each node of the walk's
+    last level (k - 2 prefix columns), ascending."""
+    firsts = set()
+    for prefix in itertools.combinations(range(n - 2), k - 2):
+        p = prefix[-1] if prefix else -1
+        if p + 2 < n:
+            firsts.add(bulk._rank_lex(n, k, prefix + (p + 1, p + 2)))
+    return sorted(firsts)
+
+
+@pytest.mark.parametrize("chunk", [5, 7, 64])
+@pytest.mark.parametrize("k, n", [(1, 150), (3, 13), (5, 12)])
+def test_minor_sweep_reports_planted_leaf_past_a_chunk_boundary(k, n, chunk):
+    # the leaf step reads each leaf's columns from a transposed copy of its
+    # node's residual at the node's row offset.  At width 1 (k = 1, one
+    # node) the singular leaf is a zero column just past a chunk boundary;
+    # at width 2 it is the first leaf of the first node that starts past
+    # one, so its batch also holds the end of the node before
+    F = make_field(3, 3)
+    rng = random.Random(1000 * k + chunk)
+    G0 = _deep_planted_matrix(F, rng, k, n, plant=False)
+    total = math.comb(n, k)
+    if k == 1:
+        ranks = [chunk, chunk + 1]
+    else:
+        firsts = _node_first_leaves(n, k)
+        ranks = [next(f for f in firsts if f > b and f % chunk)
+                 for b in range(chunk, firsts[-1], chunk)][:3]
+        assert ranks and all(r % chunk for r in ranks)
+    for r in ranks:
+        S = tuple(bulk.unrank_lex(n, k, [r])[0].tolist())
+        # column S[-1] becomes a combination of the others of S (zero when
+        # S is one column); retry until no subset before S turns singular
+        for _ in range(20):
+            coeffs = np.array([[rng.randrange(1, F.order) for _ in S[1:]]])
+            G = G0.copy()
+            G[:, S[-1]] = F.vcombine(coeffs, G0[:, S[:-1]].T)[0] if k > 1 else 0
+            want = _reference_minors(F, G, chunk)
+            if want.detail == f"singular minor at columns {S}":
+                break
+        else:
+            pytest.fail(f"no plant at {S} is the first singular minor")
+        assert want.checked == min(total, (r // chunk + 1) * chunk)
+        assert check_matrix_minors(F, G, chunk=chunk) == want, (r, S)
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 0), (5, 4)])
 def test_matrix_minors_reject_more_rows_than_columns(shape):
     # a k x n matrix with k > n has no maximal k-minors and rank < k
