@@ -305,14 +305,11 @@ def test_minor_sweep_reports_planted_minor_at_batch_boundaries(monkeypatch, chun
 
 
 def _node_first_leaves(n, k):
-    """The lexicographic rank of the first leaf of each node of the walk's
-    last level (k - 2 prefix columns), ascending."""
-    firsts = set()
-    for prefix in itertools.combinations(range(n - 2), k - 2):
-        p = prefix[-1] if prefix else -1
-        if p + 2 < n:
-            firsts.add(bulk._rank_lex(n, k, prefix + (p + 1, p + 2)))
-    return sorted(firsts)
+    """For k >= 3, the lexicographic rank of the first leaf of each node of
+    the walk's last level (k - 2 prefix columns, the last below n - 2), in
+    lexicographic order."""
+    return [bulk._rank_lex(n, k, prefix + (prefix[-1] + 1, prefix[-1] + 2))
+            for prefix in itertools.combinations(range(n - 2), k - 2)]
 
 
 @pytest.mark.parametrize("chunk", [5, 7, 64])
