@@ -31,12 +31,11 @@ def power_codes(F: FieldSpec, base_codes: np.ndarray, exps: np.ndarray) -> np.nd
     return F.vpow(base_codes[None, :], exps[:, None])
 
 
-#: most entries of one batch on the certify path: the gram expansion's
-#: power rows, the node-difference rows and the Newton products here, and
-#: the structural route's sampled minors.  glibc's malloc trims its heap
-#: above twice the largest block freed so far; with 2 MB batches a process
-#: that certifies many mid-size codes keeps its heap, where 512 KB ones
-#: (2^16 entries) made it fault its heap back in for each code
+#: most entries of one batch of family 5's node-difference rows or of the
+#: structural route's sampled minors.  glibc's malloc trims its heap above
+#: twice the largest block freed so far; with 2 MB batches a process that
+#: certifies many mid-size codes keeps its heap, where 512 KB ones (2^16
+#: entries) made it fault its heap back in for each code
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -53,8 +52,7 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
     product is 0 for i > t (it holds a_i - a_i).  So the weights W[t, i]
     need no inverse and read only the last top - 1 nodes: the last row is
     all ones, and each row above is the row below times (a - a_{t + 1}).
-    One broadcast ``vmul`` and one field sum per chunk of at most
-    _BATCH_ENTRIES products (at least one value row) give every coefficient.
+    One field matrix product, ``F.vdot(f, W^T)``, gives every coefficient.
     """
     f = np.array(value_rows, dtype=np.int64, ndmin=2)
     n = f.shape[1]
@@ -62,11 +60,7 @@ def newton_coefficients(F: FieldSpec, node_codes: list[int],
     W = np.ones((top, n), dtype=np.int64)
     for j in range(top - 2, -1, -1):   # row j is order n - top + j
         W[j] = F.vmul(W[j + 1], F.vsub(a, a[n - top + j + 1]))
-    step = max(1, _BATCH_ENTRIES // max(1, top * n))
-    out = np.empty((len(f), top), dtype=np.int64)
-    for lo in range(0, len(f), step):
-        out[lo:lo + step] = F.vsum(F.vmul(f[lo:lo + step, None], W), axis=2)
-    return out
+    return F.vdot(f, W.T)
 
 
 # ---------------------------------------------------------------------------

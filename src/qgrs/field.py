@@ -32,8 +32,9 @@ size O(order) — the log/exp lookup-table design of the galois library
   (2p - 1)^(2e) entries, joined from the (2p - 1)^e table of one half;
   above _SPREAD_TABLE_CAP the two halves of a sum are reduced separately
   against the half table instead;
-* a sum along an axis (``vsum``) spreads once and adds the axis's halves
-  until one row is left, about three passes over the array at any e.
+* every sum of products is one matrix product, ``vdot``: its products
+  are looked up as spreads and folded, halves added until one row is
+  left, in groups of at most _DOT_GROUP products.
 
 The tests hold the ``v*`` methods to a scalar reference, in
 ``tests/oracle.py``, that reads none of these tables.
@@ -61,6 +62,8 @@ DEFAULT_ORDER_LIMIT = 1 << 20
 #: table, (2p - 1)^(2e) entries, would be larger (q = 243, for one) reduces
 #: each base-q half of a spread on its own
 _SPREAD_TABLE_CAP = 1 << 22
+#: most products that one group of FieldSpec.vdot evaluates at once
+_DOT_GROUP = 1 << 15
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -342,19 +345,6 @@ class FieldSpec:
         out = self._exp[self._log[a].sum(axis=axis) % (self.order - 1)]
         return np.where((a == 0).any(axis=axis), 0, out)
 
-    def vsum(self, a, axis: int) -> np.ndarray:
-        """Sum along one axis; an empty axis sums to 0.  For odd p the
-        spreads are folded: the first half of the axis is added to the last,
-        an odd middle row waits for the next round, until one row is left."""
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis).astype(np.int64)
-        s = np.moveaxis(self._sp[a], axis, 0)
-        while len(s) > 1:
-            m = len(s) // 2
-            s[:m] = self._reduce(s[:m] + s[-m:], self._redsp, self._half)
-            s = s[:len(s) - m]
-        return self._reduce(s.sum(axis=0), self._red, self.q)
-
     def veliminate(self, a, x, r, t=1) -> np.ndarray:
         """a - x * r / t, the update of one elimination step; t nonzero and
         x * r broadcast to the shape of a.
@@ -371,18 +361,34 @@ class FieldSpec:
         term += self._sp[a]
         return self._reduce(term, self._red, self.q)
 
-    def vcombine(self, coeffs, rows) -> np.ndarray:
-        """sum_d coeffs[:, d] * rows[d] for a (B, D) coefficient array and
-        (D, n) rows, D >= 1; the running sum stays spread (or XORed)."""
-        coeffs = self._log[coeffs]
-        rows = self._log[rows]
-        acc = self._spexp[coeffs[:, 0, None] + rows[0]]
-        for d in range(1, rows.shape[0]):
-            term = self._spexp[coeffs[:, d, None] + rows[d]]
+    def vdot(self, A, B) -> np.ndarray:
+        """The matrix product A B over the field, for (I, L) and (L, J) code
+        arrays; an empty axis gives zeros of shape (I, J).
+
+        Each product is one ``_spexp`` lookup of a log sum.  log(0) is the
+        sentinel 3(order - 1), so a sum with one or two zeros is at most
+        6(order - 1), inside the zero tail that runs to 7(order - 1).  The
+        L axis goes in groups of max(1, _DOT_GROUP // (I J)) terms: each
+        group's spreads are folded to one row (halves added, an odd middle
+        row waiting a round) and added to a running spread sum (XOR at
+        p = 2).  An output above _DOT_GROUP entries adds one term at a time.
+        """
+        la = self._log[A].T                      # (L, I)
+        lb = self._log[B]                        # (L, J)
+        L, I = la.shape
+        J = lb.shape[1]
+        step = max(1, _DOT_GROUP // max(1, I * J))
+        acc = np.zeros((I, J), dtype=np.int64)
+        for lo in range(0, L, step):
+            s = self._spexp.take(la[lo:lo + step, :, None] + lb[lo:lo + step, None])
             if self.p == 2:
-                acc ^= term
-            else:
-                acc = self._reduce(acc + term, self._redsp, self._half)
+                acc ^= s[0] if len(s) == 1 else np.bitwise_xor.reduce(s, axis=0)
+                continue
+            while len(s) > 1:
+                m = len(s) // 2
+                t = self._reduce(s[:m] + s[-m:], self._redsp, self._half)
+                s = np.concatenate((t, s[m:m + 1])) if len(s) % 2 else t
+            acc = s[0] if lo == 0 else self._reduce(acc + s[0], self._redsp, self._half)
         return acc if self.p == 2 else self._reduce(acc, self._red, self.q)
 
     def _reduce(self, sums: np.ndarray, table: np.ndarray,

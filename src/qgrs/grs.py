@@ -71,21 +71,16 @@ def generator_matrix(spec: GrsSpec) -> np.ndarray:
 def hermitian_gram(spec: GrsSpec) -> np.ndarray:
     """(k, k) int64 code array G[i][j] = sum_l (v_l a_l^j) (v_l a_l^i)^q.
 
-    Expanded: sum_l norm(v_l) * a_l^(q*i + j); computed directly from that
-    expansion (route 1 — no interpolation machinery involved), in slices of
-    at most bulk._BATCH_ENTRIES // n exponent rows (at least one).
+    Expanded: sum_l norm(v_l) * a_l^(q*i) * a_l^j; computed directly from
+    that expansion (route 1 — no interpolation machinery involved), as one
+    field matrix product of the k x n tables norm(v) a^(q*i) and a^j.
     """
     F = spec.field
-    k, q, n = spec.k, F.q, spec.n
+    k, q = spec.k, F.q
     a = np.array(spec.locators, dtype=np.int64)
     norms = F.vpow(np.array(spec.multipliers, dtype=np.int64), q + 1)
-    exps = np.add.outer(q * np.arange(k), np.arange(k)).ravel()
-    step = max(1, bulk._BATCH_ENTRIES // n)
-    sums = np.empty(k * k, dtype=np.int64)
-    for lo in range(0, k * k, step):
-        terms = bulk.power_codes(F, a, exps[lo:lo + step])      # (rows, n)
-        sums[lo:lo + step] = F.vsum(F.vmul(terms, norms), axis=1)
-    return sums.reshape(k, k)
+    conj = F.vmul(bulk.power_codes(F, a, q * np.arange(k)), norms)   # (k, n)
+    return F.vdot(conj, bulk.power_codes(F, a, np.arange(k)).T)
 
 
 def lagrange_weights(F: FieldSpec, locators) -> np.ndarray:

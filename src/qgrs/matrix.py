@@ -81,15 +81,12 @@ class FMatrix:
     # -- arithmetic -------------------------------------------------------------
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix * column vector, both as int codes: one ``vcombine`` with
-        the rows as coefficients and the entries of vec as the summands.
-        No rows give (); no columns give the zero vector."""
+        """Matrix * column vector, both as int codes: one ``vdot`` with vec
+        as a column.  No rows give (); no columns give the zero vector."""
         if len(vec) != self.ncols:
             raise WrongShape("vector length mismatch")
-        if not self.nrows or not self.ncols:
-            return (0,) * self.nrows
-        col = np.array(vec, dtype=np.int64)[:, None]
-        return tuple(self.field.vcombine(self.array, col)[:, 0].tolist())
+        col = np.array(vec, dtype=np.int64).reshape(-1, 1)
+        return tuple(self.field.vdot(self.array, col)[:, 0].tolist())
 
     # -- elimination ------------------------------------------------------------
 

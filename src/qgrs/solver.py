@@ -108,7 +108,7 @@ def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]
     (:func:`_coefficient_blocks`): the basis sum and the unit vectors, then
     every combination in ``itertools.product`` order when the coefficient
     space is small, else seeded (hence reproducible) draws.  Each block is
-    evaluated with one ``F.vcombine`` and the first totally nonzero
+    evaluated with one ``F.vdot`` and the first totally nonzero
     combination in stream order is returned.  Returns None when the stream
     runs out.
 
@@ -132,7 +132,7 @@ def all_nonzero_in_span(F: FieldSpec, basis: np.ndarray | Sequence[Sequence[int]
         T = T[(T[:, sole] != 0).all(axis=1)]
         if not len(T):
             continue
-        X = F.vcombine(T, B)
+        X = F.vdot(T, B)
         hits = np.flatnonzero((X != 0).all(axis=1))
         if hits.size:
             return tuple(X[hits[0]].tolist())

@@ -54,6 +54,8 @@ from .matrix import FMatrix
 DEFAULT_MINOR_BUDGET = 10_000_000
 DEFAULT_WORD_BUDGET = 10_000_000
 _MINOR_CHUNK = 8192
+#: about how many words one batch of the exhaustive route decides
+_WORD_CHUNK = 1 << 15
 _LEAF_WIDTH = 2
 #: about how many residual entries one slice of a level of the minor walk
 #: holds; this bounds the walk's memory
@@ -215,7 +217,7 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
 
 
 def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_BUDGET,
-                                  chunk: int = _MINOR_CHUNK) -> MdsReport:
+                                  chunk: int = _WORD_CHUNK) -> MdsReport:
     """Walk every projective message, check no codeword has weight < n-k+1.
 
     Weights are invariant under scaling the message, so only representatives
@@ -269,7 +271,7 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
     They are built by broadcasting: i = h * order + d_0, and
     W_i = H_h + d_0 S[lead+1], where the high row H_h is S[lead] plus the
     terms t >= 1.  The order multiples of S[lead+1] are made once, each
-    batch's high rows by one ``vcombine``, and its W by one broadcast
+    batch's high rows by one ``vdot``, and its W by one broadcast
     ``vadd``.  (For L = 1 there is no d_0: the one partial word is S[lead]
     plus the zero multiple.)  A batch holds max(1, chunk // order^2) high
     rows with every d_0, or, when order^2 > chunk, one high row with
@@ -294,7 +296,7 @@ def _first_light_word(F: FieldSpec, G: np.ndarray, lead: int,
         coeffs = np.ones((len(h), len(high)), dtype=np.int64)
         for t in range(1, len(high)):
             coeffs[:, t] = (h // order ** (t - 1)) % order
-        H = F.vcombine(coeffs, high)
+        H = F.vdot(coeffs, high)
         for d_lo in range(0, low, d_step):
             W = F.vadd(H[:, None], multiples[None, d_lo:d_lo + d_step])
             idx = (h[:, None] * low + np.arange(d_lo, d_lo + W.shape[1])).ravel()

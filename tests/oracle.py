@@ -6,8 +6,9 @@
   :attr:`qgrs.exponents.Scenario.quotients` are pinned against;
 * the scalar lexicographic unranker that :func:`qgrs.bulk.unrank_lex` is
   held equal to;
-* the chunked codeword scan, one ``vcombine`` per batch of whole messages,
-  that :func:`qgrs.verifier.check_min_distance_exhaustive` is held equal to;
+* the chunked codeword scan, whole messages times G by elementwise
+  ``vmul`` and ``vadd`` one row at a time, that
+  :func:`qgrs.verifier.check_min_distance_exhaustive` is held equal to;
 * the unit-by-unit walk over the powers of x that the field's exp/log
   tables, built by companion-matrix doubling, are held equal to;
 * :class:`ScalarField`, one-at-a-time arithmetic on int codes computed
@@ -392,7 +393,10 @@ def scan_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_BU
             idx = np.arange(done, done + count, dtype=np.int64)
             for t in range(tail_len):
                 msgs[:, lead + 1 + t] = (idx // (F.order ** t)) % F.order
-            words = F.vcombine(msgs[:, lead:], G[lead:])
+            words = G[lead]     # the lead coordinate is 1
+            for t in range(lead + 1, k):
+                words = F.vadd(words, F.vmul(msgs[:, t, None], G[t]))
+            words = np.broadcast_to(words, (count, n))
             weights = (words != 0).sum(axis=1)
             if (weights < d_target).any():
                 b = int(np.flatnonzero(weights < d_target)[0])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrs import bulk
+from qgrs import bulk, field
 from qgrs.field import make_field
 from qgrs.grs import GrsSpec, generator_matrix
 from qgrs.matrix import FMatrix
@@ -84,25 +84,26 @@ def test_newton_matches_scalar_divided_differences(p, e):
 
 
 def test_newton_chunks_match_scalar_divided_differences(monkeypatch):
-    # n = 300, top = 150: 50 value rows need 50 * 150 * 300 products, more
-    # than two chunks hold; rows 0, step and 49 lie in three different chunks
+    # n = 300, top = 150, 50 value rows: vdot sums the 300 nodes in groups
+    # of _DOT_GROUP // (50 * 150) terms, so the default bound takes several
+    # groups; one term a group and one group for the whole axis must agree
     F = make_field(19, 1)
     rng = random.Random(300)
     n, top, rows = 300, 150, 50
-    step = bulk._BATCH_ENTRIES // (top * n)
-    assert 1 <= step and 2 * step < rows - 1
+    terms = field._DOT_GROUP // (rows * top)
+    assert 1 < terms and 2 * terms < n
     nodes = rng.sample(range(F.order), n)
     vals = [[rng.randrange(F.order) for _ in range(n)] for _ in range(rows)]
     divided = _over_node_products(F, nodes, vals)
     got = bulk.newton_coefficients(F, nodes, divided, top)
     assert got.shape == (rows, top)
-    want = oracle.divided_differences(F, nodes, [vals[r] for r in (0, step, rows - 1)])
-    for r, dd in zip((0, step, rows - 1), want):
+    want = oracle.divided_differences(F, nodes, [vals[r] for r in (0, terms, rows - 1)])
+    for r, dd in zip((0, terms, rows - 1), want):
         assert got[r].tolist() == dd[n - top:]
-    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", rows * top * n)
+    monkeypatch.setattr(field, "_DOT_GROUP", rows * top * n)
     assert np.array_equal(bulk.newton_coefficients(F, nodes, divided, top), got)
-    # a 64-entry bound: one value row a chunk
-    monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 64)
+    # a 64-entry bound: one term a group
+    monkeypatch.setattr(field, "_DOT_GROUP", 64)
     assert np.array_equal(bulk.newton_coefficients(F, nodes, divided, top), got)
 
 
@@ -184,7 +185,7 @@ def test_batch_minors_decide_mixed_sizes_in_one_pass(p, e):
         return np.array([[rng.randrange(F.order) for _ in range(cols)]
                          for _ in range(rows)])
 
-    low_rank = F.vcombine(rand(top, 3), rand(3, top))
+    low_rank = F.vdot(rand(top, 3), rand(3, top))
     blocks = [np.zeros((5, 0, 0), dtype=np.int64)]
     for b in range(1, top + 1):
         cuts = [low_rank[np.ix_(sorted(rng.sample(range(top), b)),
@@ -239,7 +240,7 @@ def _late_lead_matrix(F, b, t, rng, singular):
         if singular or FMatrix(F, Z).rank() == b - t:
             break
     N[t:, t:] = Z
-    M = F.vcombine(L, N)
+    M = F.vdot(L, N)
 
     def rank(m):
         return FMatrix(F, m).rank()

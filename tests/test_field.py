@@ -23,6 +23,7 @@ from qgrs.errors import (
     NotPrime,
     ZeroArgument,
 )
+from qgrs import field
 from qgrs.field import (
     DEFAULT_ORDER_LIMIT,
     FieldSpec,
@@ -415,7 +416,7 @@ def test_fused_primitives_match_scalar_ops(pe):
             assert got[i, j] == S.sub(int(a[5 * i + j]), xr)
     coeffs = _operands(F, rng, 30 * 7).reshape(30, 7)
     rows = _operands(F, rng, 7 * 11).reshape(7, 11)
-    got = F.vcombine(coeffs, rows)
+    got = F.vdot(coeffs, rows)
     for i in range(30):
         for j in range(11):
             acc = 0
@@ -433,13 +434,20 @@ def test_fused_primitives_match_scalar_ops(pe):
         assert pows[i] == S.pow(int(coeffs[i, 0]), int(exps[i]))
 
 
+def _scalar_dot(S, A, B):
+    """A B by ScalarField ops, one term at a time."""
+    return [[functools.reduce(S.add, [S.mul(x, y) for x, y in zip(row, col)], 0)
+             for col in zip(*B.tolist())] for row in A.tolist()]
+
+
 def test_vsum_matches_scalar():
+    # a field sum along an axis is a vdot by a column of ones
     for (p, e) in [(3, 1), (2, 2), (5, 1)]:
         F = make_field(p, e)
         S = ScalarField(F)
         rng = random.Random(p)
         arr = np.array([[rng.randrange(F.order) for _ in range(7)] for _ in range(5)])
-        got = F.vsum(arr, axis=1)
+        got = F.vdot(arr, np.ones((7, 1), dtype=np.int64))[:, 0]
         for i in range(5):
             acc = 0
             for c in arr[i]:
@@ -448,11 +456,14 @@ def test_vsum_matches_scalar():
 
 
 # GF(3^10) is the split-half field: its folds reduce each half on its own
-@pytest.mark.parametrize("pe", [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2), (3, 4), (3, 5)],
-                         ids=_vector_field_id)
+DOT_FIELDS = [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("pe", DOT_FIELDS, ids=_vector_field_id)
 def test_vsum_folds_every_axis_length(pe):
-    # lengths 3, 7 and 9 leave an odd middle row in the first round, and 9
-    # in the next two rounds as well
+    # a field sum along any axis, as a vdot of the axis-last array by a
+    # column of ones; lengths 3, 7 and 9 leave an odd middle row in the
+    # first fold round, and 9 in the next two rounds as well
     F = make_field(*pe)
     assert bool(F._half) == (pe == (3, 5))
     S = ScalarField(F)
@@ -462,11 +473,52 @@ def test_vsum_folds_every_axis_length(pe):
             shape = [2, 3]
             shape.insert(axis, length)
             a = _operands(F, rng, 6 * length).reshape(shape)
-            got = F.vsum(a, axis=axis)
-            assert got.shape == (2, 3) and got.dtype == np.int64
-            rows = np.moveaxis(a, axis, -1).reshape(6, length).tolist()
-            want = [functools.reduce(S.add, row, 0) for row in rows]
+            rows = np.moveaxis(a, axis, -1).reshape(6, length)
+            got = F.vdot(rows, np.ones((length, 1), dtype=np.int64)).reshape(2, 3)
+            assert got.dtype == np.int64
+            want = [functools.reduce(S.add, row, 0) for row in rows.tolist()]
             assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("pe", DOT_FIELDS, ids=_vector_field_id)
+def test_vdot_matches_scalar(monkeypatch, pe):
+    # every summed length of the fold test, with I = 1 or J = 1 and zeros
+    # planted in both operands, under groups of 1, 2 and 3 terms, of the
+    # default bound, and of the whole axis
+    F = make_field(*pe)
+    S = ScalarField(F)
+    rng = np.random.default_rng(F.order + 3)
+    default = field._DOT_GROUP
+    for I, J in ((1, 5), (4, 1), (1, 1), (3, 4)):
+        for L in (1, 2, 3, 7, 8, 9):
+            A = _operands(F, rng, I * L + 8)[:I * L].reshape(I, L)
+            B = _operands(F, rng, L * J + 8)[8:].reshape(L, J)
+            A[:, 0] = B[-1] = 0
+            want = _scalar_dot(S, A, B)
+            for terms in (1, 2, 3, None, L):
+                bound = default if terms is None else terms * I * J
+                monkeypatch.setattr(field, "_DOT_GROUP", bound)
+                got = F.vdot(A, B)
+                assert got.shape == (I, J) and got.dtype == np.int64
+                assert got.tolist() == want, (I, L, J, terms)
+
+
+def test_vdot_empty_axes_and_zero_sentinels():
+    # an empty axis gives zeros of shape (I, J); a product of two zeros
+    # sums two log sentinels, 6(order - 1), still inside the exp table's
+    # zero tail of 7(order - 1) entries
+    for pe in ((2, 2), (3, 1), (3, 5)):
+        F = make_field(*pe)
+        for I, L, J in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+            got = F.vdot(np.ones((I, L), dtype=np.int64), np.ones((L, J), dtype=np.int64))
+            assert got.shape == (I, J) and got.dtype == np.int64 and not got.any()
+        n_units = F.order - 1
+        assert F._log[0] == 3 * n_units and len(F._exp) == 7 * n_units
+        assert not F._exp[6 * n_units:].any() and not F._spexp[3 * n_units:].any()
+        zeros = np.zeros((3, 4), dtype=np.int64)
+        assert not F.vdot(zeros, zeros.T).any()
+        units = np.ones((3, 4), dtype=np.int64)
+        assert not F.vdot(zeros, units.T).any() and not F.vdot(units, zeros.T).any()
 
 
 def test_check_modulus():

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from qgrs import bulk, grs
+from qgrs import bulk, field, grs
 from qgrs.constructions import construct
 from qgrs.field import make_field
 from qgrs.grs import (
@@ -263,14 +263,16 @@ def test_interpolation_route_reads_neither_node_products_nor_gram(monkeypatch):
 
 @pytest.mark.parametrize("args", _SLICED_CODES, ids=lambda a: f"f{a[0]}-q{a[1]}-k{a[4]}")
 def test_routes_match_across_slice_boundaries(monkeypatch, args):
-    # a 64-entry batch bound puts one exponent row and one node-difference
-    # row in each slice, a 1000-entry one a few rows with a short last slice;
-    # every route must give its one-slice result, on the code and on a
-    # norm-changing mutant of it
+    # a 64-entry batch bound puts one node-difference row in each slice,
+    # a 1000-entry one a few rows with a short last slice; the same bounds
+    # on vdot's groups put one term, or a few with a short last group, in
+    # each group of the gram and Newton sums.  Every route must give its
+    # one-slice result, on the code and on a norm-changing mutant of it
     spec = construct(*args)
     F = spec.field
     cases = [spec, _norm_mutant(spec)]
     monkeypatch.setattr(bulk, "_BATCH_ENTRIES", 1 << 40)
+    monkeypatch.setattr(field, "_DOT_GROUP", 1 << 40)
     whole = [(hermitian_gram(c), dual_containment_check(c),
               lagrange_weights(F, c.locators)) for c in cases]
     assert whole[0][1] == (True, None) and whole[1][1][0] is False
@@ -285,11 +287,11 @@ def test_routes_match_across_slice_boundaries(monkeypatch, args):
     monkeypatch.setattr(bulk, "power_codes", counting)
     for bound in (64, 1000):
         monkeypatch.setattr(bulk, "_BATCH_ENTRIES", bound)
-        step = max(1, bound // spec.n)
+        monkeypatch.setattr(field, "_DOT_GROUP", bound)
         for c, (gram, dual, weights) in zip(cases, whole):
             rows.clear()
             assert np.array_equal(hermitian_gram(c), gram)
-            assert rows == [min(step, spec.k ** 2 - lo)
-                            for lo in range(0, spec.k ** 2, step)]
+            # two k x n power tables, a^(q i) and a^j, not k^2 exponent rows
+            assert rows == [spec.k, spec.k]
             assert dual_containment_check(c) == dual
             assert np.array_equal(lagrange_weights(F, c.locators), weights)

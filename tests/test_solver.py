@@ -342,20 +342,20 @@ def _sole_support_rows(basis):
 
 
 @pytest.fixture()
-def vcombine_calls(monkeypatch):
-    """Every coefficient block that FieldSpec.vcombine evaluates."""
+def vdot_calls(monkeypatch):
+    """Every coefficient block that FieldSpec.vdot evaluates."""
     calls = []
-    real = FieldSpec.vcombine
+    real = FieldSpec.vdot
 
     def spy(self, coeffs, rows):
         calls.append(np.array(coeffs))
         return real(self, coeffs, rows)
 
-    monkeypatch.setattr(FieldSpec, "vcombine", spy)
+    monkeypatch.setattr(FieldSpec, "vdot", spy)
     return calls
 
 
-def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vcombine_calls):
+def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vdot_calls):
     kernels = []
 
     def capture(F, basis, scalars, **kw):
@@ -368,9 +368,9 @@ def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vcombine
     # a nullspace basis is the identity on its free columns
     sole = _sole_support_rows(basis)
     assert sole == list(range(len(basis)))
-    vcombine_calls.clear()
+    vdot_calls.clear()
     assert all_nonzero_in_span(F, basis, scalars) is not None
-    evaluated = np.concatenate(vcombine_calls)
+    evaluated = np.concatenate(vdot_calls)
     assert (evaluated[:, sole] != 0).all()
     # exactly the basis sum and the zero-free draws up to the end of the hit
     # row's block are evaluated (the hit is draw 6 * 4096 + 1199, see the
@@ -387,13 +387,13 @@ def test_span_search_skips_rows_zero_on_a_sole_support_row(monkeypatch, vcombine
 
 
 @pytest.mark.parametrize("exhaust_limit", [EXHAUST_LIMIT, 0])
-def test_span_search_zero_column_returns_none_unevaluated(vcombine_calls, exhaust_limit):
+def test_span_search_zero_column_returns_none_unevaluated(vdot_calls, exhaust_limit):
     F = make_field(5, 1)
     basis = [(1, 0, 2, 3), (2, 0, 1, 1)]
     assert _first_enumerated_hit(F, basis, range(F.order)) is None
     assert all_nonzero_in_span(F, basis, range(F.order),
                                exhaust_limit=exhaust_limit) is None
-    assert vcombine_calls == []
+    assert vdot_calls == []
 
 
 def _planted_basis(F, rng, dim, n):
@@ -414,7 +414,7 @@ def _planted_basis(F, rng, dim, n):
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
-def test_masked_span_search_matches_references(p, e, vcombine_calls):
+def test_masked_span_search_matches_references(p, e, vdot_calls):
     F = make_field(p, e)
     rng = random.Random(1000 * p + e)
     units = range(1, F.order)
@@ -425,7 +425,7 @@ def test_masked_span_search_matches_references(p, e, vcombine_calls):
             basis = _planted_basis(F, rng, dim, n)
             sole = _sole_support_rows(basis)
             ref = _first_enumerated_hit(F, basis, scalars)
-            vcombine_calls.clear()
+            vdot_calls.clear()
             got = all_nonzero_in_span(F, basis, scalars)
             assert got == (None if ref is None else ref[1])
             # the sampled branch: the structured blocks, then the draws
@@ -435,7 +435,7 @@ def test_masked_span_search_matches_references(p, e, vcombine_calls):
             got = all_nonzero_in_span(F, basis, scalars, exhaust_limit=0,
                                       sample_budget=_SAMPLE_BATCH)
             assert got == (None if ref is None else ref[1])
-            for T in vcombine_calls:
+            for T in vdot_calls:
                 assert (T[:, sole] != 0).all()
 
 

@@ -161,7 +161,7 @@ def _deep_planted_matrix(F, rng, k, n, plant):
     if plant:
         a, *others = rng.sample(range(n), rng.randint(4, k))
         coeffs = np.array([[rng.randrange(1, F.order) for _ in others]])
-        G[:, a] = F.vcombine(coeffs, G[:, others].T)[0]
+        G[:, a] = F.vdot(coeffs, G[:, others].T)[0]
     return G
 
 
@@ -294,7 +294,7 @@ def test_minor_sweep_reports_planted_minor_at_batch_boundaries(monkeypatch, chun
         for _ in range(20):
             coeffs = np.array([[rng.randrange(1, F.order) for _ in S[1:]]])
             G = G0.copy()
-            G[:, S[-1]] = F.vcombine(coeffs, G0[:, S[:-1]].T)[0]
+            G[:, S[-1]] = F.vdot(coeffs, G0[:, S[:-1]].T)[0]
             want = _reference_minors(F, G, chunk)
             if want.detail == f"singular minor at columns {S}":
                 break
@@ -338,7 +338,7 @@ def test_minor_sweep_reports_planted_leaf_past_a_chunk_boundary(k, n, chunk):
         for _ in range(20):
             coeffs = np.array([[rng.randrange(1, F.order) for _ in S[1:]]])
             G = G0.copy()
-            G[:, S[-1]] = F.vcombine(coeffs, G0[:, S[:-1]].T)[0] if k > 1 else 0
+            G[:, S[-1]] = F.vdot(coeffs, G0[:, S[:-1]].T)[0] if k > 1 else 0
             want = _reference_minors(F, G, chunk)
             if want.detail == f"singular minor at columns {S}":
                 break
@@ -801,7 +801,7 @@ def test_exhaustive_distance_matches_combine_oracle_on_mds_codes(chunk,
                                                                  monkeypatch):
     rng = random.Random(4049)
     kw = {} if chunk is None else {"chunk": chunk}
-    combine = FieldSpec.vcombine
+    combine = FieldSpec.vdot
     batches = []
 
     def recording(F, coeffs, rows):
@@ -818,13 +818,14 @@ def test_exhaustive_distance_matches_combine_oracle_on_mds_codes(chunk,
             spec = GrsSpec(F, *map(tuple, _random_code(F, rng, k, n, with_zero)), k)
             want = scan_min_distance_exhaustive(spec)
             batches.clear()
-            monkeypatch.setattr(FieldSpec, "vcombine", recording)
+            monkeypatch.setattr(FieldSpec, "vdot", recording)
             got = check_min_distance_exhaustive(spec, **kw)
             monkeypatch.undo()
             assert got == want, (F, spec.locators, spec.multipliers, k)
             # a batch holds about ``chunk`` words: its high rows come from one
-            # vcombine, order partial words and order^2 words each
-            assert max(batches, default=1) <= max(1, (chunk or 8192) // F.order ** 2)
+            # vdot, order partial words and order^2 words each
+            assert max(batches, default=1) <= max(
+                1, (chunk or verifier._WORD_CHUNK) // F.order ** 2)
             assert got.ok and got.checked == projective_word_count(F.order, k)
             seen.add((p == 2, k, 0 in spec.locators))
     assert {(two, 1) for two in (True, False)} <= {s[:2] for s in seen}
