@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrs import field
 from qgrs.errors import (
     FieldTooLarge,
     NonCanonicalModulus,
@@ -23,7 +24,6 @@ from qgrs.errors import (
     NotPrime,
     ZeroArgument,
 )
-from qgrs import field
 from qgrs.field import (
     DEFAULT_ORDER_LIMIT,
     FieldSpec,
@@ -474,8 +474,8 @@ def test_vsum_folds_every_axis_length(pe):
             shape.insert(axis, length)
             a = _operands(F, rng, 6 * length).reshape(shape)
             rows = np.moveaxis(a, axis, -1).reshape(6, length)
-            got = F.vdot(rows, np.ones((length, 1), dtype=np.int64)).reshape(2, 3)
-            assert got.dtype == np.int64
+            got = F.vdot(rows, np.ones((length, 1), dtype=np.int64))
+            assert got.shape == (6, 1) and got.dtype == np.int64
             want = [functools.reduce(S.add, row, 0) for row in rows.tolist()]
             assert got.ravel().tolist() == want
 
@@ -513,8 +513,8 @@ def test_vdot_empty_axes_and_zero_sentinels():
             got = F.vdot(np.ones((I, L), dtype=np.int64), np.ones((L, J), dtype=np.int64))
             assert got.shape == (I, J) and got.dtype == np.int64 and not got.any()
         n_units = F.order - 1
-        assert F._log[0] == 3 * n_units and len(F._exp) == 7 * n_units
-        assert not F._exp[6 * n_units:].any() and not F._spexp[3 * n_units:].any()
+        assert F._log[0] == 3 * n_units and len(F._spexp) == 7 * n_units
+        assert not F._spexp[3 * n_units:].any()
         zeros = np.zeros((3, 4), dtype=np.int64)
         assert not F.vdot(zeros, zeros.T).any()
         units = np.ones((3, 4), dtype=np.int64)
