@@ -9,9 +9,8 @@ order.  The tests hold the results to the table-free scalar reference in
 Column k-subsets are ranked and unranked in lexicographic order against one
 cached binomial table per (n, k) (:func:`comb_table`): :func:`unrank_lex`
 turns a whole batch of ranks into subsets one position at a time, with no
-per-subset Python loop.  Once C(n, k) passes int64 it starts on Python ints
-and moves to int64 at the first position from which every rank left to
-unrank fits.  The tests hold it to the scalar unranker kept in
+per-subset Python loop, in the table's own dtype (int64, or Python ints once
+C(n, k) passes 2^63).  The tests hold it to the scalar unranker kept in
 ``tests/oracle.py``.
 """
 from __future__ import annotations
@@ -136,11 +135,10 @@ def schur_children(F: FieldSpec, R: np.ndarray, nodes: np.ndarray,
                         heads[pick[:, 0], piv, None, None])
 
 
-def combinations_array(n: int, k: int, start: int, count: int) -> np.ndarray:
-    """A (count, k) block of k-subsets of range(n) in lexicographic order,
-    beginning at lexicographic rank ``start``; a block that runs past the
-    last subset is truncated."""
-    return unrank_lex(n, k, range(start, min(start + count, math.comb(n, k))))
+def combinations_array(n: int, k: int) -> np.ndarray:
+    """All C(n, k) k-subsets of range(n), one row each, in lexicographic
+    order."""
+    return unrank_lex(n, k, range(math.comb(n, k)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -172,19 +170,13 @@ def unrank_lex(n: int, k: int, ranks) -> np.ndarray:
     Combinadic unranking, one position at a time for all ranks together:
     the complement rank C(n, k) - 1 - r is sum_pos C(n - 1 - c_pos, k - pos),
     and each term is the largest table entry of its row not above what is
-    left.  Since c_pos >= pos, what is left once pos positions are fixed is
-    below C(n - pos, k - pos).  On a Python-int table, from the first
-    position where that bound is below 2^63 the ranks are int64 and the rows
-    still to be read are clipped at 2^63 - 1: a clipped entry is above every
-    rank left, so it is never selected, and each row stays nondecreasing.
+    left.  The ranks are held in the table's dtype: int64 below 2^63,
+    Python ints above.
     """
     T = comb_table(n, k)
     rest = T[k, n] - 1 - np.asarray(ranks, dtype=T.dtype)
     out = np.empty((len(rest), k), dtype=np.int32)
     for pos in range(k):
-        if rest.dtype == object and T[k - pos, n - pos] < 2 ** 63:
-            T = np.minimum(T[:k - pos + 1], 2 ** 63 - 1).astype(np.int64)
-            rest = rest.astype(np.int64)
         row = T[k - pos]
         x = np.searchsorted(row, rest, side="right") - 1
         rest -= row[x]

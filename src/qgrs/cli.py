@@ -28,7 +28,6 @@ from .errors import (
     QgrsError,
     RangeViolated,
     SchemaError,
-    VerificationMismatch,
     brief,
 )
 from .field import (
@@ -235,8 +234,8 @@ def cmd_verify(path, minor_budget, word_budget):
         sys.exit(2)
     try:
         cert = certify(spec, minor_budget=minor_budget, word_budget=word_budget)
-    except VerificationMismatch as exc:
-        click.echo(f"certification FAILED: VerificationMismatch: {exc}", err=True)
+    except (QgrsError, MemoryError) as exc:   # a route split, or out of memory
+        click.echo(f"certification FAILED: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
     n, k = spec.n, spec.k
     click.echo(f"[{n}, {k}] code over GF({spec.field.order})")

@@ -85,17 +85,15 @@ class QuantumParams:
 
 
 def to_quantum(spec: GrsSpec, cert) -> QuantumParams:
-    """Quantum parameters for a certified spec — gated on both verdicts."""
+    """Quantum parameters for a certified spec — gated on both verdicts.
+    They are the ones ``certify`` put in ``cert.quantum``."""
     if not cert.herm_ok:
         raise NotSelfOrthogonal("cannot lift a non-self-orthogonal code")
     if not cert.mds_ok:
         raise NotMDS("cannot lift without the Singleton distance")
-    n, k = spec.n, spec.k
-    if n - 2 * k < 0:
-        raise RangeViolated(f"k = {k} exceeds n/2 = {n / 2}")
-    out = QuantumParams(n=n, k=n - 2 * k, d=k + 1, q=spec.field.q)
-    assert out.is_length_maximal
-    return out
+    if spec.n - 2 * spec.k < 0:
+        raise RangeViolated(f"k = {spec.k} exceeds n/2 = {spec.n / 2}")
+    return cert.quantum
 
 
 def propagate(params: QuantumParams) -> QuantumParams:

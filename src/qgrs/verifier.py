@@ -145,7 +145,7 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
     """
     k, n = G.shape
     width = min(k, _LEAF_WIDTH)
-    tails = bulk.combinations_array(n, width, 0, math.comb(n, width))
+    tails = bulk.combinations_array(n, width)
     # completions[f] = C(n - f, width): how many tails start at column f or later
     completions = bulk.comb_table(n, width)[width, ::-1]
     # offs[t]: tail t's columns in a width x w leaf residual (columns
@@ -381,8 +381,8 @@ def _reduced_samples_nonsingular(F: FieldSpec, G: np.ndarray) -> tuple[np.ndarra
     """
     k, n = G.shape
     R, pivots = FMatrix(F, G).rref()
-    if len(pivots) < k:
-        cols = bulk.unrank_lex(n, k, _sample_ranks(math.comb(n, k)))
+    if len(pivots) < k:   # the samples do not depend on the pivots
+        cols = _sample_layout(n, k, tuple(range(k)))[0]
         return cols, np.zeros(len(cols), dtype=bool)
     cols, sizes, order, rows, free = _sample_layout(n, k, pivots)
     good = np.empty(len(cols), dtype=bool)

@@ -304,22 +304,12 @@ def test_combinations_array_matches_itertools():
     n, k = 7, 3
     total = math.comb(n, k)
     ref = list(itertools.combinations(range(n), k))
-    # whole space in two blocks
-    a = bulk.combinations_array(n, k, 0, 20)
-    b_ = bulk.combinations_array(n, k, 20, total - 20)
-    got = [tuple(int(x) for x in row) for row in a] + \
-          [tuple(int(x) for x in row) for row in b_]
-    assert got == ref
-    # a block that overruns the end is truncated
-    tail = bulk.combinations_array(n, k, total - 2, 10)
-    assert len(tail) == 2
+    got = bulk.combinations_array(n, k)
+    assert got.shape == (total, k) and got.dtype == np.int32
+    assert [tuple(row) for row in got.tolist()] == ref
     # k = 0: one empty subset; k = n: the whole range
-    assert bulk.combinations_array(n, 0, 0, 5).shape == (1, 0)
-    assert bulk.combinations_array(n, n, 0, 5).tolist() == [list(range(n))]
-    # a block that starts past the last subset is empty
-    for start in (total, total + 3):
-        empty = bulk.combinations_array(n, k, start, 4)
-        assert empty.shape == (0, k) and empty.dtype == np.int32
+    assert bulk.combinations_array(n, 0).shape == (1, 0)
+    assert bulk.combinations_array(n, n).tolist() == [list(range(n))]
 
 
 def test_unrank_lex():
@@ -349,11 +339,10 @@ def test_unrank_lex_every_rank_up_to_n10():
 
 @pytest.mark.parametrize("n,k", [(60, 5), (66, 33), (67, 33), (68, 34),
                                  (82, 24), (127, 32), (130, 17), (164, 42),
-                                 (300, 150)])
+                                 (300, 150), (511, 128)])
 def test_unrank_lex_matches_scalar_oracle(n, k):
-    # the structural route's rank stream; C(n, k) passes 2^63 from n = 67.
-    # The unranking moves to int64 at position 0 of (66, 33), 1 of (67, 33),
-    # 2 of (68, 34), 3 of (130, 17) and 16 of (127, 32)
+    # the structural route's rank stream; C(n, k) passes 2^63 from n = 67,
+    # and C(511, 128) has 411 bits
     total = math.comb(n, k)
     rng = random.Random(0xC0DE)
     ranks = sorted({rng.randrange(total) for _ in range(min(512, total))})
@@ -365,12 +354,6 @@ def test_unrank_lex_matches_scalar_oracle(n, k):
     assert got[-2].tolist() == [n - k - 1] + list(range(n - k + 1, n))
     assert got[-1].tolist() == list(range(n - k, n))
     assert bulk.comb_table(n, k).dtype == (object if total >= 2 ** 63 else np.int64)
-    # the first position whose ranks left are all below 2^63
-    start = next(pos for pos in range(k + 1)
-                 if math.comb(n - pos, k - pos) < 2 ** 63)
-    switch = {(66, 33): 0, (67, 33): 1, (68, 34): 2, (130, 17): 3,
-              (127, 32): 16, (164, 42): 28}
-    assert start == switch.get((n, k), start)
 
 
 @st.composite

@@ -379,6 +379,22 @@ def test_verify_exit_3_on_route_split(tmp_path, runner, monkeypatch):
             "interpolation route says False (first failing row j = 0)") in res.stderr
 
 
+def test_verify_exit_3_on_a_document_out_of_memory(tmp_path, runner, monkeypatch):
+    # a valid document whose certify runs out of memory (planted, not
+    # allocated) exits 3 with a message: exit 1 would read as "false"
+    out, _ = _doc(tmp_path, runner, ["construct", "--family", "2", "--q", "5",
+                                     "--h", "6", "--r", "5", "--k", "4"])
+
+    def planted(spec, **kw):
+        raise MemoryError("planted failure")
+
+    monkeypatch.setattr(cli, "certify", planted)
+    res = runner.invoke(main, ["verify", str(out)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "certification FAILED: MemoryError: planted failure" in res.stderr
+
+
 def test_index_list_parsing(tmp_path, runner):
     out, res = _doc(tmp_path, runner,
                     ["construct", "--family", "5", "--q", "5", "--h", "4",

@@ -459,8 +459,7 @@ def _full_samples_nonsingular(F, G, cols):
     pytest.param((3, 81, 80, 2, 42), (0, 1), (164, 42),
                  "db2fad19d2ea0ddd569b01a234a46319ec0ae4746040e7a0606a321368691393",
                  id="q81-n164-k42"),
-    # C(n, k) > 2^63, with the unranking moving to int64 at position 16 of
-    # 32, 3 of 17 and 2 of 16
+    # C(n, k) > 2^63: the ranks are unranked on Python ints
     pytest.param((1, 64, 65, 2, 32), None, (127, 32),
                  "ba6b20e17f098b82709b518cffd9a5accbb28e682e419fdd11db5903352d84d4",
                  id="q64-n127-k32"),
