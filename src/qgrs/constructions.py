@@ -44,7 +44,6 @@ from . import bulk
 from .errors import (
     DistanceTooSmall,
     DivisibilityViolated,
-    InvalidScenario,
     NotFound,
     NotMDS,
     NotSelfOrthogonal,
@@ -152,13 +151,6 @@ def _check_q(q: int) -> None:
         raise RangeViolated(str(e)) from e
 
 
-def _scenario(kind: ScenarioKind, q: int, s: int, t: int) -> Scenario:
-    try:
-        return Scenario(kind, q, s, t)
-    except InvalidScenario as e:
-        raise RangeViolated(str(e)) from e
-
-
 def _check_k(k: int, k_max: int) -> None:
     if not 1 <= k <= k_max:
         raise RangeViolated(f"k = {k} outside [1, {k_max}]")
@@ -214,9 +206,9 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         if (r + h) % 2 == 0:
             raise ParityViolated(f"r + h = {r + h} must be odd")
         if h % 2 == 0:
-            sc = _scenario(ScenarioKind.EVEN, q, h // 2, (r - 3) // 2)
+            sc = Scenario(ScenarioKind.EVEN, q, h // 2, (r - 3) // 2)
         else:
-            sc = _scenario(ScenarioKind.ODD, q, (h - 1) // 2, (r - 2) // 2)
+            sc = Scenario(ScenarioKind.ODD, q, (h - 1) // 2, (r - 2) // 2)
         _check_k(k, sc.k_max)
         return Params(1, q, h, r, k, None, None, sc.m, r * sc.m + 1,
                       sc.k_max, sc)
@@ -228,9 +220,9 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             raise DivisibilityViolated(f"h = {h} does not divide q+1 = {q + 1}")
         if r % 2 == 0:
             raise ParityViolated(f"r = {r} must be odd")
-        if r < 3:
-            raise RangeViolated(f"r = {r} < 3")
-        sc = _scenario(ScenarioKind.SHIFTED_EVEN, q, h // 2, (r - 3) // 2)
+        if not 3 <= r < h:
+            raise RangeViolated(f"r = {r} outside [3, h) = [3, {h})")
+        sc = Scenario(ScenarioKind.SHIFTED_EVEN, q, h // 2, (r - 3) // 2)
         _check_k(k, sc.k_max)
         idx = _norm_indices("i_list", i_list, r, h, q)
         return Params(2, q, h, r, k, idx, None, sc.m, r * sc.m, sc.k_max, sc)
@@ -243,7 +235,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         s = h // 2
         if not 1 <= r <= s:
             raise RangeViolated(f"r = {r} outside [1, {s}]")
-        sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r)
+        sc = Scenario(ScenarioKind.HALF_SHIFT, q, s, r)
         _check_k(k, sc.k_max)
         idx = _norm_indices("i_list", i_list, r, s, q)
         return Params(3, q, h, r, k, idx, None, sc.m, r * sc.m, sc.k_max, sc)
@@ -255,7 +247,7 @@ def validate(family: int, q: int, h: int, r: int, k: int,
         s = h // 2
         if not s < r < 2 * s:
             raise RangeViolated(f"r = {r} outside ({s}, {2 * s})")
-        sc = _scenario(ScenarioKind.HALF_SHIFT, q, s, r // 2)
+        sc = Scenario(ScenarioKind.HALF_SHIFT, q, s, r // 2)
         _check_k(k, sc.k_max)
         r1, r2 = (r + 1) // 2, r // 2
         even_idx = _norm_indices("i_list", i_list, r1, s, q)
@@ -275,8 +267,10 @@ def validate(family: int, q: int, h: int, r: int, k: int,
             # and GF(16) the profile system then has NO totally nonzero
             # base-field solution at the top dimension (exhaustively
             # checked; frozen in the test suite), so the ceiling drops.
-            # Larger even q and all odd q are unaffected — witnesses exist
-            # and are found by the fallback search.
+            # No other q has such a proof, so its ceiling stands, though the
+            # fallback search can miss witnesses that exist: at q = 16 and
+            # k = 15 three-term witnesses exist for every r = h, the search
+            # finds one only at h = 3, and construct raises NotFound.
             k_max = min(k_max, q - 2)
         _check_k(k, k_max)
         idx = _norm_indices("i_list", i_list, r, h, q)

@@ -273,7 +273,7 @@ class FieldSpec:
         inv[1:] = self._exp[n_units - self._log[1:]]
         self._inv = inv
         if self.p == 2:
-            self._neg = np.arange(self.order, dtype=np.int64)
+            self._neg = None    # -a = a: vneg copies
             self._spexp = self._exp
             return
         # -a = (-1) * a, and -1 = g^(n_units / 2)
@@ -298,10 +298,12 @@ class FieldSpec:
         return self._reduce(self._sp[a] + self._sp[b], self._red, self.q)
 
     def vneg(self, a) -> np.ndarray:
+        if self.p == 2:
+            return np.array(a, dtype=np.int64)
         return self._neg[a]
 
     def vsub(self, a, b) -> np.ndarray:
-        return self.vadd(a, self._neg[b])
+        return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b) -> np.ndarray:
         return self._exp[self._log[a] + self._log[b]]

@@ -4,7 +4,8 @@ Self-orthogonality is always decided through two genuinely different
 routes — the gram expansion and the interpolation-degree criterion — and a
 disagreement raises instead of silently picking a winner.
 
-The Singleton distance is decided by the cheapest affordable route:
+The Singleton distance is decided by the cheapest route within budget;
+check_mds alone compares the costs with the budgets, and routes take none:
 
 1. all maximal minors of the generator matrix (complete, cost C(n, k));
 2. exhaustive codeword-weight enumeration over projective messages
@@ -67,7 +68,6 @@ _SAMPLE_SEED = 0xC0DE
 class MdsStatus(Enum):
     VERIFIED = "verified"
     FAILED = "failed"
-    BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,7 @@ def projective_word_count(order: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_mds_minors(spec: GrsSpec, *,
-                     budget: int = DEFAULT_MINOR_BUDGET) -> MdsReport:
-    n, k = spec.n, spec.k
-    total = math.comb(n, k)
-    if total > budget:
-        return MdsReport(MdsStatus.BUDGET_EXCEEDED, "minors", 0,
-                         f"C({n},{k}) = {total} > budget {budget}")
+def check_mds_minors(spec: GrsSpec) -> MdsReport:
     return check_matrix_minors(spec.field, generator_matrix(spec))
 
 
@@ -216,7 +210,7 @@ def _first_singular(F: FieldSpec, G: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_BUDGET,
+def check_min_distance_exhaustive(spec: GrsSpec, *,
                                   chunk: int = _WORD_CHUNK) -> MdsReport:
     """Walk every projective message, check no codeword has weight < n-k+1.
 
@@ -228,10 +222,6 @@ def check_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_B
     """
     n, k = spec.n, spec.k
     F = spec.field
-    total = projective_word_count(F.order, k)
-    if total > budget:
-        return MdsReport(MdsStatus.BUDGET_EXCEEDED, "exhaustive-distance", 0,
-                         f"{total} projective words > budget {budget}")
     d_target = singleton_distance(n, k)
     G = generator_matrix(spec)
     checked = 0
@@ -434,9 +424,9 @@ def check_mds(spec: GrsSpec, *, minor_budget: int = DEFAULT_MINOR_BUDGET,
               word_budget: int = DEFAULT_WORD_BUDGET) -> MdsReport:
     """Cheapest affordable complete route, structural certificate last."""
     if math.comb(spec.n, spec.k) <= minor_budget:
-        return check_mds_minors(spec, budget=minor_budget)
+        return check_mds_minors(spec)
     if projective_word_count(spec.field.order, spec.k) <= word_budget:
-        return check_min_distance_exhaustive(spec, budget=word_budget)
+        return check_min_distance_exhaustive(spec)
     return structural_minor_certificate(spec)
 
 

@@ -33,12 +33,7 @@ from qgrs.errors import InvalidScenario, ParamsRejected, ZeroArgument
 from qgrs.exponents import Scenario, ScenarioKind
 from qgrs.field import FieldSpec
 from qgrs.grs import GrsSpec, generator_matrix, singleton_distance
-from qgrs.verifier import (
-    DEFAULT_WORD_BUDGET,
-    MdsReport,
-    MdsStatus,
-    projective_word_count,
-)
+from qgrs.verifier import MdsReport, MdsStatus
 
 
 #: memoized ScalarField sums, negatives and products, per field: the span
@@ -365,8 +360,7 @@ def _unrank_lex(n: int, k: int, rank: int) -> list[int]:
     return out
 
 
-def scan_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_BUDGET,
-                                 chunk: int = 8192) -> MdsReport:
+def scan_min_distance_exhaustive(spec: GrsSpec, *, chunk: int = 8192) -> MdsReport:
     """Walk every projective message, check no codeword has weight < n-k+1.
 
     Weights are invariant under scaling the message, so only representatives
@@ -374,10 +368,6 @@ def scan_min_distance_exhaustive(spec: GrsSpec, *, budget: int = DEFAULT_WORD_BU
     """
     n, k = spec.n, spec.k
     F = spec.field
-    total = projective_word_count(F.order, k)
-    if total > budget:
-        return MdsReport(MdsStatus.BUDGET_EXCEEDED, "exhaustive-distance", 0,
-                         f"{total} projective words > budget {budget}")
     d_target = singleton_distance(n, k)
     G = generator_matrix(spec)
     checked = 0

@@ -31,6 +31,7 @@ from qgrs.constructions import (
 from qgrs.errors import (
     DistanceTooSmall,
     DivisibilityViolated,
+    InvalidScenario,
     NotMDS,
     NotSelfOrthogonal,
     ParamsRejected,
@@ -163,6 +164,33 @@ def test_validate_raises_only_params_rejected():
                             continue
                         accepted += 1
     assert accepted > 1000
+
+
+def test_validate_states_every_scenario_hypothesis():
+    # validate() states each family's window hypotheses itself, so every
+    # tuple it accepts builds its Scenario: no InvalidScenario escapes, and
+    # no rejection reads the window parameter t, which no caller passes.
+    # Family 2 needs r < h (t = (r - 3)/2 <= h/2 - 2), and says so
+    named = 0
+    for q in range(2, 129):
+        try:
+            prime_power_decompose(q)
+        except ValueError:
+            continue
+        hs = [h for h in range(1, q + 2) if (q + 1) % h == 0 or (q - 1) % h == 0]
+        for family, h in itertools.product(range(1, 6), hs):
+            for r in range(h + 3):
+                try:
+                    validate(family, q, h, r, 1)
+                except ParamsRejected as e:
+                    msg = str(e)
+                    assert "t = " not in msg and not isinstance(
+                        e.__cause__, InvalidScenario), (family, q, h, r, msg)
+                    if (family == 2 and r >= h and r % 2 and h % 2 == 0
+                            and (q + 1) % h == 0):
+                        assert f"r = {r}" in msg and str(h) in msg, msg
+                        named += 1
+    assert named > 100
 
 
 def test_validate_bounds_index_entries_by_the_group_order():

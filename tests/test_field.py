@@ -326,6 +326,17 @@ def test_characteristic_two_addition_is_xor():
         assert (F.vneg(b) == b).all()
 
 
+@pytest.mark.parametrize("e", (1, 3))
+def test_characteristic_two_negation_copies(e):
+    # at p = 2 each code is its own negative, so vneg keeps no table: it
+    # returns an equal int64 array that does not alias its input
+    F = make_field(2, e)
+    a = np.arange(F.order, dtype=np.int64).reshape(2, -1)
+    neg = F.vneg(a)
+    assert neg.dtype == np.int64 and (neg == a).all()
+    assert not np.shares_memory(neg, a)
+
+
 @pytest.mark.parametrize("e", range(1, 11), ids=lambda e: f"GF{4 ** e}")
 def test_oracle_binary_product_matches_schoolbook(e):
     # at p = 2 the oracle multiplies by shift and XOR; on random operands up

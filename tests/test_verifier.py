@@ -91,15 +91,14 @@ def test_ladder_selects_by_budget(small_spec):
     r = check_mds(small_spec, minor_budget=10, word_budget=10)
     assert r.method == "structural"
     assert r.ok
-
-
-def test_budget_exceeded_reports(small_spec):
-    r = check_mds_minors(small_spec, budget=1)
-    assert r.status is MdsStatus.BUDGET_EXCEEDED and not r.ok
-    assert "C(20,4)" in r.detail
-    r2 = check_min_distance_exhaustive(small_spec, budget=1)
-    assert r2.status is MdsStatus.BUDGET_EXCEEDED
-    assert "projective words" in r2.detail
+    # check_mds is the only gate: a budget equal to a route's count runs
+    # that route, and one below it falls through to the next
+    minors, words = math.comb(20, 4), projective_word_count(25, 4)
+    assert check_mds(small_spec, minor_budget=minors).method == "minors"
+    r = check_mds(small_spec, minor_budget=minors - 1, word_budget=words)
+    assert r.method == "exhaustive-distance" and r.checked == words
+    r = check_mds(small_spec, minor_budget=minors - 1, word_budget=words - 1)
+    assert r.method == "structural" and r.ok
 
 
 def test_minors_catch_repeated_locator():
